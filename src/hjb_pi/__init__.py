@@ -3,15 +3,13 @@
 The package discretizes lam*V + sup_a{-c(x,a) - f(x,a).grad V} = 0 on a
 uniform grid with centered differences plus an artificial viscosity term
 N*h*Lap_h chosen large enough that the per-policy stencil is monotone,
-then solves the discrete equation by Howard policy iteration: a
-tridiagonal (1D) or SOR (2D) policy-evaluation solve alternating with a
+then solves the discrete equation by Howard policy iteration: a Thomas
+(1D) or red-black SOR (2D) policy-evaluation solve alternating with a
 closed-form greedy policy update, optionally relaxed.
 
 Layer map, bottom to top: grid -> problems -> scheme -> linsolve ->
 howard -> analysis / benchmarks -> cli.  oracles holds independent
-reimplementations used only to cross-check the main path; backends picks
-the compiled kernels when the extension is built and the pure-Python
-twins otherwise.
+reimplementations used only to cross-check the main path.
 """
 
 from .analysis import (
@@ -24,7 +22,6 @@ from .analysis import (
     optimal_iteration_count,
     total_error_bound,
 )
-from .backends import backend_name, compiled_available, set_backend
 from .benchmarks import BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
 from .grid import Grid, GridField, apply_dirichlet, build_grid
 from .howard import (
@@ -93,12 +90,10 @@ __all__ = [
     "apply_dirichlet",
     "apply_policy_operator",
     "assemble_evaluation_system",
-    "backend_name",
     "bellman_residual",
     "build_benchmark",
     "build_grid",
     "certify_monotone_stencil",
-    "compiled_available",
     "contraction_factor",
     "detect_plateau",
     "error_metrics",
@@ -119,7 +114,6 @@ __all__ = [
     "policy_improve",
     "resolvent_map",
     "run_policy_iteration",
-    "set_backend",
     "solve_dense_oracle",
     "solve_sor",
     "solve_tridiagonal",

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import backends
 from .benchmarks import build_benchmark
 from .grid import GridField, build_grid, discrete_gradient, discrete_laplacian
 from .howard import PIConfig, run_policy_iteration
@@ -300,44 +299,6 @@ def check_maximum_principle() -> tuple[bool, str]:
     return lo >= -1e-12, f"solution minimum {lo:.2e}"
 
 
-def check_backend_agreement() -> tuple[bool, str]:
-    """Compiled and pure-Python kernels produce identical results."""
-    if not backends.compiled_available():
-        return True, "compiled backend absent, fallback active (skipped)"
-    rng = np.random.default_rng(_SEED + 9)
-    import importlib
-
-    compiled = importlib.import_module("hjb_pi._kernels")
-    python = importlib.import_module("hjb_pi._kernels_py")
-    worst = 0.0
-    n = 40
-    sub = rng.uniform(-1, 1, n)
-    sup = rng.uniform(-1, 1, n)
-    sub[0] = 0.0
-    sup[-1] = 0.0
-    diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, n)
-    rhs = rng.uniform(-1, 1, n)
-    out_c = np.empty(n)
-    out_p = np.empty(n)
-    compiled.thomas_solve(sub, diag, sup, rhs, np.empty(n), out_c)
-    python.thomas_solve(sub, diag, sup, rhs, np.empty(n), out_p)
-    worst = max(worst, float(np.max(np.abs(out_c - out_p))))
-    system = _random_structured_system(rng, 7, 7)
-    u_c = np.zeros((9, 9))
-    u_p = np.zeros((9, 9))
-    for _ in range(30):
-        compiled.sor_sweep(
-            u_c, system.center, system.xplus, system.xminus,
-            system.yplus, system.yminus, system.rhs, 1.7,
-        )
-        python.sor_sweep(
-            u_p, system.center, system.xplus, system.xminus,
-            system.yplus, system.yminus, system.rhs, 1.7,
-        )
-    worst = max(worst, float(np.max(np.abs(u_c - u_p))))
-    return worst <= 1e-13, f"max backend disagreement {worst:.2e}"
-
-
 def check_greedy_monotone_decrease() -> tuple[bool, str]:
     """Greedy iterates decrease pointwise on a coarse 1D run."""
     setup = build_benchmark("lq1d", h=0.2)
@@ -367,7 +328,6 @@ CHECKS: list[tuple[str, Callable[[], tuple[bool, str]], bool]] = [
     ("thomas-vs-dense", check_thomas_vs_dense, True),
     ("sor-vs-dense", check_sor_vs_dense, True),
     ("maximum-principle", check_maximum_principle, True),
-    ("backend-agreement", check_backend_agreement, True),
     ("greedy-monotone-decrease", check_greedy_monotone_decrease, True),
 ]
 

@@ -1,12 +1,11 @@
-"""Command-line harness: benchmark runs, mesh sweeps, checks, kernel timing.
+"""Command-line harness: benchmark runs, mesh sweeps and the property checks.
 
 Subcommands
 -----------
 run1d   1D quadratic-cost benchmark with greedy policy iteration.
-run2d   2D manufactured benchmark with relaxed policy iteration and SOR.
+run2d   2D manufactured benchmark with relaxed policy iteration and red-black SOR.
 sweep   Mesh sweep with per-h iteration budgets and a fitted error slope.
 check   Structural property suite, one PASS/FAIL line per property.
-bench   Timing comparison of the compiled and pure-Python kernels.
 
 All artifacts are plain UTF-8 CSV and JSON.  Numbers in CSV bodies are
 written with 17 significant digits so re-running a command with the same
@@ -22,18 +21,13 @@ import json
 import math
 import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import backends
 from .analysis import detect_plateau, fit_power_rate, optimal_iteration_count
 from .benchmarks import BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
 from .checks import run_checks
 from .howard import PIConfig, PIReport, run_policy_iteration
-from .linsolve import SolverError, StructuredSystem2D, TridiagonalSystem
+from .linsolve import SolverError
 from .scheme import MonotonicityError, contraction_factor
 
 __all__ = ["RunConfig", "execute_command", "main"]
@@ -265,7 +259,7 @@ def _cmd_run2d(config: RunConfig) -> int:
     return 0
 
 
-def _sweep_one(config: RunConfig, h: float, cap: int) -> tuple[float, PIReport]:
+def _sweep_one(config: RunConfig, h: float, cap: int) -> PIReport:
     setup = build_benchmark(
         config.benchmark,
         lam=config.lam,
@@ -275,7 +269,7 @@ def _sweep_one(config: RunConfig, h: float, cap: int) -> tuple[float, PIReport]:
     )
     budget = optimal_iteration_count(h, config.lam, setup.grid.dim, setup.params.viscosity)
     run_cfg = dataclasses.replace(config, h=h, iterations=min(budget, cap))
-    report = run_policy_iteration(
+    return run_policy_iteration(
         setup.problem,
         setup.grid,
         setup.params,
@@ -283,22 +277,14 @@ def _sweep_one(config: RunConfig, h: float, cap: int) -> tuple[float, PIReport]:
         boundary=setup.boundary,
         reference=setup.reference,
     )
-    return h, report
 
 
 def _cmd_sweep(config: RunConfig, cap: int) -> int:
     h_values = config.sweep_h
-    threads = int(os.environ.get("HJB_PI_THREADS", "1"))
-    if threads < 1:
-        raise ValueError("HJB_PI_THREADS must be at least 1")
-    if threads == 1:
-        results = [_sweep_one(config, h, cap) for h in h_values]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda h: _sweep_one(config, h, cap), h_values))
     rows = []
     errors = []
-    for h, report in results:
+    for h in h_values:
+        report = _sweep_one(config, h, cap)
         err = report.linf_error_to_reference[-1]
         rows.append(
             [h, float(report.iterations_run), err, report.l2_error_to_reference[-1]]
@@ -325,90 +311,6 @@ def _cmd_sweep(config: RunConfig, cap: int) -> int:
         },
     )
     print(f"sweep: {len(rows)} meshes, fitted error slope {fit.slope:.4f}")
-    return 0
-
-
-def _bench_payload(repeats: int) -> dict:
-    """Time both kernel backends on fixed workloads and compare outputs."""
-    import importlib
-
-    rng = np.random.default_rng(5150)
-    n = 4000
-    sub = rng.uniform(-1, 1, n)
-    sup = rng.uniform(-1, 1, n)
-    sub[0] = 0.0
-    sup[-1] = 0.0
-    diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, n)
-    rhs = rng.uniform(-1, 1, n)
-    m = 79
-    ratio = 20.0
-    drift = rng.uniform(-0.9, 0.9, size=(2, m, m)) * 2.0 * ratio
-    system = StructuredSystem2D(
-        center=np.full((m, m), 1.0 + 4.0 * ratio),
-        xplus=-(ratio + drift[0] / 4.0),
-        xminus=-(ratio - drift[0] / 4.0),
-        yplus=-(ratio + drift[1] / 4.0),
-        yminus=-(ratio - drift[1] / 4.0),
-        rhs=rng.uniform(-1, 1, size=(m, m)),
-    )
-    names = ["python"]
-    if backends.compiled_available():
-        names.insert(0, "compiled")
-    payload: dict = {"repeats": repeats, "backends": {}}
-    outputs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name in names:
-        mod = importlib.import_module(
-            "hjb_pi._kernels" if name == "compiled" else "hjb_pi._kernels_py"
-        )
-        out = np.empty(n)
-        work = np.empty(n)
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            mod.thomas_solve(sub, diag, sup, rhs, work, out)
-        t_thomas = (time.perf_counter() - t0) / repeats
-        u = np.zeros((m + 2, m + 2))
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            mod.sor_sweep(
-                u, system.center, system.xplus, system.xminus,
-                system.yplus, system.yminus, system.rhs, 1.7,
-            )
-        t_sor = (time.perf_counter() - t0) / repeats
-        payload["backends"][name] = {
-            "thomas_seconds_per_solve": t_thomas,
-            "sor_seconds_per_sweep": t_sor,
-        }
-        outputs[name] = (out.copy(), u.copy())
-    if len(names) == 2:
-        d_thomas = float(np.max(np.abs(outputs["compiled"][0] - outputs["python"][0])))
-        d_sor = float(np.max(np.abs(outputs["compiled"][1] - outputs["python"][1])))
-        pyb = payload["backends"]["python"]
-        cob = payload["backends"]["compiled"]
-        payload["agreement"] = {"thomas": d_thomas, "sor": d_sor}
-        payload["speedup"] = {
-            "thomas": pyb["thomas_seconds_per_solve"] / cob["thomas_seconds_per_solve"],
-            "sor": pyb["sor_seconds_per_sweep"] / cob["sor_seconds_per_sweep"],
-        }
-    return payload
-
-
-def _cmd_bench(repeats: int, json_path: str | None) -> int:
-    payload = _bench_payload(repeats)
-    for name, times in payload["backends"].items():
-        print(
-            f"{name:>8}: thomas {times['thomas_seconds_per_solve'] * 1e6:9.1f} us/solve, "
-            f"sor sweep {times['sor_seconds_per_sweep'] * 1e6:9.1f} us/sweep"
-        )
-    if "speedup" in payload:
-        print(
-            f"speedup: thomas {payload['speedup']['thomas']:.1f}x, "
-            f"sor {payload['speedup']['sor']:.1f}x; max disagreement "
-            f"{max(payload['agreement'].values()):.2e}"
-        )
-    else:
-        print("compiled backend not built; timed the pure-Python fallback only")
-    if json_path:
-        _write_json(json_path, payload)
     return 0
 
 
@@ -474,11 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fast", action="store_true",
                     help="skip the slow value-iteration cross-check")
 
-    pb = sub.add_parser("bench", help="time compiled vs pure-Python kernels")
-    pb.add_argument("--repeats", type=int, default=20,
-                    help="timing repetitions per kernel (default %(default)s)")
-    pb.add_argument("--json", dest="json_path", default=None,
-                    help="optional path for a JSON timing report")
     return parser
 
 
@@ -534,8 +431,6 @@ def execute_command(argv: list[str]) -> int:
         if args.subcommand == "check":
             failures = run_checks(fast=args.fast)
             return 1 if failures else 0
-        if args.subcommand == "bench":
-            return _cmd_bench(args.repeats, args.json_path)
         raise ValueError(f"unknown subcommand {args.subcommand!r}")
     except (ValueError, MonotonicityError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

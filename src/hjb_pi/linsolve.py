@@ -4,8 +4,8 @@ Assembly moves Dirichlet neighbor terms into the right-hand side, leaving a
 strictly diagonally dominant system over interior unknowns (dominance margin
 lam, inherited from the monotone stencil).  1D systems are tridiagonal and
 solved by Thomas elimination; 2D systems keep the five-point structure and
-are solved by SOR with lexicographic sweeps.  A dense LU path exists purely
-as a test oracle.
+are solved by SOR with red-black sweeps, vectorized over each colour.  A
+dense LU path exists purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
 from .grid import Grid, GridField
 from .problems import ControlProblem, PolicyField, policy_cost_and_drift
 from .scheme import MonotonicityError, SchemeParams
@@ -171,20 +170,27 @@ def _assert_dominance(diag: np.ndarray, offsum: np.ndarray, lam: float) -> None:
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Thomas elimination through the active kernel backend."""
+    """Thomas elimination; sub[0] and sup[-1] are ignored.
+
+    Raises SolverError on a zero pivot (impossible for diagonally dominant
+    input, kept as a defensive guard).
+    """
+    sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
     n = system.n
-    out = np.empty(n)
     work = np.empty(n)
-    status = backends.active_backend().thomas_solve(
-        np.ascontiguousarray(system.sub),
-        np.ascontiguousarray(system.diag),
-        np.ascontiguousarray(system.sup),
-        np.ascontiguousarray(system.rhs),
-        work,
-        out,
-    )
-    if status != 0:
+    out = np.empty(n)
+    if diag[0] == 0.0:
         raise SolverError("zero pivot in tridiagonal elimination")
+    work[0] = sup[0] / diag[0]
+    out[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - sub[i] * work[i - 1]
+        if denom == 0.0:
+            raise SolverError("zero pivot in tridiagonal elimination")
+        work[i] = sup[i] / denom
+        out[i] = (rhs[i] - sub[i] * out[i - 1]) / denom
+    for i in range(n - 2, -1, -1):
+        out[i] = out[i] - work[i] * out[i + 1]
     return out
 
 
@@ -195,8 +201,12 @@ def solve_sor(
     max_iter: int = 5000,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
-    """SOR with lexicographic sweeps; stops on the max-norm of the update.
+    """SOR with red-black sweeps; stops on the max-norm of the update.
 
+    A sweep updates every node of one checkerboard colour at once from the
+    other colour's values, then every node of the other colour.  The stopping
+    rule is the same as for any sweep order: the largest absolute update of
+    a sweep is at most tol.  Neither the system nor `initial` is modified.
     The returned stats report the sweep count and last update norm; callers
     decide whether a non-converged result is fatal.
     """
@@ -205,31 +215,62 @@ def solve_sor(
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
     m0, m1 = system.shape
-    padded = np.zeros((m0 + 2, m1 + 2))
+    # Padding the unknowns with a zero ring to an odd row width makes a
+    # node's colour the parity of its flat index p, and all four of its
+    # neighbours (p +- 1, p +- width) have the other colour.  Each colour is
+    # stored contiguously, flat position p = 2q + c as entry q of colour c,
+    # so the neighbour p + d is entry q + (2c + d - 1) // 2 of the other
+    # colour.  Ring nodes have zero coefficients and rhs, so they stay 0.
+    width = m1 + 2 if m1 % 2 else m1 + 3
+    rows = m0 + 2 if m0 % 2 == 0 else m0 + 3  # even, so the colours split evenly
     if initial is not None:
         initial = np.asarray(initial, dtype=float)
         if initial.shape != (m0, m1):
             raise ValueError(f"initial guess shape {initial.shape}, expected {(m0, m1)}")
-        padded[1:-1, 1:-1] = initial
-    sweep = backends.active_backend().sor_sweep
-    args = (
-        np.ascontiguousarray(system.center),
-        np.ascontiguousarray(system.xplus),
-        np.ascontiguousarray(system.xminus),
-        np.ascontiguousarray(system.yplus),
-        np.ascontiguousarray(system.yminus),
-        np.ascontiguousarray(system.rhs),
-    )
+    padded = np.zeros((rows, width))
+    inner = padded[1 : m0 + 1, 1 : m1 + 1]
+
+    def split(block: np.ndarray) -> np.ndarray:
+        """Fill the inner block, return its (2, rows * width / 2) colour rows."""
+        inner[:] = block
+        return padded.reshape(-1, 2).T.copy()
+
+    # E, W, N, S coefficients and rhs, scaled by omega / center
+    scale = omega / system.center
+    layers = [
+        split(scale * a)
+        for a in (system.xplus, system.xminus, system.yplus, system.yminus, system.rhs)
+    ]
+    values = split(0.0 if initial is None else initial)
+    colours = []
+    for c in (0, 1):
+        # entries of colour c in rows 1..m0
+        lo, hi = (width - c + 1) // 2, ((m0 + 1) * width - c + 1) // 2
+        shifts = [(2 * c + d - 1) // 2 for d in (width, -width, 1, -1)]
+        neighbours = [values[1 - c, lo + k : hi + k] for k in shifts]
+        *weights, rhs = (layer[c, lo:hi] for layer in layers)
+        delta, term = np.empty((2, hi - lo))
+        colours.append((values[c, lo:hi], neighbours, weights, rhs, delta, term))
     update = np.inf
     iters = 0
     for iters in range(1, max_iter + 1):
-        update = sweep(padded, *args, omega)
+        update = 0.0
+        for node, neighbours, weights, rhs, delta, term in colours:
+            # delta = omega * (rhs - offdiag . u) / center - omega * u
+            np.multiply(node, omega, out=delta)
+            for a, v in zip(weights, neighbours):
+                np.multiply(a, v, out=term)
+                delta += term
+            np.subtract(rhs, delta, out=delta)
+            node += delta
+            update = np.maximum(update, np.abs(delta, out=delta).max())
         if not np.isfinite(update):
             raise SolverError(f"SOR diverged after {iters} sweeps")
         if update <= tol:
             break
     converged = update <= tol
-    return padded[1:-1, 1:-1].copy(), SolveStats(
+    u = values.T.reshape(rows, width)
+    return u[1 : m0 + 1, 1 : m1 + 1].copy(), SolveStats(
         iterations=iters, final_update_norm=float(update), converged=bool(converged)
     )
 

@@ -110,14 +110,3 @@ def test_check_fast_passes(capsys):
     assert "PASS" in out and "SKIP" in out
     assert not any(line.startswith("FAIL") for line in out.splitlines())
 
-
-def test_bench_writes_json_report(tmp_path, capsys):
-    path = tmp_path / "bench.json"
-    code = execute_command(["bench", "--repeats", "1", "--json", str(path)])
-    assert code == 0
-    payload = json.loads(path.read_text())
-    assert "python" in payload["backends"]
-    for times in payload["backends"].values():
-        assert times["thomas_seconds_per_solve"] > 0
-        assert times["sor_seconds_per_sweep"] > 0
-    assert "us/solve" in capsys.readouterr().out

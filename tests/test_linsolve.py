@@ -148,16 +148,33 @@ def test_thomas_zero_pivot_is_reported():
 
 
 def test_sor_matches_dense_and_gauss_seidel():
-    rng = make_rng(404)
-    system = random_structured_system(rng, 9, 9)
-    dense = solve_dense_oracle(system)
-    sol, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=5000)
+    # Edge shapes: a single node, single rows and columns, and both parities
+    # of each side, which set the padding of the red-black layout.  omega = 1
+    # is plain Gauss-Seidel and must converge on the same systems.
+    for shape in [(1, 1), (1, 4), (4, 1), (2, 3), (9, 8), (9, 9)]:
+        system = random_structured_system(make_rng(404), *shape)
+        dense = solve_dense_oracle(system)
+        for omega in (1.7, 1.0):
+            sol, stats = solve_sor(system, omega=omega, tol=1e-10, max_iter=5000)
+            assert stats.converged, (shape, omega)
+            assert sol.shape == shape
+            assert np.max(np.abs(sol - dense)) <= 1e-8, (shape, omega)
+
+
+def test_sor_leaves_inputs_unchanged():
+    """policy_evaluate warm starts from a view of the previous iterate."""
+    rng = make_rng(409)
+    system = random_structured_system(rng, 9, 8)
+    initial = rng.uniform(-1, 1, size=(9, 8))
+    fields = ("center", "xplus", "xminus", "yplus", "yminus", "rhs")
+    before = {name: getattr(system, name).copy() for name in fields}
+    initial_before = initial.copy()
+    sol, stats = solve_sor(system, omega=1.7, tol=1e-10, initial=initial)
     assert stats.converged
-    assert np.max(np.abs(sol - dense)) <= 1e-8
-    # omega = 1 is plain Gauss-Seidel and must converge on the same system
-    gs, gs_stats = solve_sor(system, omega=1.0, tol=1e-10, max_iter=5000)
-    assert gs_stats.converged
-    assert np.max(np.abs(gs - dense)) <= 1e-8
+    assert np.array_equal(initial, initial_before)
+    for name in fields:
+        assert np.array_equal(getattr(system, name), before[name]), name
+    assert not np.shares_memory(sol, initial)
 
 
 def test_sor_non_convergence_is_reported_not_fatal():
