@@ -8,8 +8,12 @@ then solves the discrete equation by Howard policy iteration: a Thomas
 closed-form greedy policy update, optionally relaxed.
 
 Layer map, bottom to top: grid -> problems -> scheme -> linsolve ->
-howard -> analysis / benchmarks -> cli.  oracles holds independent
-reimplementations used only to cross-check the main path.
+howard -> analysis / benchmarks -> cli.  scheme owns GridProblem, the
+problem sampled once onto a grid, and stencil_coefficients, the one
+stencil routine that assembly, the resolvent and certification share;
+benchmarks owns BENCHMARK_DEFAULTS, the one table of benchmark defaults.
+oracles holds independent reimplementations used only to cross-check the
+main path.
 """
 
 from .analysis import (
@@ -22,7 +26,7 @@ from .analysis import (
     optimal_iteration_count,
     total_error_bound,
 )
-from .benchmarks import BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
+from .benchmarks import BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
 from .grid import Grid, GridField, apply_dirichlet, build_grid
 from .howard import (
     PIConfig,
@@ -56,6 +60,7 @@ from .problems import (
     manufactured_value,
 )
 from .scheme import (
+    GridProblem,
     MonotonicityError,
     SchemeParams,
     StencilCertificate,
@@ -70,12 +75,14 @@ from .scheme import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BENCHMARK_DEFAULTS",
     "BENCHMARK_NAMES",
     "BenchmarkSetup",
     "ControlProblem",
     "ErrorDecomposition",
     "Grid",
     "GridField",
+    "GridProblem",
     "MonotonicityError",
     "PIConfig",
     "PIReport",

@@ -1,9 +1,11 @@
 """Benchmark wiring: problem, grid, scheme parameters, reference, boundary.
 
-Bundles everything a run needs for the two built-in benchmarks and records
-their default driver settings (iteration budget, relaxation, initial
-policy).  Dirichlet data always comes from the reference solution, so the
-only errors in play are iteration and discretization errors.
+Bundles everything a run needs for the two built-in benchmarks.
+BENCHMARK_DEFAULTS is the one table of their default settings: the problem
+and mesh that build_benchmark falls back to, and the run settings
+(iteration budget, relaxation, initial policy) that the command line uses.
+Dirichlet data always comes from the reference solution, so the only errors
+in play are iteration and discretization errors.
 """
 
 from __future__ import annotations
@@ -24,9 +26,19 @@ from .problems import (
 )
 from .scheme import SchemeParams, viscosity_coefficient
 
-__all__ = ["BenchmarkSetup", "build_benchmark", "BENCHMARK_NAMES"]
+__all__ = ["BenchmarkSetup", "build_benchmark", "BENCHMARK_DEFAULTS", "BENCHMARK_NAMES"]
 
-BENCHMARK_NAMES = ("lq1d", "manufactured2d")
+BENCHMARK_DEFAULTS = {
+    "lq1d": {
+        "lam": 1.0, "half_width": 3.0, "h": 0.03, "a_max": 6.0,
+        "iterations": 50, "theta": 1.0, "initial_policy": "zero",
+    },
+    "manufactured2d": {
+        "lam": 1.0, "half_width": 2.0, "h": 0.05, "a_max": 2.0,
+        "iterations": 60, "theta": 0.18, "initial_policy": "adversarial2d",
+    },
+}
+BENCHMARK_NAMES = tuple(BENCHMARK_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -39,34 +51,22 @@ class BenchmarkSetup:
     params: SchemeParams
     reference: GridField
     boundary: GridField
-    default_iterations: int
-    default_theta: float
-    default_initial_policy: str
 
 
 def build_benchmark(
     name: str,
-    lam: float = 1.0,
+    lam: float | None = None,
     half_width: float | None = None,
     h: float | None = None,
     a_max: float | None = None,
 ) -> BenchmarkSetup:
-    """Construct a benchmark setup; None arguments take benchmark defaults."""
-    if name == "lq1d":
-        return _build_lq1d(
-            lam=lam,
-            half_width=3.0 if half_width is None else half_width,
-            h=0.03 if h is None else h,
-            a_max=6.0 if a_max is None else a_max,
-        )
-    if name == "manufactured2d":
-        return _build_manufactured2d(
-            lam=lam,
-            half_width=2.0 if half_width is None else half_width,
-            h=0.05 if h is None else h,
-            a_max=2.0 if a_max is None else a_max,
-        )
-    raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}")
+    """Construct a benchmark setup; None arguments take BENCHMARK_DEFAULTS."""
+    if name not in BENCHMARK_DEFAULTS:
+        raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}")
+    given = {"lam": lam, "half_width": half_width, "h": h, "a_max": a_max}
+    settings = {k: BENCHMARK_DEFAULTS[name][k] if v is None else v for k, v in given.items()}
+    build = _build_lq1d if name == "lq1d" else _build_manufactured2d
+    return build(**settings)
 
 
 def _build_lq1d(lam: float, half_width: float, h: float, a_max: float) -> BenchmarkSetup:
@@ -83,9 +83,6 @@ def _build_lq1d(lam: float, half_width: float, h: float, a_max: float) -> Benchm
         params=params,
         reference=reference,
         boundary=reference,
-        default_iterations=50,
-        default_theta=1.0,
-        default_initial_policy="zero",
     )
 
 
@@ -118,9 +115,6 @@ def _build_manufactured2d(lam: float, half_width: float, h: float, a_max: float)
         params=params,
         reference=reference,
         boundary=reference,
-        default_iterations=60,
-        default_theta=0.18,
-        default_initial_policy="adversarial2d",
     )
 
 

@@ -41,6 +41,7 @@ from .problems import (
     running_cost,
 )
 from .scheme import (
+    GridProblem,
     bellman_residual,
     certify_monotone_stencil,
     contraction_factor,
@@ -291,10 +292,8 @@ def check_maximum_principle() -> tuple[bool, str]:
         rng.uniform(-6, 6, size=setup.grid.interior_shape + (1,)),
         setup.problem.a_max,
     )
-    system = assemble_evaluation_system(
-        setup.problem, setup.params, policy, setup.grid, setup.boundary
-    )
-    x = solve_tridiagonal(system)
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
+    x = solve_tridiagonal(assemble_evaluation_system(gp, policy, setup.boundary))
     lo = float(np.min(x))
     return lo >= -1e-12, f"solution minimum {lo:.2e}"
 

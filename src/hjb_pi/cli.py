@@ -4,7 +4,7 @@ Subcommands
 -----------
 run1d   1D quadratic-cost benchmark with greedy policy iteration.
 run2d   2D manufactured benchmark with relaxed policy iteration and red-black SOR.
-sweep   Mesh sweep with per-h iteration budgets and a fitted error slope.
+sweep   1D mesh sweep with per-h iteration budgets and a fitted error slope.
 check   Structural property suite, one PASS/FAIL line per property.
 
 All artifacts are plain UTF-8 CSV and JSON.  Numbers in CSV bodies are
@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .analysis import detect_plateau, fit_power_rate, optimal_iteration_count
-from .benchmarks import BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
+from .benchmarks import BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
 from .checks import run_checks
 from .howard import PIConfig, PIReport, run_policy_iteration
 from .linsolve import SolverError
@@ -314,40 +314,30 @@ def _cmd_sweep(config: RunConfig, cap: int) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    # A None default means "resolved per benchmark after parsing" (sweep).
-    parser.add_argument("--lambda", dest="lam", type=float, default=defaults.get("lam"),
+def _add_common_flags(parser: argparse.ArgumentParser, benchmark: str) -> None:
+    defaults = BENCHMARK_DEFAULTS[benchmark]
+    parser.add_argument("--lambda", dest="lam", type=float, default=defaults["lam"],
                         help="discount rate (default %(default)s)")
-    parser.add_argument("--half-width", type=float, default=defaults.get("half_width"),
+    parser.add_argument("--half-width", type=float, default=defaults["half_width"],
                         help="domain half-width L (default %(default)s)")
-    parser.add_argument("--h", type=float, default=defaults.get("h"),
+    parser.add_argument("--h", type=float, default=defaults["h"],
                         help="mesh size (default %(default)s)")
-    parser.add_argument("--iterations", type=int, default=defaults.get("iterations"),
+    parser.add_argument("--iterations", type=int, default=defaults["iterations"],
                         help="outer iteration budget (default %(default)s)")
-    parser.add_argument("--theta", type=float, default=defaults.get("theta"),
+    parser.add_argument("--theta", type=float, default=defaults["theta"],
                         help="policy relaxation weight in (0,1] (default %(default)s)")
-    parser.add_argument("--a-max", type=float, default=defaults.get("a_max"),
+    parser.add_argument("--a-max", type=float, default=defaults["a_max"],
                         help="control box half-width (default %(default)s)")
-    parser.add_argument("--omega", type=float, default=1.7,
+    parser.add_argument("--omega", type=float, default=PIConfig.omega,
                         help="SOR relaxation parameter (default %(default)s)")
-    parser.add_argument("--solver-tol", type=float, default=1e-10,
+    parser.add_argument("--solver-tol", type=float, default=PIConfig.solver_tol,
                         help="inner solver update tolerance (default %(default)s)")
-    parser.add_argument("--solver-max-iter", type=int, default=5000,
+    parser.add_argument("--solver-max-iter", type=int, default=PIConfig.solver_max_iter,
                         help="inner solver sweep cap (default %(default)s)")
     parser.add_argument("--outer-tol", dest="outer_tolerance", type=float, default=None,
                         help="optional early-stop tolerance on max |V_n - V_{n-1}|")
     parser.add_argument("--out-dir", default="out",
                         help="directory for CSV/JSON artifacts (default %(default)s)")
-
-
-RUN1D_DEFAULTS = {
-    "lam": 1.0, "half_width": 3.0, "h": 0.03, "iterations": 50,
-    "theta": 1.0, "a_max": 6.0,
-}
-RUN2D_DEFAULTS = {
-    "lam": 1.0, "half_width": 2.0, "h": 0.05, "iterations": 60,
-    "theta": 0.18, "a_max": 2.0,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,14 +349,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p1 = sub.add_parser("run1d", help="1D quadratic-cost benchmark, greedy updates")
-    _add_common_flags(p1, RUN1D_DEFAULTS)
+    _add_common_flags(p1, "lq1d")
 
     p2 = sub.add_parser("run2d", help="2D manufactured benchmark, relaxed updates")
-    _add_common_flags(p2, RUN2D_DEFAULTS)
+    _add_common_flags(p2, "manufactured2d")
 
-    ps = sub.add_parser("sweep", help="mesh sweep with fitted error slope")
+    ps = sub.add_parser("sweep", help="mesh sweep with fitted error slope (lq1d only)")
     ps.add_argument("--benchmark", choices=list(BENCHMARK_NAMES), default="lq1d")
-    _add_common_flags(ps, {})
+    _add_common_flags(ps, "lq1d")
     ps.add_argument("--h-list", default="0.2,0.1,0.05,0.025",
                     help="comma-separated mesh sizes (default %(default)s)")
     ps.add_argument("--max-iterations", type=int, default=2000,
@@ -380,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace, command: str, benchmark: str,
-                      initial_policy: str, sweep_h: tuple[float, ...] | None) -> RunConfig:
+                      sweep_h: tuple[float, ...] | None) -> RunConfig:
     return RunConfig(
         command=command,
         benchmark=benchmark,
@@ -390,7 +380,7 @@ def _config_from_args(args: argparse.Namespace, command: str, benchmark: str,
         iterations=args.iterations,
         theta=args.theta,
         a_max=args.a_max,
-        initial_policy=initial_policy,
+        initial_policy=BENCHMARK_DEFAULTS[benchmark]["initial_policy"],
         omega=args.omega,
         solver_tol=args.solver_tol,
         solver_max_iter=args.solver_max_iter,
@@ -409,22 +399,23 @@ def execute_command(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         if args.subcommand == "run1d":
-            config = _config_from_args(args, "run1d", "lq1d", "zero", None)
+            config = _config_from_args(args, "run1d", "lq1d", None)
             return _cmd_run1d(config)
         if args.subcommand == "run2d":
-            config = _config_from_args(args, "run2d", "manufactured2d", "adversarial2d", None)
+            config = _config_from_args(args, "run2d", "manufactured2d", None)
             return _cmd_run2d(config)
         if args.subcommand == "sweep":
+            if args.benchmark == "manufactured2d":
+                raise ValueError(
+                    "sweep cannot fit a convergence order on manufactured2d: its "
+                    "reference solves the discrete equation exactly at every h, so "
+                    "the errors are iteration error alone and the slope would mean nothing"
+                )
             h_values = tuple(float(tok) for tok in args.h_list.split(",") if tok)
             if not h_values:
                 raise ValueError("--h-list must name at least one mesh size")
-            base = RUN1D_DEFAULTS if args.benchmark == "lq1d" else RUN2D_DEFAULTS
-            for key, value in base.items():
-                if getattr(args, key) is None:
-                    setattr(args, key, value)
             args.h = h_values[0]  # placeholder; per-run h comes from the list
-            initial = "zero" if args.benchmark == "lq1d" else "adversarial2d"
-            config = _config_from_args(args, "sweep", args.benchmark, initial, h_values)
+            config = _config_from_args(args, "sweep", args.benchmark, h_values)
             if config.outer_tolerance is None:
                 config = dataclasses.replace(config, outer_tolerance=1e-12)
             return _cmd_sweep(config, args.max_iterations)

@@ -28,7 +28,7 @@ from .linsolve import (
     solve_tridiagonal,
 )
 from .problems import ControlProblem, PolicyField, manufactured_value
-from .scheme import SchemeParams
+from .scheme import GridProblem, SchemeParams
 
 __all__ = [
     "PIConfig",
@@ -129,14 +129,12 @@ def initial_policy(spec: str, grid: Grid, problem: ControlProblem) -> PolicyFiel
 
 
 def policy_evaluate(
-    problem: ControlProblem,
-    params: SchemeParams,
+    gp: GridProblem,
     policy: PolicyField,
-    grid: Grid,
     boundary: GridField,
-    omega: float = 1.7,
-    solver_tol: float = 1e-10,
-    solver_max_iter: int = 5000,
+    omega: float = PIConfig.omega,
+    solver_tol: float = PIConfig.solver_tol,
+    solver_max_iter: int = PIConfig.solver_max_iter,
     initial: GridField | None = None,
 ) -> tuple[GridField, SolveStats]:
     """Solve L_alpha V = 0 with Dirichlet data from `boundary`.
@@ -145,9 +143,9 @@ def policy_evaluate(
     from `initial` when given.  Raises SolverError if SOR does not reach
     its update tolerance within the sweep budget.
     """
-    system = assemble_evaluation_system(problem, params, policy, grid, boundary)
+    system = assemble_evaluation_system(gp, policy, boundary)
     values = boundary.values.copy()
-    if grid.dim == 1:
+    if gp.grid.dim == 1:
         values[1:-1] = solve_tridiagonal(system)
         stats = SolveStats(iterations=1, final_update_norm=0.0, converged=True)
     else:
@@ -161,7 +159,7 @@ def policy_evaluate(
                 f"after {stats.iterations} sweeps"
             )
         values[1:-1, 1:-1] = sol
-    return GridField(grid, values), stats
+    return GridField(gp.grid, values), stats
 
 
 def policy_improve(
@@ -194,8 +192,10 @@ def run_policy_iteration(
     None for zero data).  When a reference field is given, per-iteration
     max-norm and mesh-weighted L2 errors against it are recorded.  Solver
     failure aborts with SolverError; otherwise the report's stop_reason
-    states whether the budget or the outer tolerance ended the run.
+    states whether the budget or the outer tolerance ended the run.  The
+    problem is sampled onto the grid once per call (see GridProblem).
     """
+    gp = GridProblem(problem, grid, params)
     boundary_field = _as_boundary_field(grid, boundary)
     if reference is not None and reference.grid != grid:
         raise ValueError("reference field lives on a different grid")
@@ -209,10 +209,8 @@ def run_policy_iteration(
 
     for n in range(config.max_outer_iterations):
         value, stats = policy_evaluate(
-            problem,
-            params,
+            gp,
             policy,
-            grid,
             boundary_field,
             omega=config.omega,
             solver_tol=config.solver_tol,

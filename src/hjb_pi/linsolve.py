@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridField
-from .problems import ControlProblem, PolicyField, policy_cost_and_drift
-from .scheme import MonotonicityError, SchemeParams
+from .grid import GridField
+from .problems import PolicyField, policy_cost_and_drift
+from .scheme import GridProblem, MonotonicityError, stencil_coefficients
 
 __all__ = [
     "TridiagonalSystem",
@@ -81,65 +81,37 @@ class SolveStats:
     converged: bool
 
 
-def _neighbor_weights(params: SchemeParams, f: np.ndarray) -> tuple[list, list]:
-    """Per-axis (plus, minus) weight arrays; raises on a sign violation."""
-    ratio = params.viscosity / params.h
-    tol = 1e-12 * max(1.0, ratio)
-    plus, minus = [], []
-    for k in range(params.dim):
-        fk = f[..., k]
-        pk = -ratio - fk / (2.0 * params.h)
-        mk = -ratio + fk / (2.0 * params.h)
-        worst = max(float(pk.max()), float(mk.max()))
-        if worst > tol:
-            raise MonotonicityError(
-                f"assembly found positive off-diagonal {worst:.3e} on axis {k}"
-            )
-        plus.append(pk)
-        minus.append(mk)
-    return plus, minus
-
-
-def assemble_evaluation_system(
-    problem: ControlProblem,
-    params: SchemeParams,
-    policy: PolicyField,
-    grid: Grid,
-    boundary: GridField,
-):
+def assemble_evaluation_system(gp: GridProblem, policy: PolicyField, boundary: GridField):
     """Assemble L_alpha u = 0 over interior unknowns with Dirichlet data.
 
-    Returns a TridiagonalSystem (1D) or StructuredSystem2D (2D).  Dominance
-    margin lam is asserted row by row.
+    Returns a TridiagonalSystem (1D) or StructuredSystem2D (2D).  The
+    stencil's sign check runs on every weight, and dominance margin lam is
+    asserted row by row.
     """
+    grid, lam = gp.grid, gp.params.lam
     if boundary.grid != grid:
         raise ValueError("boundary field lives on a different grid")
-    c, f = policy_cost_and_drift(problem, grid, policy)
-    plus, minus = _neighbor_weights(params, f)
-    center = params.center_weight
+    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
+    coeffs = stencil_coefficients(gp.params, f)
+    # one contiguous (dim, ...) copy per direction, modified in place below
+    plus = np.moveaxis(coeffs.plus, -1, 0).copy()
+    minus = np.moveaxis(coeffs.minus, -1, 0).copy()
+    center = coeffs.center
     bvals = boundary.values
+    rhs = c.copy()
 
     if grid.dim == 1:
-        m = grid.nodes_per_axis - 2
-        diag = np.full(m, center)
-        sup = plus[0].copy()
-        sub = minus[0].copy()
-        rhs = c.copy()
+        diag = np.full(grid.nodes_per_axis - 2, center)
+        (sup,), (sub,) = plus, minus
         rhs[0] -= sub[0] * bvals[0]
         sub[0] = 0.0
         rhs[-1] -= sup[-1] * bvals[-1]
         sup[-1] = 0.0
-        _assert_dominance(diag, np.abs(sub) + np.abs(sup), params.lam)
+        _assert_dominance(diag, np.abs(sub) + np.abs(sup), lam)
         return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
 
-    m0 = m1 = grid.nodes_per_axis - 2
     xplus, yplus = plus
     xminus, yminus = minus
-    xplus = xplus.copy()
-    xminus = xminus.copy()
-    yplus = yplus.copy()
-    yminus = yminus.copy()
-    rhs = c.copy()
     # fold boundary neighbors into the right-hand side, then zero the weights
     rhs[0, :] -= xminus[0, :] * bvals[0, 1:-1]
     xminus[0, :] = 0.0
@@ -149,15 +121,11 @@ def assemble_evaluation_system(
     yminus[:, 0] = 0.0
     rhs[:, -1] -= yplus[:, -1] * bvals[1:-1, -1]
     yplus[:, -1] = 0.0
+    diag = np.full(grid.interior_shape, center)
     offsum = np.abs(xplus) + np.abs(xminus) + np.abs(yplus) + np.abs(yminus)
-    _assert_dominance(np.full((m0, m1), center), offsum, params.lam)
+    _assert_dominance(diag, offsum, lam)
     return StructuredSystem2D(
-        center=np.full((m0, m1), center),
-        xplus=xplus,
-        xminus=xminus,
-        yplus=yplus,
-        yminus=yminus,
-        rhs=rhs,
+        center=diag, xplus=xplus, xminus=xminus, yplus=yplus, yminus=yminus, rhs=rhs
     )
 
 

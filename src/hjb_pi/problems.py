@@ -290,14 +290,12 @@ def grid_drift(problem: ControlProblem, grid: Grid) -> np.ndarray:
 
 
 def policy_cost_and_drift(
-    problem: ControlProblem, grid: Grid, policy: PolicyField
+    state_cost: np.ndarray, drift_base: np.ndarray, policy: PolicyField
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(c_alpha, f_alpha) at interior nodes for a fixed policy."""
-    inner = grid.interior_coordinates()
+    """(c_alpha, f_alpha) at interior nodes for a fixed policy, given the
+    state cost and drift already sampled there (see scheme.GridProblem)."""
     a = policy.controls
-    c = np.asarray(problem.state_cost(inner), dtype=float) + 0.5 * np.sum(a * a, axis=-1)
-    f = np.asarray(problem.drift_base(inner), dtype=float) + a
-    return c, f
+    return state_cost + 0.5 * np.sum(a * a, axis=-1), drift_base + a
 
 
 def check_assumptions(problem: ControlProblem, grid: Grid) -> dict:

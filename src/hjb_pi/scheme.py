@@ -15,20 +15,27 @@ so every neighbor weight is nonpositive exactly when N >= |f_i|/2, which is
 the monotonicity condition enforced throughout.  Dividing by the center
 weight gives the resolvent map T_a, a contraction with factor
 beta = (2*d*N/h) / (lam + 2*d*N/h), and F_h[u] = (lam + 2*d*N/h)(u - T u).
+
+A GridProblem is the discrete problem: a control problem, its grid and its
+scheme parameters, checked for consistency, with the state cost and drift
+sampled once on the interior nodes.  stencil_coefficients is the one place
+the weights above are formed and their signs checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import Grid, GridField, interior_gradient, interior_laplacian, _shifted
-from .problems import ControlProblem, PolicyField, grid_drift, policy_cost_and_drift
+from .problems import ControlProblem, PolicyField, grid_drift, hamiltonian, policy_cost_and_drift
 
 __all__ = [
     "SchemeParams",
+    "GridProblem",
     "StencilCoeffs",
     "StencilCertificate",
     "MonotonicityError",
@@ -70,9 +77,51 @@ class SchemeParams:
         return self.lam + 2.0 * self.dim * self.viscosity / self.h
 
 
+@dataclass(frozen=True, eq=False)
+class GridProblem:
+    """A control problem on one grid with one set of scheme parameters.
+
+    Construction checks that the three agree on dim, h and lam.  The state
+    cost and drift are sampled on the interior nodes at first use and kept
+    read-only, so a run calls the problem's callables once however many
+    policies it evaluates, and a GridProblem built only for the checks
+    samples nothing.
+    """
+
+    problem: ControlProblem
+    grid: Grid
+    params: SchemeParams
+
+    def __post_init__(self) -> None:
+        if not self.params.dim == self.grid.dim == self.problem.dim:
+            raise ValueError("params, grid, and problem dimensions disagree")
+        if self.params.h != self.grid.h:
+            raise ValueError(f"params.h={self.params.h} does not match grid.h={self.grid.h}")
+        if self.params.lam != self.problem.lam:
+            raise ValueError(
+                f"params.lam={self.params.lam} does not match problem.lam={self.problem.lam}"
+            )
+
+    def _sample(self, fn) -> np.ndarray:
+        values = np.array(fn(self.grid.interior_coordinates()), dtype=float)
+        values.flags.writeable = False  # shared by every later call
+        return values
+
+    @cached_property
+    def state_cost(self) -> np.ndarray:
+        """state_cost at the interior nodes, shape grid.interior_shape."""
+        return self._sample(self.problem.state_cost)
+
+    @cached_property
+    def drift_base(self) -> np.ndarray:
+        """drift_base at the interior nodes, shape grid.interior_shape + (dim,)."""
+        return self._sample(self.problem.drift_base)
+
+
 @dataclass(frozen=True)
 class StencilCoeffs:
-    """Monotone stencil weights at one node: center plus per-axis neighbors."""
+    """Monotone stencil weights: the center plus per-axis neighbor weights,
+    plus[..., i] on u(x + h e_i) and minus[..., i] on u(x - h e_i)."""
 
     center: float
     plus: np.ndarray
@@ -109,33 +158,26 @@ def viscosity_coefficient(problem: ControlProblem, grid: Grid, mode: str) -> flo
     raise ValueError(f"unknown viscosity mode {mode!r}; expected one of {VISCOSITY_MODES}")
 
 
-def stencil_coefficients(params: SchemeParams, f_at_node: np.ndarray) -> StencilCoeffs:
-    """Stencil weights for one node given the drift value f there.
+def stencil_coefficients(params: SchemeParams, f: np.ndarray) -> StencilCoeffs:
+    """Stencil weights for drift values f of shape (..., dim).
 
-    Raises MonotonicityError if any neighbor weight is positive beyond
-    rounding, i.e. if the viscosity does not dominate |f_i|/2.
+    The neighbor weights -N/h -+ f_i/(2h) have the shape of f.  Raises
+    MonotonicityError if any of them is positive beyond rounding, i.e. if
+    the viscosity does not dominate |f_i|/2 somewhere.
     """
-    f = np.asarray(f_at_node, dtype=float)
-    if f.shape != (params.dim,):
-        raise ValueError(f"f has shape {f.shape}, expected ({params.dim},)")
+    f = np.asarray(f, dtype=float)
+    if f.shape[-1:] != (params.dim,):
+        raise ValueError(f"f has shape {f.shape}, expected (..., {params.dim})")
     ratio = params.viscosity / params.h
     plus = -ratio - f / (2.0 * params.h)
     minus = -ratio + f / (2.0 * params.h)
-    tol = 1e-12 * max(1.0, ratio)
     worst = max(float(plus.max()), float(minus.max()))
-    if worst > tol:
+    if worst > 1e-12 * max(1.0, ratio):
         raise MonotonicityError(
             f"positive neighbor weight {worst:.3e}: viscosity {params.viscosity} "
             f"does not dominate |f|/2 = {float(np.max(np.abs(f))) / 2.0:.6g}"
         )
     return StencilCoeffs(center=params.center_weight, plus=plus, minus=minus)
-
-
-def _check_params(problem: ControlProblem, grid: Grid, params: SchemeParams) -> None:
-    if params.dim != grid.dim or params.dim != problem.dim:
-        raise ValueError("params, grid, and problem dimensions disagree")
-    if params.h != grid.h:
-        raise ValueError(f"params.h={params.h} does not match grid.h={grid.h}")
 
 
 def apply_policy_operator(
@@ -149,8 +191,8 @@ def apply_policy_operator(
     Interior nodes carry lam*u - c_alpha - f_alpha . grad_h u - N*h*lap_h u;
     boundary entries are 0.
     """
-    _check_params(problem, grid := field.grid, params)
-    c, f = policy_cost_and_drift(problem, grid, policy)
+    gp = GridProblem(problem, grid := field.grid, params)
+    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
     g = interior_gradient(field)
     lap = interior_laplacian(field)
     res = (
@@ -168,22 +210,14 @@ def bellman_residual(
     problem: ControlProblem, params: SchemeParams, field: GridField
 ) -> GridField:
     """F_h[u] via the closed-form control maximizer; boundary entries are 0."""
-    _check_params(problem, grid := field.grid, params)
-    inner = grid.interior_coordinates()
+    GridProblem(problem, grid := field.grid, params)  # consistency checks only
     g = interior_gradient(field)
     lap = interior_laplacian(field)
-    ham = _hamiltonian_interior(problem, inner, g)
+    ham = hamiltonian(problem, grid.interior_coordinates(), g)
     res = params.lam * field.interior() + ham - params.viscosity * grid.h * lap
     out = np.zeros(grid.shape)
     out[(slice(1, -1),) * grid.dim] = res
     return GridField(grid, out)
-
-
-def _hamiltonian_interior(problem: ControlProblem, coords: np.ndarray, p: np.ndarray) -> np.ndarray:
-    a = np.clip(-p, -problem.a_max, problem.a_max)
-    c = np.asarray(problem.state_cost(coords), dtype=float) + 0.5 * np.sum(a * a, axis=-1)
-    f = np.asarray(problem.drift_base(coords), dtype=float) + a
-    return -c - np.sum(f * p, axis=-1)
 
 
 def resolvent_map(
@@ -204,22 +238,19 @@ def resolvent_map(
     result is T u = inf_a T_a u.  Boundary values pass through unchanged,
     making Dirichlet data invariant under iteration of the map.
     """
-    _check_params(problem, grid := field.grid, params)
+    gp = GridProblem(problem, grid := field.grid, params)
     if policy is None:
         g = interior_gradient(field)
         a = np.clip(-g, -problem.a_max, problem.a_max)
         policy = PolicyField(grid, a, problem.a_max)
-    c, f = policy_cost_and_drift(problem, grid, policy)
-    ratio = params.viscosity / grid.h
+    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
+    coeffs = stencil_coefficients(params, f)
     num = c.copy()
     for k in range(grid.dim):
-        up = _shifted(field.values, k, +1, grid.dim)
-        dn = _shifted(field.values, k, -1, grid.dim)
-        fk = f[..., k]
-        num += (ratio + fk / (2.0 * grid.h)) * up
-        num += (ratio - fk / (2.0 * grid.h)) * dn
+        num -= coeffs.plus[..., k] * _shifted(field.values, k, +1, grid.dim)
+        num -= coeffs.minus[..., k] * _shifted(field.values, k, -1, grid.dim)
     out = field.values.copy()
-    out[(slice(1, -1),) * grid.dim] = num / params.center_weight
+    out[(slice(1, -1),) * grid.dim] = num / coeffs.center
     return GridField(grid, out)
 
 
@@ -249,7 +280,7 @@ def certify_monotone_stencil(
     that all neighbor weights are nonpositive and that center plus neighbor
     weights reproduce lam to rounding.  Raises MonotonicityError on failure.
     """
-    _check_params(problem, grid, params)
+    gp = GridProblem(problem, grid, params)
     rng = np.random.default_rng(seed)
     controls = rng.uniform(-problem.a_max, problem.a_max, size=(n_controls, grid.dim))
     corners = np.array(
@@ -257,26 +288,15 @@ def certify_monotone_stencil(
     ).reshape(grid.dim, -1).T
     controls = np.concatenate([controls, corners], axis=0)
 
-    b = np.asarray(problem.drift_base(grid.interior_coordinates()), dtype=float)
-    b = b.reshape(-1, grid.dim)
-    ratio = params.viscosity / params.h
-    center = params.center_weight
-    tol = 1e-12 * max(1.0, ratio)
-
+    b = gp.drift_base.reshape(-1, grid.dim)
     worst = -np.inf
     rowdev = 0.0
     for start in range(0, controls.shape[0], chunk):
         a = controls[start : start + chunk]
-        f = b[None, :, :] + a[:, None, :]
-        plus = -ratio - f / (2.0 * params.h)
-        minus = -ratio + f / (2.0 * params.h)
-        worst = max(worst, float(plus.max()), float(minus.max()))
-        rowsum = center + np.sum(plus + minus, axis=-1)
+        coeffs = stencil_coefficients(params, b[None, :, :] + a[:, None, :])
+        worst = max(worst, float(coeffs.plus.max()), float(coeffs.minus.max()))
+        rowsum = coeffs.center + np.sum(coeffs.plus + coeffs.minus, axis=-1)
         rowdev = max(rowdev, float(np.max(np.abs(rowsum - params.lam))))
-    if worst > tol:
-        raise MonotonicityError(
-            f"sampled certification failed: neighbor weight {worst:.3e} > 0"
-        )
     return StencilCertificate(
         max_neighbor_coefficient=worst,
         max_row_sum_deviation=rowdev,

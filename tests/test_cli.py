@@ -104,6 +104,19 @@ def test_sweep_rejects_empty_h_list(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_refuses_discrete_exact_benchmark(tmp_path, capsys):
+    """manufactured2d is exact at every h, so a fitted order would be noise."""
+    out = tmp_path / "e"
+    code = execute_command(
+        ["sweep", "--benchmark", "manufactured2d", "--h-list", "0.4,0.2,0.1",
+         "--out-dir", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exactly at every h" in err
+    assert not out.exists()
+
+
 def test_check_fast_passes(capsys):
     assert execute_command(["check", "--fast"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 from hjb_pi import (
     ControlProblem,
     GridField,
+    GridProblem,
     PIConfig,
     PolicyField,
     SchemeParams,
@@ -13,16 +14,18 @@ from hjb_pi import (
     apply_policy_operator,
     bellman_residual,
     build_grid,
+    certify_monotone_stencil,
     contraction_factor,
     initial_policy,
     lq_reference_policy,
     lq_reference_value,
     policy_evaluate,
     policy_improve,
+    resolvent_map,
     run_policy_iteration,
 )
 from hjb_pi.grid import interior_gradient
-from hjb_pi.problems import greedy_policy
+from hjb_pi.problems import greedy_policy, lq1d_problem
 
 from conftest import make_rng
 
@@ -61,7 +64,9 @@ def test_policy_evaluate_zero_problem():
     grid = build_grid(1.0, 0.25, dim=1)
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
-    value, stats = policy_evaluate(problem, params, policy, grid, GridField.zeros(grid))
+    value, stats = policy_evaluate(
+        GridProblem(problem, grid, params), policy, GridField.zeros(grid)
+    )
     assert np.max(np.abs(value.values)) == 0.0
     assert stats.converged
 
@@ -73,9 +78,8 @@ def test_policy_evaluate_frozen_optimal_policy(lq_paper):
         1.0, setup.grid.interior_coordinates(), a_max=setup.problem.a_max
     )
     policy = PolicyField(setup.grid, controls, setup.problem.a_max)
-    value, _ = policy_evaluate(
-        setup.problem, setup.params, policy, setup.grid, setup.boundary
-    )
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
+    value, _ = policy_evaluate(gp, policy, setup.boundary)
     gap = np.max(np.abs(value.values - setup.reference.values))
     assert gap <= 0.1
 
@@ -88,9 +92,8 @@ def test_policy_evaluate_sor_residual_certificate(man_paper):
     center weight times that update, not by 10x the tolerance."""
     setup = man_paper
     policy = initial_policy("adversarial2d", setup.grid, setup.problem)
-    value, stats = policy_evaluate(
-        setup.problem, setup.params, policy, setup.grid, setup.boundary
-    )
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
+    value, stats = policy_evaluate(gp, policy, setup.boundary)
     assert stats.converged
     residual = apply_policy_operator(setup.problem, setup.params, policy, value)
     bound = setup.params.center_weight * 1e-10
@@ -199,10 +202,9 @@ def test_policy_convergence_bound(lq_coarse):
     a_h = policy_improve(setup.problem, v_h, fixed.final_policy, theta=1.0)
     policy = initial_policy("zero", setup.grid, setup.problem)
     slack = setup.grid.dim / setup.grid.h
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
     for _ in range(10):
-        value, _ = policy_evaluate(
-            setup.problem, setup.params, policy, setup.grid, setup.boundary
-        )
+        value, _ = policy_evaluate(gp, policy, setup.boundary)
         improved = policy_improve(setup.problem, value, policy, theta=1.0)
         value_gap = np.max(np.abs(value.values - v_h.values))
         policy_gap = np.max(np.abs(improved.controls - a_h.controls))
@@ -222,6 +224,58 @@ def test_fixed_point_certificate(lq_coarse):
     assert np.max(np.abs(residual.values)) <= bound
 
 
+def test_problem_is_sampled_once_per_run():
+    """The run calls state_cost and drift_base as often for 8 iterations as
+    for 3: the problem is sampled onto the grid once, not per iteration."""
+
+    def counting_problem(dim, calls):
+        def state_cost(x):
+            calls["state_cost"] += 1
+            return 0.5 * np.sum(x * x, axis=-1)
+
+        def drift_base(x):
+            calls["drift_base"] += 1
+            return 0.2 * np.sin(x)
+
+        return ControlProblem(lam=1.0, drift_base=drift_base, state_cost=state_cost,
+                              a_max=1.0, dim=dim)
+
+    for dim in (1, 2):
+        grid = build_grid(1.0, 0.25, dim=dim)
+        params = SchemeParams(viscosity=1.0, h=0.25, dim=dim, lam=1.0)
+        counts = []
+        for iterations in (3, 8):
+            calls = {"state_cost": 0, "drift_base": 0}
+            report = run_policy_iteration(
+                counting_problem(dim, calls), grid, params,
+                PIConfig(max_outer_iterations=iterations),
+            )
+            assert report.iterations_run == iterations
+            counts.append(calls)
+        assert counts[0] == counts[1], (dim, counts)
+        assert min(counts[0].values()) >= 1
+
+
+def test_scheme_rejects_a_problem_with_another_lam(lq_coarse):
+    """The scheme's rate is params.lam; a problem with another rate is an
+    error, not silently solved at params.lam."""
+    setup = lq_coarse
+    other = lq1d_problem(lam=2.0)
+    policy = initial_policy("zero", setup.grid, other)
+    calls = [
+        lambda: bellman_residual(other, setup.params, setup.reference),
+        lambda: run_policy_iteration(other, setup.grid, setup.params,
+                                     PIConfig(max_outer_iterations=2), boundary=setup.boundary),
+        lambda: resolvent_map(other, setup.params, setup.reference),
+        lambda: apply_policy_operator(other, setup.params, policy, setup.reference),
+        lambda: certify_monotone_stencil(other, setup.grid, setup.params, n_controls=10),
+        lambda: GridProblem(other, setup.grid, setup.params),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="lam"):
+            call()
+
+
 def test_report_bookkeeping(lq_coarse):
     setup = lq_coarse
     report = run_policy_iteration(
@@ -235,9 +289,8 @@ def test_report_bookkeeping(lq_coarse):
     assert set(report.value_snapshots) == {0, 2}
     assert "budget" in report.stop_reason
     # the final value is the evaluation of the final policy
-    value, _ = policy_evaluate(
-        setup.problem, setup.params, report.final_policy, setup.grid, setup.boundary
-    )
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
+    value, _ = policy_evaluate(gp, report.final_policy, setup.boundary)
     assert np.max(np.abs(value.values - report.final_value.values)) == 0.0
 
 

@@ -4,6 +4,8 @@ import pytest
 from hjb_pi import (
     ControlProblem,
     GridField,
+    GridProblem,
+    MonotonicityError,
     PolicyField,
     SchemeParams,
     SolverError,
@@ -57,14 +59,18 @@ def test_homogeneous_system_solves_to_zero():
     grid = build_grid(1.0, 0.25, dim=1)
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
-    system = assemble_evaluation_system(problem, params, policy, grid, GridField.zeros(grid))
+    system = assemble_evaluation_system(
+        GridProblem(problem, grid, params), policy, GridField.zeros(grid)
+    )
     assert np.max(np.abs(solve_tridiagonal(system))) == 0.0
 
     problem2 = constant_cost_problem(0.0, dim=2)
     grid2 = build_grid(1.0, 0.25, dim=2)
     params2 = SchemeParams(viscosity=1.0, h=0.25, dim=2, lam=1.0)
     policy2 = PolicyField.zeros(grid2, 1.0)
-    system2 = assemble_evaluation_system(problem2, params2, policy2, grid2, GridField.zeros(grid2))
+    system2 = assemble_evaluation_system(
+        GridProblem(problem2, grid2, params2), policy2, GridField.zeros(grid2)
+    )
     sol, stats = solve_sor(system2)
     assert np.max(np.abs(sol)) == 0.0
     assert stats.iterations == 1 and stats.converged
@@ -77,16 +83,17 @@ def test_single_interior_node_closed_form():
     grid = build_grid(1.0, 1.0, dim=1)
     params = SchemeParams(viscosity=1.0, h=1.0, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
-    system = assemble_evaluation_system(problem, params, policy, grid, GridField.zeros(grid))
+    system = assemble_evaluation_system(
+        GridProblem(problem, grid, params), policy, GridField.zeros(grid)
+    )
     sol = solve_tridiagonal(system)
     assert sol[0] == pytest.approx(kappa / (1.0 + 2.0), abs=1e-15)
 
 
 def test_lq_paper_assembly_diagonal(lq_paper):
     policy = PolicyField.zeros(lq_paper.grid, lq_paper.problem.a_max)
-    system = assemble_evaluation_system(
-        lq_paper.problem, lq_paper.params, policy, lq_paper.grid, lq_paper.boundary
-    )
+    gp = GridProblem(lq_paper.problem, lq_paper.grid, lq_paper.params)
+    system = assemble_evaluation_system(gp, policy, lq_paper.boundary)
     # center weight 1 + 2*3/0.03 = 201 exactly, every row
     assert np.all(system.diag == 201.0)
 
@@ -99,9 +106,8 @@ def test_assembled_dominance_margin(lq_coarse, man_coarse):
             setup.grid.interior_shape + (setup.grid.dim,),
         )
         policy = PolicyField(setup.grid, controls, setup.problem.a_max)
-        system = assemble_evaluation_system(
-            setup.problem, setup.params, policy, setup.grid, setup.boundary
-        )
+        gp = GridProblem(setup.problem, setup.grid, setup.params)
+        system = assemble_evaluation_system(gp, policy, setup.boundary)
         if isinstance(system, TridiagonalSystem):
             off = np.abs(system.sub) + np.abs(system.sup)
             diag = system.diag
@@ -111,6 +117,22 @@ def test_assembled_dominance_margin(lq_coarse, man_coarse):
             diag = system.center
         lam = setup.problem.lam
         assert np.min(diag - off) >= lam - 1e-12 * np.max(diag)
+
+
+def test_assembly_rejects_non_monotone_stencil():
+    """Assembly runs the stencil's sign check: N must dominate |f_i|/2."""
+    for dim, control in ((1, [1.0]), (2, [0.0, -1.0])):
+        grid = build_grid(1.0, 0.25, dim=dim)
+        policy = PolicyField(grid, np.broadcast_to(control, grid.interior_shape + (dim,)), 1.0)
+        problem = constant_cost_problem(0.0, dim=dim)
+        # |f| = 1, so N = 1/2 is the edge of monotonicity
+        edge = SchemeParams(viscosity=0.5, h=0.25, dim=dim, lam=1.0)
+        assemble_evaluation_system(GridProblem(problem, grid, edge), policy, GridField.zeros(grid))
+        low = SchemeParams(viscosity=0.45, h=0.25, dim=dim, lam=1.0)
+        with pytest.raises(MonotonicityError, match="positive neighbor weight"):
+            assemble_evaluation_system(
+                GridProblem(problem, grid, low), policy, GridField.zeros(grid)
+            )
 
 
 def test_thomas_examples():
@@ -210,12 +232,11 @@ def test_maximum_principle_and_solution_bound(lq_coarse):
     """Nonnegative cost and boundary give nonnegative, bounded solutions."""
     rng = make_rng(408)
     setup = lq_coarse
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
     for _ in range(10):
         controls = rng.uniform(-6, 6, setup.grid.interior_shape + (1,))
         policy = PolicyField(setup.grid, controls, 6.0)
-        system = assemble_evaluation_system(
-            setup.problem, setup.params, policy, setup.grid, setup.boundary
-        )
+        system = assemble_evaluation_system(gp, policy, setup.boundary)
         sol = solve_tridiagonal(system)
         assert np.min(sol) >= -1e-12
         coords = setup.grid.node_coordinates()
