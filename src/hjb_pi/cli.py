@@ -357,6 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="mesh sweep with fitted error slope (lq1d only)")
     ps.add_argument("--benchmark", choices=list(BENCHMARK_NAMES), default="lq1d")
     _add_common_flags(ps, "lq1d")
+    ps.set_defaults(h=None, iterations=None)  # refused: see execute_command
     ps.add_argument("--h-list", default="0.2,0.1,0.05,0.025",
                     help="comma-separated mesh sizes (default %(default)s)")
     ps.add_argument("--max-iterations", type=int, default=2000,
@@ -411,10 +412,14 @@ def execute_command(argv: list[str]) -> int:
                     "reference solves the discrete equation exactly at every h, so "
                     "the errors are iteration error alone and the slope would mean nothing"
                 )
+            if args.h is not None or args.iterations is not None:
+                raise ValueError("sweep takes h from --h-list and each budget from "
+                                 "optimal_iteration_count; it does not accept --h or --iterations")
             h_values = tuple(float(tok) for tok in args.h_list.split(",") if tok)
             if not h_values:
                 raise ValueError("--h-list must name at least one mesh size")
-            args.h = h_values[0]  # placeholder; per-run h comes from the list
+            args.h = h_values[0]  # echoed placeholders; each run sets its own h and budget
+            args.iterations = BENCHMARK_DEFAULTS[args.benchmark]["iterations"]
             config = _config_from_args(args, "sweep", args.benchmark, h_values)
             if config.outer_tolerance is None:
                 config = dataclasses.replace(config, outer_tolerance=1e-12)

@@ -27,7 +27,7 @@ from .linsolve import (
     solve_sor,
     solve_tridiagonal,
 )
-from .problems import ControlProblem, PolicyField, manufactured_value
+from .problems import ControlProblem, PolicyField, greedy_policy, manufactured_value
 from .scheme import GridProblem, SchemeParams
 
 __all__ = [
@@ -81,7 +81,10 @@ class PIReport:
 
     Entry n describes the value field V_n obtained by evaluating the n-th
     policy (n = 0 evaluates the initial policy).  residual_l2 and
-    monotonicity_violation compare V_n with V_{n-1} and are NaN at n = 0.
+    monotonicity_violation compare V_n with V_{n-1} and are NaN at n = 0:
+    residual_l2 is the mesh-weighted step norm
+    sqrt(h^d * sum (V_n - V_{n-1})^2), not a Bellman residual, and
+    monotonicity_violation is max (V_n - V_{n-1}).
     Errors against the reference are NaN when no reference was supplied.
     """
 
@@ -171,8 +174,7 @@ def policy_improve(
     """Greedy improvement from the centered gradient, relaxed by theta."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    g = interior_gradient(value)
-    greedy = np.clip(-g, -problem.a_max, problem.a_max)
+    greedy = greedy_policy(problem, None, interior_gradient(value))
     mixed = (1.0 - theta) * prev_policy.controls + theta * greedy
     mixed = np.clip(mixed, -problem.a_max, problem.a_max)
     return PolicyField(value.grid, mixed, problem.a_max)

@@ -110,12 +110,13 @@ def running_cost(problem: ControlProblem, x: np.ndarray, a: np.ndarray) -> np.nd
     return problem.state_cost(x) + 0.5 * np.sum(a * a, axis=-1)
 
 
-def greedy_policy(problem: ControlProblem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+def greedy_policy(problem: ControlProblem, x: np.ndarray | None, p: np.ndarray) -> np.ndarray:
     """Exact minimizer of c(x, a) + f(x, a) . p over the control box.
 
     The objective is state_cost(x) + |a|^2/2 + (b(x) + a) . p, separable and
     strictly convex in each control component, so the minimizer is
-    clip(-p, -a_max, a_max) regardless of x.
+    clip(-p, -a_max, a_max) regardless of x; x is never read, and callers
+    without coordinates at hand pass None.
     """
     p = np.asarray(p, dtype=float)
     return np.clip(-p, -problem.a_max, problem.a_max)

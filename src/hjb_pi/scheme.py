@@ -31,7 +31,14 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, GridField, interior_gradient, interior_laplacian, _shifted
-from .problems import ControlProblem, PolicyField, grid_drift, hamiltonian, policy_cost_and_drift
+from .problems import (
+    ControlProblem,
+    PolicyField,
+    greedy_policy,
+    grid_drift,
+    hamiltonian,
+    policy_cost_and_drift,
+)
 
 __all__ = [
     "SchemeParams",
@@ -240,8 +247,7 @@ def resolvent_map(
     """
     gp = GridProblem(problem, grid := field.grid, params)
     if policy is None:
-        g = interior_gradient(field)
-        a = np.clip(-g, -problem.a_max, problem.a_max)
+        a = greedy_policy(problem, None, interior_gradient(field))
         policy = PolicyField(grid, a, problem.a_max)
     c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
     coeffs = stencil_coefficients(params, f)
@@ -295,7 +301,10 @@ def certify_monotone_stencil(
         a = controls[start : start + chunk]
         coeffs = stencil_coefficients(params, b[None, :, :] + a[:, None, :])
         worst = max(worst, float(coeffs.plus.max()), float(coeffs.minus.max()))
-        rowsum = coeffs.center + np.sum(coeffs.plus + coeffs.minus, axis=-1)
+        # Adding the axes in order gives np.sum(..., axis=-1) bit for bit,
+        # without numpy's slow reduction over a last axis of length dim.
+        neighbors = sum(coeffs.plus[..., k] + coeffs.minus[..., k] for k in range(grid.dim))
+        rowsum = coeffs.center + neighbors
         rowdev = max(rowdev, float(np.max(np.abs(rowsum - params.lam))))
     return StencilCertificate(
         max_neighbor_coefficient=worst,

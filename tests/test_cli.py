@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hjb_pi.checks import CHECKS
 from hjb_pi.cli import TRAJECTORY_HEADER, execute_command
 
 
@@ -117,9 +118,22 @@ def test_sweep_refuses_discrete_exact_benchmark(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_refuses_per_run_flags(tmp_path, capsys):
+    """h comes from --h-list and budgets from the iteration count rule."""
+    for flag in (["--h", "0.7"], ["--iterations", "3"]):
+        out = tmp_path / flag[0].strip("-")
+        code = execute_command(["sweep", "--h-list", "0.5,0.25", "--out-dir", str(out)] + flag)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not accept --h or --iterations" in err
+        assert not out.exists()
+
+
 def test_check_fast_passes(capsys):
     assert execute_command(["check", "--fast"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "SKIP" in out
     assert not any(line.startswith("FAIL") for line in out.splitlines())
+    printed = [line.split()[1].rstrip(":") for line in out.splitlines()]
+    assert printed == [name for name, _, _ in CHECKS]
 

@@ -9,13 +9,18 @@ from hjb_pi import (
     PolicyField,
     SchemeParams,
     SolverError,
-    StructuredSystem2D,
     TridiagonalSystem,
     assemble_evaluation_system,
     build_grid,
     solve_dense_oracle,
     solve_sor,
     solve_tridiagonal,
+)
+from hjb_pi.checks import (
+    maximum_principle_range,
+    random_dominant_tridiagonal,
+    random_structured_system,
+    thomas_dense_gap,
 )
 from hjb_pi.linsolve import system_to_dense
 
@@ -26,31 +31,6 @@ def constant_cost_problem(kappa, dim=1, a_max=1.0):
     return ControlProblem(
         lam=1.0, drift_base=lambda x: np.zeros_like(x),
         state_cost=lambda x: np.full(x.shape[:-1], kappa), a_max=a_max, dim=dim,
-    )
-
-
-def random_dominant_tridiagonal(rng, n):
-    sub = rng.uniform(-1, 1, n)
-    sup = rng.uniform(-1, 1, n)
-    sub[0] = 0.0
-    sup[-1] = 0.0
-    diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, n)
-    rhs = rng.uniform(-1, 1, n)
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
-
-
-def random_structured_system(rng, m0, m1):
-    """Five-point system with the assembled stencil's sign pattern."""
-    ratio = rng.uniform(5.0, 30.0)
-    lam = rng.uniform(0.5, 2.0)
-    drift = rng.uniform(-0.9, 0.9, size=(2, m0, m1)) * 2.0 * ratio
-    return StructuredSystem2D(
-        center=np.full((m0, m1), lam + 4.0 * ratio),
-        xplus=-(ratio + drift[0] / 4.0),
-        xminus=-(ratio - drift[0] / 4.0),
-        yplus=-(ratio + drift[1] / 4.0),
-        yminus=-(ratio - drift[1] / 4.0),
-        rhs=rng.uniform(-1, 1, size=(m0, m1)),
     )
 
 
@@ -152,12 +132,7 @@ def test_thomas_examples():
 
 
 def test_thomas_matches_dense_on_random_systems():
-    rng = make_rng(403)
-    for _ in range(50):
-        system = random_dominant_tridiagonal(rng, int(rng.integers(2, 51)))
-        x = solve_tridiagonal(system)
-        y = solve_dense_oracle(system)
-        assert np.max(np.abs(x - y)) <= 1e-10
+    assert thomas_dense_gap(make_rng(403), 50, 2, 50) <= 1e-10
 
 
 def test_thomas_zero_pivot_is_reported():
@@ -230,16 +205,9 @@ def test_dense_oracle_limits():
 
 def test_maximum_principle_and_solution_bound(lq_coarse):
     """Nonnegative cost and boundary give nonnegative, bounded solutions."""
-    rng = make_rng(408)
     setup = lq_coarse
-    gp = GridProblem(setup.problem, setup.grid, setup.params)
-    for _ in range(10):
-        controls = rng.uniform(-6, 6, setup.grid.interior_shape + (1,))
-        policy = PolicyField(setup.grid, controls, 6.0)
-        system = assemble_evaluation_system(gp, policy, setup.boundary)
-        sol = solve_tridiagonal(system)
-        assert np.min(sol) >= -1e-12
-        coords = setup.grid.node_coordinates()
-        cost_sup = float(np.max(setup.problem.state_cost(coords))) + 0.5 * 36.0
-        bound = max(cost_sup / setup.problem.lam, float(np.max(np.abs(setup.boundary.values))))
-        assert np.max(np.abs(sol)) <= bound + 1e-9
+    lo, hi = maximum_principle_range(setup, make_rng(408), 10)
+    assert lo >= -1e-12
+    cost_sup = float(np.max(setup.problem.state_cost(setup.grid.node_coordinates()))) + 0.5 * 36.0
+    bound = max(cost_sup / setup.problem.lam, float(np.max(np.abs(setup.boundary.values))))
+    assert hi <= bound + 1e-9

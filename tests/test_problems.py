@@ -17,7 +17,7 @@ from hjb_pi import (
     manufactured_source,
     manufactured_value,
 )
-from hjb_pi.oracles import scan_extremum
+from hjb_pi.checks import greedy_scan_gaps, hamiltonian_scan_gap
 from hjb_pi.problems import check_assumptions, dynamics, make_grid_lookup, running_cost
 
 from conftest import make_rng
@@ -80,15 +80,6 @@ def test_lq_reference_policy():
     # bound inactive at x=3 with a_max=6
     assert lq_reference_policy(1.0, 3.0, a_max=6.0) == pytest.approx(-1.854102, abs=1e-6)
     assert lq_reference_policy(1.0, 3.0, a_max=1.0) == -1.0
-
-
-def test_lq_hjb_identity():
-    """lam V - x^2/2 + (V')^2/2 vanishes identically for the closed form."""
-    for lam in (0.5, 1.0, 2.0):
-        coef = lq_value_coefficient(lam)
-        x = np.linspace(-3, 3, 100)
-        residual = lam * lq_reference_value(lam, x) - 0.5 * x * x + 0.5 * (coef * x) ** 2
-        assert np.max(np.abs(residual)) < 1e-12
 
 
 def test_manufactured_drift():
@@ -156,39 +147,12 @@ def test_policy_field_box_invariant(lq_coarse):
 
 def test_greedy_is_exact_argmin_against_scan():
     """100 random (x, p): the scan minimum matches the closed form to 1e-9."""
-    rng = make_rng(202)
-    problem = lq1d_problem()
-    for _ in range(100):
-        x = rng.uniform(-3, 3, size=(1,))
-        p = rng.uniform(-8, 8, size=(1,))
-        a = greedy_policy(problem, x, p)
-        best = float(running_cost(problem, x, a) + dynamics(problem, x, a) @ p)
-
-        def objective(cand):
-            xx = np.broadcast_to(x, cand.shape[:-1] + (1,))
-            return (running_cost(problem, xx, cand)
-                    + np.sum(dynamics(problem, xx, cand) * p, axis=-1))
-
-        scanned, _ = scan_extremum(objective, problem.a_max, 1, 10000, mode="min", stages=3)
-        assert abs(best - float(scanned[0])) < 1e-9
+    gaps = greedy_scan_gaps(lq1d_problem(), make_rng(202), 100, stages=3)
+    assert np.max(np.abs(gaps)) < 1e-9
 
 
 def test_hamiltonian_matches_negated_scan(man_coarse):
-    rng = make_rng(203)
-    problem = man_coarse.problem
-    coords = man_coarse.grid.interior_coordinates().reshape(-1, 2)
-    xs = coords[rng.choice(coords.shape[0], size=25, replace=False)]
-    ps = rng.uniform(-3, 3, size=(25, 2))
-    for x, p in zip(xs, ps):
-        h_val = float(hamiltonian(problem, x, p))
-
-        def objective(cand):
-            xx = np.broadcast_to(x, cand.shape[:-1] + (2,))
-            return (running_cost(problem, xx, cand)
-                    + np.sum(dynamics(problem, xx, cand) * p, axis=-1))
-
-        scanned, _ = scan_extremum(objective, problem.a_max, 2, 1024, mode="min", stages=4)
-        assert abs(h_val + float(scanned[0])) < 1e-9
+    assert hamiltonian_scan_gap(man_coarse, make_rng(203), 25) < 1e-9
 
 
 def test_greedy_policy_is_one_lipschitz_in_p():

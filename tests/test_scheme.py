@@ -15,6 +15,7 @@ from hjb_pi import (
     resolvent_map,
     viscosity_coefficient,
 )
+from hjb_pi.checks import contraction_excess, fixed_point_gap
 from hjb_pi.problems import greedy_policy, lq1d_problem
 from hjb_pi.grid import interior_gradient
 from hjb_pi.scheme import stencil_coefficients
@@ -132,15 +133,7 @@ def test_resolvent_constant_contraction_value():
 
 
 def test_fixed_point_identity_random_fields(lq_mid):
-    rng = make_rng(303)
-    setup = lq_mid
-    for _ in range(10):
-        u = GridField(setup.grid, rng.uniform(-4, 4, setup.grid.shape))
-        lhs = bellman_residual(setup.problem, setup.params, u).values
-        tu = resolvent_map(setup.problem, setup.params, u).values
-        rhs = setup.params.center_weight * (u.values - tu)
-        scale = 1.0 + np.max(np.abs(u.values))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+    assert fixed_point_gap(lq_mid, make_rng(303), 10, 4.0) <= 1e-12
 
 
 def test_resolvent_monotone(lq_mid):
@@ -153,18 +146,7 @@ def test_resolvent_monotone(lq_mid):
 
 
 def test_resolvent_contraction_pairs(lq_mid):
-    rng = make_rng(305)
-    beta = contraction_factor(
-        lq_mid.params.lam, lq_mid.params.dim, lq_mid.params.viscosity, lq_mid.params.h
-    )
-    for _ in range(10):
-        u = GridField(lq_mid.grid, rng.uniform(-3, 3, lq_mid.grid.shape))
-        w = GridField(lq_mid.grid, rng.uniform(-3, 3, lq_mid.grid.shape))
-        tu = resolvent_map(lq_mid.problem, lq_mid.params, u).interior()
-        tw = resolvent_map(lq_mid.problem, lq_mid.params, w).interior()
-        lhs = np.max(np.abs(tu - tw))
-        rhs = beta * np.max(np.abs(u.values - w.values))
-        assert lhs <= rhs + 1e-12
+    assert contraction_excess(lq_mid, make_rng(305), 10, 3.0) <= 1e-12
 
 
 def test_resolvent_policy_improvement_identity(lq_mid):
