@@ -66,6 +66,7 @@ __all__ = [
     "greedy_scan_gaps",
     "hamiltonian_scan_gap",
     "maximum_principle_range",
+    "greedy_run_extremes",
 ]
 
 _SEED = 74521
@@ -247,6 +248,17 @@ def maximum_principle_range(
     return lo, hi
 
 
+def greedy_run_extremes(setup: BenchmarkSetup, iterations: int) -> tuple[float, float]:
+    """(largest pointwise increase max(V_n - V_{n-1}), largest ||V_n||_inf)
+    over a greedy (theta = 1) policy iteration run of `iterations` steps."""
+    config = PIConfig(max_outer_iterations=iterations, relaxation_theta=1.0)
+    report = run_policy_iteration(
+        setup.problem, setup.grid, setup.params, config,
+        boundary=setup.boundary, reference=setup.reference,
+    )
+    return max(report.monotonicity_violation[1:]), max(report.linf_norm)
+
+
 # ---------------------------------------------------------------------------
 # the CLI's checks: fixed inputs and a threshold per property
 
@@ -399,13 +411,7 @@ def check_maximum_principle() -> tuple[bool, str]:
 
 def check_greedy_monotone_decrease() -> tuple[bool, str]:
     """Greedy iterates decrease pointwise on a coarse 1D run."""
-    setup = build_benchmark("lq1d", h=0.2)
-    config = PIConfig(max_outer_iterations=25, relaxation_theta=1.0)
-    report = run_policy_iteration(
-        setup.problem, setup.grid, setup.params, config,
-        boundary=setup.boundary, reference=setup.reference,
-    )
-    worst = max(v for v in report.monotonicity_violation[1:])
+    worst, _ = greedy_run_extremes(build_benchmark("lq1d", h=0.2), 25)
     return worst <= 1e-9, f"max pointwise increase {worst:.2e}"
 
 

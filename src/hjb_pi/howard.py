@@ -22,7 +22,6 @@ from .grid import Grid, GridField, apply_dirichlet, interior_gradient
 from .linsolve import (
     SolveStats,
     SolverError,
-    StructuredSystem2D,
     assemble_evaluation_system,
     solve_sor,
     solve_tridiagonal,

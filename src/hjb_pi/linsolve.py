@@ -3,9 +3,11 @@
 Assembly moves Dirichlet neighbor terms into the right-hand side, leaving a
 strictly diagonally dominant system over interior unknowns (dominance margin
 lam, inherited from the monotone stencil).  1D systems are tridiagonal and
-solved by Thomas elimination; 2D systems keep the five-point structure and
-are solved by SOR with red-black sweeps, vectorized over each colour.  A
-dense LU path exists purely as a test oracle.
+solved by Thomas elimination, a sequential recurrence whose loop runs on
+Python floats taken once from the arrays, because reading numpy arrays
+element by element costs several times the arithmetic.  2D systems keep the
+five-point structure and are solved by SOR with red-black sweeps, vectorized
+over each colour.  A dense LU path exists purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -141,25 +143,31 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """Thomas elimination; sub[0] and sup[-1] are ignored.
 
     Raises SolverError on a zero pivot (impossible for diagonally dominant
-    input, kept as a defensive guard).
+    input, kept as a defensive guard).  The system is not modified.  Each
+    step on the Python floats is the same IEEE-754 double operation, in the
+    same order, as in an element-wise loop over the arrays, so the result is
+    the same bit for bit.
     """
-    sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
-    n = system.n
-    work = np.empty(n)
-    out = np.empty(n)
-    if diag[0] == 0.0:
+    sub, diag, sup, rhs = (a.tolist() for a in (system.sub, system.diag, system.sup, system.rhs))
+    pivot = diag[0]
+    if pivot == 0.0:
         raise SolverError("zero pivot in tridiagonal elimination")
-    work[0] = sup[0] / diag[0]
-    out[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - sub[i] * work[i - 1]
-        if denom == 0.0:
+    w = sup[0] / pivot
+    x = rhs[0] / pivot
+    work, out = [w], [x]
+    for a, b, c, r in zip(sub[1:], diag[1:], sup[1:], rhs[1:]):
+        pivot = b - a * w
+        if pivot == 0.0:
             raise SolverError("zero pivot in tridiagonal elimination")
-        work[i] = sup[i] / denom
-        out[i] = (rhs[i] - sub[i] * out[i - 1]) / denom
-    for i in range(n - 2, -1, -1):
-        out[i] = out[i] - work[i] * out[i + 1]
-    return out
+        w = c / pivot
+        x = (r - a * x) / pivot
+        work.append(w)
+        out.append(x)
+    # back substitution; x holds the last unknown
+    for i in range(len(out) - 2, -1, -1):
+        x = out[i] - work[i] * x
+        out[i] = x
+    return np.array(out)
 
 
 def solve_sor(

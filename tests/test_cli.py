@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from hjb_pi.checks import CHECKS
 from hjb_pi.cli import TRAJECTORY_HEADER, execute_command

@@ -18,16 +18,14 @@ from hjb_pi import (
     contraction_factor,
     initial_policy,
     lq_reference_policy,
-    lq_reference_value,
     policy_evaluate,
     policy_improve,
     resolvent_map,
     run_policy_iteration,
 )
+from hjb_pi.checks import greedy_run_extremes
 from hjb_pi.grid import interior_gradient
-from hjb_pi.problems import greedy_policy, lq1d_problem
-
-from conftest import make_rng
+from hjb_pi.problems import lq1d_problem
 
 
 def test_initial_policy_zero(lq_coarse):
@@ -160,16 +158,12 @@ def test_run_trivial_problem_converges_immediately():
 
 def test_greedy_monotone_decrease_and_uniform_bound(lq_coarse):
     setup = lq_coarse
-    report = run_policy_iteration(
-        setup.problem, setup.grid, setup.params,
-        PIConfig(max_outer_iterations=25),
-        boundary=setup.boundary, reference=setup.reference,
-    )
-    assert max(report.monotonicity_violation[1:]) <= 10 * 1e-10
+    increase, norm = greedy_run_extremes(setup, 25)
+    assert increase <= 10 * 1e-10
     coords = setup.grid.node_coordinates()
     cost_sup = float(np.max(setup.problem.state_cost(coords))) + 0.5 * 36.0
     bound = max(cost_sup / setup.problem.lam, float(np.max(np.abs(setup.boundary.values))))
-    assert max(report.linf_norm) <= bound + 1e-9
+    assert norm <= bound + 1e-9
 
 
 def test_geometric_envelope_with_solver_slack(lq_coarse):

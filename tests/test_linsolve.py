@@ -11,6 +11,7 @@ from hjb_pi import (
     SolverError,
     TridiagonalSystem,
     assemble_evaluation_system,
+    build_benchmark,
     build_grid,
     solve_dense_oracle,
     solve_sor,
@@ -130,18 +131,55 @@ def test_thomas_examples():
     )
     assert solve_tridiagonal(system) == pytest.approx([1.0, 1.0], abs=1e-15)
 
+    # one unknown; the ignored sub[0] and sup[-1] are nonzero
+    system = TridiagonalSystem(
+        sub=np.array([3.0]), diag=np.array([4.0]), sup=np.array([5.0]), rhs=np.array([2.0]),
+    )
+    assert np.array_equal(solve_tridiagonal(system), [0.5])
+
 
 def test_thomas_matches_dense_on_random_systems():
     assert thomas_dense_gap(make_rng(403), 50, 2, 50) <= 1e-10
 
 
-def test_thomas_zero_pivot_is_reported():
-    system = TridiagonalSystem(
-        sub=np.array([0.0, 0.0]), diag=np.array([0.0, 1.0]),
-        sup=np.array([0.0, 0.0]), rhs=np.array([1.0, 1.0]),
+def test_thomas_on_assembled_lq1d_system():
+    """The benchmark's 1D size (599 unknowns at h = 0.01), random policy:
+    agrees with dense LU and leaves the system's arrays unchanged."""
+    setup = build_benchmark("lq1d", h=0.01)
+    a_max = setup.problem.a_max
+    controls = make_rng(410).uniform(-a_max, a_max, setup.grid.interior_shape + (1,))
+    system = assemble_evaluation_system(
+        GridProblem(setup.problem, setup.grid, setup.params),
+        PolicyField(setup.grid, controls, a_max), setup.boundary,
     )
-    with pytest.raises(SolverError):
-        solve_tridiagonal(system)
+    assert system.n == 599
+    fields = ("sub", "diag", "sup", "rhs")
+    before = {name: getattr(system, name).copy() for name in fields}
+    sol = solve_tridiagonal(system)
+    for name in fields:
+        assert np.array_equal(getattr(system, name), before[name]), name
+    assert np.max(np.abs(sol - solve_dense_oracle(system))) <= 1e-10
+
+
+def test_thomas_ignores_sub0_and_sup_last():
+    system = random_dominant_tridiagonal(make_rng(411), 7)
+    expected = solve_tridiagonal(system)
+    for value in (1e300, -1e300, np.inf, -np.inf, np.nan):
+        sub, sup = system.sub.copy(), system.sup.copy()
+        sub[0] = sup[-1] = value
+        changed = TridiagonalSystem(sub=sub, diag=system.diag, sup=sup, rhs=system.rhs)
+        assert np.array_equal(solve_tridiagonal(changed), expected), value
+
+
+def test_thomas_zero_pivot_is_reported():
+    # at row 0, and at row 1, where the pivot 1 - 1 * 1 vanishes
+    for sub, diag, sup in (([0.0, 0.0], [0.0, 1.0], [0.0, 0.0]),
+                           ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0])):
+        system = TridiagonalSystem(
+            sub=np.array(sub), diag=np.array(diag), sup=np.array(sup), rhs=np.array([1.0, 1.0]),
+        )
+        with pytest.raises(SolverError, match="zero pivot"):
+            solve_tridiagonal(system)
 
 
 def test_sor_matches_dense_and_gauss_seidel():

@@ -16,7 +16,7 @@ from hjb_pi import (
     viscosity_coefficient,
 )
 from hjb_pi.checks import contraction_excess, fixed_point_gap
-from hjb_pi.problems import greedy_policy, lq1d_problem
+from hjb_pi.problems import greedy_policy
 from hjb_pi.grid import interior_gradient
 from hjb_pi.scheme import stencil_coefficients
 
