@@ -28,7 +28,7 @@ from .benchmarks import BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BenchmarkSetup, bui
 from .checks import run_checks
 from .howard import PIConfig, PIReport, run_policy_iteration
 from .linsolve import SolverError
-from .scheme import MonotonicityError, contraction_factor
+from .scheme import MonotonicityError, bellman_residual, contraction_factor
 
 __all__ = ["RunConfig", "execute_command", "main"]
 
@@ -58,6 +58,7 @@ class RunConfig:
     out_dir: str
 
     def __post_init__(self) -> None:
+        # the solver settings are checked once, by PIConfig
         numeric = {
             "lambda": self.lam,
             "half_width": self.half_width,
@@ -65,9 +66,6 @@ class RunConfig:
             "iterations": self.iterations,
             "theta": self.theta,
             "a_max": self.a_max,
-            "omega": self.omega,
-            "solver_tol": self.solver_tol,
-            "solver_max_iter": self.solver_max_iter,
         }
         for name, value in numeric.items():
             if not value > 0:
@@ -111,6 +109,8 @@ def _trajectory_rows(report: PIReport) -> list[list[float]]:
                 report.l2_error_to_reference[n],
                 report.residual_l2[n],
                 report.monotonicity_violation[n],
+                float(report.solve_stats[n].iterations),
+                report.inner_tolerance[n],
             ]
         )
     return rows
@@ -122,6 +122,8 @@ TRAJECTORY_HEADER = [
     "l2_error",
     "residual_l2",
     "monotonicity_violation",
+    "inner_sweeps",
+    "inner_tol",
 ]
 
 
@@ -142,6 +144,7 @@ def _summary_payload(config: RunConfig, setup: BenchmarkSetup, report: PIReport)
     beta = contraction_factor(
         setup.params.lam, setup.params.dim, setup.params.viscosity, setup.params.h
     )
+    residual = bellman_residual(setup.problem, setup.params, report.final_value)
     plateau = detect_plateau(
         [e for e in report.linf_error_to_reference if math.isfinite(e)],
         window=min(10, max(2, report.iterations_run)),
@@ -167,6 +170,8 @@ def _summary_payload(config: RunConfig, setup: BenchmarkSetup, report: PIReport)
             "final_l2_error": report.l2_error_to_reference[-1],
             "final_residual_l2": report.residual_l2[-1],
             "final_linf_norm": report.linf_norm[-1],
+            # ||F_h[V]||_inf / lam bounds ||V - V^h||_inf without a reference
+            "final_certified_error": float(abs(residual.values).max()) / setup.params.lam,
             "plateau_start": plateau,
             "max_inner_iterations": max(s.iterations for s in report.solve_stats),
             "total_inner_iterations": sum(s.iterations for s in report.solve_stats),
@@ -331,7 +336,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, benchmark: str) -> None:
     parser.add_argument("--omega", type=float, default=PIConfig.omega,
                         help="SOR relaxation parameter (default %(default)s)")
     parser.add_argument("--solver-tol", type=float, default=PIConfig.solver_tol,
-                        help="inner solver update tolerance (default %(default)s)")
+                        help="inner solver update tolerance; the floor of the inexact "
+                        "schedule when theta < 1 (default %(default)s)")
     parser.add_argument("--solver-max-iter", type=int, default=PIConfig.solver_max_iter,
                         help="inner solver sweep cap (default %(default)s)")
     parser.add_argument("--outer-tol", dest="outer_tolerance", type=float, default=None,

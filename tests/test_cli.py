@@ -28,6 +28,10 @@ def test_run1d_artifacts(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "nan" and first[4] == "nan"
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2", "3", "4"]
+    # a direct solve counts as one sweep; theta = 1 keeps solver_tol throughout
+    assert TRAJECTORY_HEADER[-2:] == ["inner_sweeps", "inner_tol"]
+    assert all(row.split(",")[-2] == "1" for row in lines[1:])
+    assert all(float(row.split(",")[-1]) == 1e-10 for row in lines[1:])
 
     summary = json.loads((out / "run1d_summary.json").read_text())
     assert summary["config"]["lambda"] == 1.0
@@ -53,6 +57,14 @@ def test_run1d_rejects_incompatible_mesh(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_meaningless_solver_settings_are_refused(tmp_path, capsys):
+    for flags in (["--solver-tol", "-1"], ["--solver-tol", "nan"], ["--solver-tol", "inf"],
+                  ["--omega", "2.5"], ["--solver-max-iter", "0"]):
+        code = execute_command(["run1d", "--h", "0.2", "--out-dir", str(tmp_path / "f")] + flags)
+        assert code == 1, flags
+        assert capsys.readouterr().err.startswith("error:"), flags
+
+
 def test_run2d_slices(tmp_path):
     out = tmp_path / "b"
     code = execute_command(
@@ -71,6 +83,12 @@ def test_run2d_slices(tmp_path):
         for row in (lines[1], lines[-1]):
             cells = row.split(",")
             assert cells[1] == cells[-1]
+    rows = [r.split(",") for r in read_lines(out / "run2d_trajectory.csv")[1:]]
+    assert [float(r[-1]) for r in rows[:2]] == [1e-10, 1e-10]
+    assert all(int(r[-2]) >= 1 for r in rows)
+    result = json.loads((out / "run2d_summary.json").read_text())["result"]
+    # the reference is discrete-exact, so the certified bound covers the true error
+    assert 0 < result["final_linf_error"] <= result["final_certified_error"]
 
 
 def test_sweep_artifacts(tmp_path):

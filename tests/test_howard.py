@@ -13,6 +13,7 @@ from hjb_pi import (
     SolverError,
     apply_policy_operator,
     bellman_residual,
+    build_benchmark,
     build_grid,
     certify_monotone_stencil,
     contraction_factor,
@@ -301,9 +302,56 @@ def test_relaxed_mode_records_without_asserting(man_coarse):
     assert report.linf_error_to_reference[-1] < report.linf_error_to_reference[0]
 
 
+def _manufactured_run(setup, theta, iterations, snapshots=()):
+    return run_policy_iteration(
+        setup.problem, setup.grid, setup.params,
+        PIConfig(max_outer_iterations=iterations, relaxation_theta=theta,
+                 initial_policy_spec="adversarial2d", snapshot_iterations=snapshots),
+        boundary=setup.boundary, reference=setup.reference,
+    )
+
+
+def test_relaxed_run_ties_inner_tolerance_to_outer_step():
+    """theta < 1: evaluations 0 and 1 run to solver_tol, evaluation n >= 2 to
+    max(solver_tol, 0.01 * max|V_{n-1} - V_{n-2}|), and a converging run
+    ends back at solver_tol."""
+    setup = build_benchmark("manufactured2d", h=0.1)
+    report = _manufactured_run(setup, 0.18, 60, snapshots=tuple(range(60)))
+    floor = PIConfig.solver_tol
+    tols = report.inner_tolerance
+    assert len(tols) == 60 and tols[0] == floor and tols[1] == floor
+    v = report.value_snapshots
+    for n in range(2, 60):
+        step = float(np.max(np.abs(v[n - 1] - v[n - 2])))
+        assert tols[n] == max(floor, 0.01 * step), n
+    assert max(tols) > 1e3 * floor  # the schedule is active early on
+    assert tols[-5:] == [floor] * 5
+
+
+def test_greedy_run_keeps_exact_inner_tolerance():
+    """theta = 1 evaluates every policy to solver_tol: the pointwise decrease
+    of greedy iterates needs exact evaluation."""
+    setup = build_benchmark("manufactured2d", h=0.1)
+    report = _manufactured_run(setup, 1.0, 12)
+    assert report.inner_tolerance == [PIConfig.solver_tol] * 12
+
+
+def test_relaxed_run_keeps_certified_accuracy():
+    """At lam = 0.8, h = 0.1, the rate with the largest certified error over
+    lam in [0.8, 1.25], the inexact run still ends with certified error
+    ||F_h[V]||/lam <= 2e-9, and the bound holds against the discrete-exact
+    reference."""
+    setup = build_benchmark("manufactured2d", lam=0.8, h=0.1)
+    report = _manufactured_run(setup, 0.18, 60)
+    residual = bellman_residual(setup.problem, setup.params, report.final_value)
+    certified = float(np.max(np.abs(residual.values))) / 0.8
+    assert certified <= 2e-9
+    assert report.linf_error_to_reference[-1] <= certified
+
+
 def test_solver_failure_aborts_run(man_coarse):
     setup = man_coarse
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match=r"after 1 sweeps \(tolerance 1\.000e-14\)"):
         run_policy_iteration(
             setup.problem, setup.grid, setup.params,
             PIConfig(max_outer_iterations=3, solver_max_iter=1, solver_tol=1e-14),
@@ -318,3 +366,12 @@ def test_pi_config_validation():
         PIConfig(max_outer_iterations=5, relaxation_theta=0.0)
     with pytest.raises(ValueError):
         PIConfig(max_outer_iterations=5, relaxation_theta=1.2)
+    rejected = [
+        ("solver_tol", math.nan), ("solver_tol", math.inf), ("solver_tol", 0.0),
+        ("solver_tol", -1e-10), ("omega", 0.0), ("omega", 2.0), ("omega", -0.5),
+        ("omega", math.nan), ("solver_max_iter", 0), ("solver_max_iter", -3),
+    ]
+    for name, value in rejected:
+        with pytest.raises(ValueError, match=name):
+            PIConfig(max_outer_iterations=5, **{name: value})
+    PIConfig(max_outer_iterations=5, solver_tol=1e-300, omega=1.999, solver_max_iter=1)
