@@ -7,13 +7,17 @@ then solves the discrete equation by Howard policy iteration: a Thomas
 (1D) or red-black SOR (2D) policy-evaluation solve alternating with a
 closed-form greedy policy update, optionally relaxed.
 
-Layer map, bottom to top: grid -> problems -> scheme -> linsolve ->
-howard -> analysis / benchmarks -> cli.  scheme owns GridProblem, the
-problem sampled once onto a grid, and stencil_coefficients, the one
-stencil routine that assembly, the resolvent and certification share;
-benchmarks owns BENCHMARK_DEFAULTS, the one table of benchmark defaults.
-oracles holds independent reimplementations used only to cross-check the
-main path.
+Layer map, bottom to top: grid -> analysis, problems -> scheme ->
+linsolve -> howard -> benchmarks -> cli.  analysis (error norms and fits)
+needs only grid, so howard records its norms with it.  scheme owns
+GridProblem, the problem sampled once onto a grid; stencil_coefficients,
+the one stencil routine that assembly, the resolvent and certification
+share; and bellman_residual, the one operator routine: L_alpha u for a
+policy, and F_h[u] = L_{a*(u)} u at the greedy control without one.
+SchemeParams carries the derived center weight and contraction factor
+beta.  benchmarks owns BENCHMARK_DEFAULTS, the one table of benchmark
+defaults.  oracles holds independent reimplementations used only to
+cross-check the main path.
 """
 
 from .analysis import (
@@ -27,7 +31,7 @@ from .analysis import (
     total_error_bound,
 )
 from .benchmarks import BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
-from .grid import Grid, GridField, apply_dirichlet, build_grid
+from .grid import Grid, GridField, build_grid
 from .howard import (
     PIConfig,
     PIReport,
@@ -50,7 +54,6 @@ from .problems import (
     ControlProblem,
     PolicyField,
     greedy_policy,
-    hamiltonian,
     lq1d_problem,
     lq_reference_policy,
     lq_reference_value,
@@ -64,10 +67,8 @@ from .scheme import (
     MonotonicityError,
     SchemeParams,
     StencilCertificate,
-    apply_policy_operator,
     bellman_residual,
     certify_monotone_stencil,
-    contraction_factor,
     resolvent_map,
     viscosity_coefficient,
 )
@@ -94,20 +95,16 @@ __all__ = [
     "StencilCertificate",
     "StructuredSystem2D",
     "TridiagonalSystem",
-    "apply_dirichlet",
-    "apply_policy_operator",
     "assemble_evaluation_system",
     "bellman_residual",
     "build_benchmark",
     "build_grid",
     "certify_monotone_stencil",
-    "contraction_factor",
     "detect_plateau",
     "error_metrics",
     "fit_geometric_rate",
     "fit_power_rate",
     "greedy_policy",
-    "hamiltonian",
     "initial_policy",
     "lq1d_problem",
     "lq_reference_policy",

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from .analysis import detect_plateau, fit_power_rate, optimal_iteration_count
 from .benchmarks import BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
 from .checks import run_checks
+from .grid import Grid
 from .howard import PIConfig, PIReport, run_policy_iteration
 from .linsolve import SolverError
-from .scheme import MonotonicityError, bellman_residual, contraction_factor
+from .scheme import MonotonicityError, bellman_residual
 
 __all__ = ["RunConfig", "execute_command", "main"]
 
@@ -141,9 +142,6 @@ def _pi_config(config: RunConfig, snapshots: tuple[int, ...] = ()) -> PIConfig:
 
 
 def _summary_payload(config: RunConfig, setup: BenchmarkSetup, report: PIReport) -> dict:
-    beta = contraction_factor(
-        setup.params.lam, setup.params.dim, setup.params.viscosity, setup.params.h
-    )
     residual = bellman_residual(setup.problem, setup.params, report.final_value)
     plateau = detect_plateau(
         [e for e in report.linf_error_to_reference if math.isfinite(e)],
@@ -154,7 +152,7 @@ def _summary_payload(config: RunConfig, setup: BenchmarkSetup, report: PIReport)
         "config": config.to_dict(),
         "derived": {
             "viscosity": setup.params.viscosity,
-            "contraction_factor": beta,
+            "contraction_factor": setup.params.contraction_factor,
             "center_weight": setup.params.center_weight,
             "optimal_iteration_count": optimal_iteration_count(
                 config.h, config.lam, setup.grid.dim, setup.params.viscosity
@@ -179,15 +177,18 @@ def _summary_payload(config: RunConfig, setup: BenchmarkSetup, report: PIReport)
     }
 
 
-def _run_benchmark(config: RunConfig, snapshots: tuple[int, ...] = ()) -> tuple[BenchmarkSetup, PIReport]:
-    setup = build_benchmark(
+def _setup(config: RunConfig) -> BenchmarkSetup:
+    return build_benchmark(
         config.benchmark,
         lam=config.lam,
         half_width=config.half_width,
         h=config.h,
         a_max=config.a_max,
     )
-    report = run_policy_iteration(
+
+
+def _solve(config: RunConfig, setup: BenchmarkSetup, snapshots: tuple[int, ...] = ()) -> PIReport:
+    return run_policy_iteration(
         setup.problem,
         setup.grid,
         setup.params,
@@ -195,11 +196,11 @@ def _run_benchmark(config: RunConfig, snapshots: tuple[int, ...] = ()) -> tuple[
         boundary=setup.boundary,
         reference=setup.reference,
     )
-    return setup, report
 
 
 def _cmd_run1d(config: RunConfig) -> int:
-    setup, report = _run_benchmark(config)
+    setup = _setup(config)
+    report = _solve(config, setup)
     os.makedirs(config.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(config.out_dir, "run1d_trajectory.csv"),
@@ -217,14 +218,21 @@ def _cmd_run1d(config: RunConfig) -> int:
     return 0
 
 
+def _slice_index(grid: Grid, fixed: float) -> int:
+    """Index along an axis of the node at coordinate `fixed`."""
+    k = int(round((fixed + grid.half_width) / grid.h))
+    inside = 0 <= k < grid.nodes_per_axis
+    if not (inside and math.isclose(grid.axis_coords()[k], fixed, abs_tol=1e-9)):
+        raise ValueError(f"slice coordinate {fixed} is not a grid node of "
+                         f"[{-grid.half_width}, {grid.half_width}] at h={grid.h}")
+    return k
+
+
 def _slice_rows(
-    setup: BenchmarkSetup, report: PIReport, axis: int, fixed: float
+    setup: BenchmarkSetup, report: PIReport, axis: int, k: int
 ) -> tuple[list[str], list[list[float]]]:
-    """Profile along one axis with the other coordinate held at `fixed`."""
+    """Profile along one axis with the other index held at `k`."""
     coords = setup.grid.axis_coords()
-    k = int(round((fixed + setup.grid.half_width) / setup.grid.h))
-    if not math.isclose(coords[k], fixed, abs_tol=1e-9):
-        raise ValueError(f"slice coordinate {fixed} is not a grid node")
     taken = [n for n in SLICE_ITERATIONS if n in report.value_snapshots]
     header = ["coord", "reference"] + [f"v_n{n}" for n in taken] + ["v_final"]
     fields = [report.value_snapshots[n] for n in taken] + [report.final_value.values]
@@ -239,7 +247,11 @@ def _slice_rows(
 
 def _cmd_run2d(config: RunConfig) -> int:
     snapshots = tuple(n for n in SLICE_ITERATIONS if n < config.iterations)
-    setup, report = _run_benchmark(config, snapshots)
+    setup = _setup(config)
+    # refuse slices off the grid before solving, not after
+    kx = _slice_index(setup.grid, SLICE_X0)
+    ky = _slice_index(setup.grid, SLICE_Y0)
+    report = _solve(config, setup, snapshots)
     os.makedirs(config.out_dir, exist_ok=True)
     _write_csv(
         os.path.join(config.out_dir, "run2d_trajectory.csv"),
@@ -247,9 +259,9 @@ def _cmd_run2d(config: RunConfig) -> int:
         _trajectory_rows(report),
     )
     # Slice with x fixed at SLICE_X0 runs along y, and vice versa.
-    header_x, rows_x = _slice_rows(setup, report, axis=0, fixed=SLICE_X0)
+    header_x, rows_x = _slice_rows(setup, report, axis=0, k=kx)
     _write_csv(os.path.join(config.out_dir, "run2d_slice_x0.csv"), header_x, rows_x)
-    header_y, rows_y = _slice_rows(setup, report, axis=1, fixed=SLICE_Y0)
+    header_y, rows_y = _slice_rows(setup, report, axis=1, k=ky)
     _write_csv(os.path.join(config.out_dir, "run2d_slice_y0.csv"), header_y, rows_y)
     _write_json(
         os.path.join(config.out_dir, "run2d_summary.json"),
@@ -264,32 +276,15 @@ def _cmd_run2d(config: RunConfig) -> int:
     return 0
 
 
-def _sweep_one(config: RunConfig, h: float, cap: int) -> PIReport:
-    setup = build_benchmark(
-        config.benchmark,
-        lam=config.lam,
-        half_width=config.half_width,
-        h=h,
-        a_max=config.a_max,
-    )
-    budget = optimal_iteration_count(h, config.lam, setup.grid.dim, setup.params.viscosity)
-    run_cfg = dataclasses.replace(config, h=h, iterations=min(budget, cap))
-    return run_policy_iteration(
-        setup.problem,
-        setup.grid,
-        setup.params,
-        _pi_config(run_cfg),
-        boundary=setup.boundary,
-        reference=setup.reference,
-    )
-
-
 def _cmd_sweep(config: RunConfig, cap: int) -> int:
     h_values = config.sweep_h
+    # build every mesh first, so a bad one is refused before any solve
+    setups = [_setup(dataclasses.replace(config, h=h)) for h in h_values]
     rows = []
     errors = []
-    for h in h_values:
-        report = _sweep_one(config, h, cap)
+    for h, setup in zip(h_values, setups):
+        budget = optimal_iteration_count(h, config.lam, setup.grid.dim, setup.params.viscosity)
+        report = _solve(dataclasses.replace(config, h=h, iterations=min(budget, cap)), setup)
         err = report.linf_error_to_reference[-1]
         rows.append(
             [h, float(report.iterations_run), err, report.l2_error_to_reference[-1]]
@@ -422,8 +417,13 @@ def execute_command(argv: list[str]) -> int:
                 raise ValueError("sweep takes h from --h-list and each budget from "
                                  "optimal_iteration_count; it does not accept --h or --iterations")
             h_values = tuple(float(tok) for tok in args.h_list.split(",") if tok)
-            if not h_values:
-                raise ValueError("--h-list must name at least one mesh size")
+            # the fitted order needs two or more meshes, finer and finer
+            pairs = zip(h_values, h_values[1:])
+            if len(h_values) < 2 or not all(math.inf > a > b > 0 for a, b in pairs):
+                raise ValueError(
+                    "--h-list must name at least two positive, finite, strictly "
+                    f"decreasing mesh sizes, got {args.h_list!r}"
+                )
             args.h = h_values[0]  # echoed placeholders; each run sets its own h and budget
             args.iterations = BENCHMARK_DEFAULTS[args.benchmark]["iterations"]
             config = _config_from_args(args, "sweep", args.benchmark, h_values)

@@ -9,8 +9,8 @@ boundary nodes carry Dirichlet data and are never differenced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "Grid",
     "GridField",
     "build_grid",
-    "apply_dirichlet",
     "discrete_gradient",
     "discrete_laplacian",
     "interior_gradient",
@@ -38,28 +37,34 @@ class Grid:
     dim : spatial dimension, 1 or 2
     half_width : box half-width L > 0
     h : mesh spacing, must divide 2L
-    nodes_per_axis : 2L/h + 1 nodes per axis
+    nodes_per_axis : 2L/h + 1 nodes per axis, derived from the other three
+
+    Non-finite or non-positive inputs, and a cell count 2L/h too large to be
+    finite, raise ValueError naming the value.
     """
 
     dim: int
     half_width: float
     h: float
-    nodes_per_axis: int
+    nodes_per_axis: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not (self.half_width > 0 and math.isfinite(self.half_width)):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError(f"h must be positive, got {self.h}")
+        for name in ("half_width", "h"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         cells = 2.0 * self.half_width / self.h
+        if not math.isfinite(cells):
+            raise ValueError(
+                f"half_width={self.half_width} and h={self.h} give a non-finite cell count {cells}"
+            )
         if abs(cells - round(cells)) > DIVISIBILITY_TOL:
             raise ValueError(
                 f"h={self.h} does not divide the box width {2 * self.half_width}"
             )
-        if self.nodes_per_axis != int(round(cells)) + 1:
-            raise ValueError("nodes_per_axis inconsistent with half_width and h")
+        object.__setattr__(self, "nodes_per_axis", int(round(cells)) + 1)
         if self.nodes_per_axis < 3:
             raise ValueError("grid needs at least one interior node per axis")
         # the reconstructed width must match to one ulp
@@ -117,13 +122,7 @@ class Grid:
 
 def build_grid(half_width: float, h: float, dim: int) -> Grid:
     """Construct a grid, validating that h divides the box width exactly."""
-    cells = 2.0 * float(half_width) / float(h)
-    return Grid(
-        dim=int(dim),
-        half_width=float(half_width),
-        h=float(h),
-        nodes_per_axis=int(round(cells)) + 1,
-    )
+    return Grid(dim=int(dim), half_width=float(half_width), h=float(h))
 
 
 def _as_node(node, dim: int) -> tuple[int, ...]:
@@ -164,32 +163,12 @@ class GridField:
     def full(cls, grid: Grid, value: float) -> "GridField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridField":
-        """Sample fn over all nodes; fn maps (..., dim) coordinates to values."""
-        vals = np.asarray(fn(grid.node_coordinates()), dtype=float)
-        return cls(grid, vals)
-
     def copy(self) -> "GridField":
         return GridField(self.grid, self.values.copy())
 
     def interior(self) -> np.ndarray:
         """View of the interior values (do not mutate)."""
         return self.values[(slice(1, -1),) * self.grid.dim]
-
-
-def apply_dirichlet(field: GridField, boundary_fn: Callable[[np.ndarray], np.ndarray]) -> GridField:
-    """Return a copy of the field with boundary nodes set from boundary_fn.
-
-    Interior values are untouched.  boundary_fn maps coordinates of shape
-    (..., dim) to values and is evaluated on boundary nodes only.
-    """
-    grid = field.grid
-    mask = grid.boundary_mask()
-    coords = grid.node_coordinates()[mask]
-    vals = field.values.copy()
-    vals[mask] = np.asarray(boundary_fn(coords), dtype=float)
-    return GridField(grid, vals)
 
 
 def discrete_gradient(field: GridField, node: Sequence[int]) -> np.ndarray:

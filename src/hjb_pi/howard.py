@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, GridField, apply_dirichlet, interior_gradient
+from .analysis import error_metrics
+from .grid import Grid, GridField, interior_gradient
 from .linsolve import (
     SolveStats,
     SolverError,
@@ -215,25 +215,27 @@ def run_policy_iteration(
     grid: Grid,
     params: SchemeParams,
     config: PIConfig,
-    boundary: GridField | Callable | None = None,
+    boundary: GridField,
     reference: GridField | None = None,
 ) -> PIReport:
     """Outer policy-iteration loop.
 
-    boundary supplies Dirichlet data (a field, a coordinate callable, or
-    None for zero data).  When a reference field is given, per-iteration
-    max-norm and mesh-weighted L2 errors against it are recorded.  Solver
-    failure aborts with SolverError; otherwise the report's stop_reason
-    states whether the budget or the outer tolerance ended the run.  The
-    problem is sampled onto the grid once per call (see GridProblem).
+    boundary supplies the Dirichlet data on its boundary ring; its interior
+    is ignored.  When a reference field is given, per-iteration max-norm and
+    mesh-weighted L2 errors against it are recorded.  Solver failure aborts
+    with SolverError; otherwise the report's stop_reason states whether the
+    budget or the outer tolerance ended the run.  The problem is sampled
+    onto the grid once per call (see GridProblem).
     """
     gp = GridProblem(problem, grid, params)
-    boundary_field = _as_boundary_field(grid, boundary)
+    if boundary.grid != grid:
+        raise ValueError("boundary field lives on a different grid")
     if reference is not None and reference.grid != grid:
         raise ValueError("reference field lives on a different grid")
+    # keep only the boundary ring as data; the interior is the warm start (zero)
+    boundary_field = GridField(grid, np.where(grid.boundary_mask(), boundary.values, 0.0))
     policy = initial_policy(config.initial_policy_spec, grid, problem)
     report = PIReport()
-    h_weight = grid.h**grid.dim
     prev: GridField | None = None
     warm = boundary_field
     value = boundary_field
@@ -253,22 +255,17 @@ def run_policy_iteration(
         report.inner_tolerance.append(inner_tol)
         report.solve_stats.append(stats)
         report.linf_norm.append(float(np.max(np.abs(value.values))))
-        if reference is not None:
-            diff = value.values - reference.values
-            report.linf_error_to_reference.append(float(np.max(np.abs(diff))))
-            report.l2_error_to_reference.append(float(math.sqrt(h_weight * np.sum(diff * diff))))
-        else:
-            report.linf_error_to_reference.append(math.nan)
-            report.l2_error_to_reference.append(math.nan)
+        linf, l2 = (math.nan, math.nan) if reference is None else error_metrics(value, reference)
+        report.linf_error_to_reference.append(linf)
+        report.l2_error_to_reference.append(l2)
         if prev is None:
             report.residual_l2.append(math.nan)
             report.monotonicity_violation.append(math.nan)
             update = math.inf
         else:
-            step = value.values - prev.values
-            report.residual_l2.append(float(math.sqrt(h_weight * np.sum(step * step))))
-            report.monotonicity_violation.append(float(np.max(step)))
-            update = float(np.max(np.abs(step)))
+            update, step_l2 = error_metrics(value, prev)
+            report.residual_l2.append(step_l2)
+            report.monotonicity_violation.append(float(np.max(value.values - prev.values)))
         if n in config.snapshot_iterations:
             report.value_snapshots[n] = value.values.copy()
         if config.outer_tolerance is not None and update <= config.outer_tolerance:
@@ -291,17 +288,3 @@ def run_policy_iteration(
     # final_policy produced final_value
     report.final_policy = policy
     return report
-
-
-def _as_boundary_field(grid: Grid, boundary) -> GridField:
-    if boundary is None:
-        return GridField.zeros(grid)
-    if isinstance(boundary, GridField):
-        if boundary.grid != grid:
-            raise ValueError("boundary field lives on a different grid")
-        # keep only the boundary ring as data; interior is the warm start (zero)
-        values = np.zeros(grid.shape)
-        mask = grid.boundary_mask()
-        values[mask] = boundary.values[mask]
-        return GridField(grid, values)
-    return apply_dirichlet(GridField.zeros(grid), boundary)

@@ -19,7 +19,6 @@ Two built-in benchmarks:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +32,6 @@ __all__ = [
     "dynamics",
     "running_cost",
     "greedy_policy",
-    "hamiltonian",
     "lq_value_coefficient",
     "lq_reference_value",
     "lq_reference_policy",
@@ -41,8 +39,6 @@ __all__ = [
     "manufactured_drift",
     "manufactured_value",
     "manufactured_source",
-    "check_assumptions",
-    "grid_state_cost",
     "grid_drift",
     "policy_cost_and_drift",
     "make_grid_lookup",
@@ -120,20 +116,6 @@ def greedy_policy(problem: ControlProblem, x: np.ndarray | None, p: np.ndarray) 
     """
     p = np.asarray(p, dtype=float)
     return np.clip(-p, -problem.a_max, problem.a_max)
-
-
-def hamiltonian(problem: ControlProblem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """H(x, p) = sup_a { -c(x, a) - f(x, a) . p } with the exact maximizer.
-
-    For inactive box constraints this reduces to
-    -state_cost(x) - b(x) . p + |p|^2 / 2.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    a = greedy_policy(problem, x, p)
-    c = problem.state_cost(x) + 0.5 * np.sum(a * a, axis=-1)
-    f = problem.drift_base(x) + a
-    return -c - np.sum(f * p, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +262,6 @@ def make_grid_lookup(source: GridField) -> Callable[[np.ndarray], np.ndarray]:
 # grid evaluation helpers
 
 
-def grid_state_cost(problem: ControlProblem, grid: Grid) -> np.ndarray:
-    """state_cost sampled at all nodes, shape grid.shape."""
-    return np.asarray(problem.state_cost(grid.node_coordinates()), dtype=float)
-
-
 def grid_drift(problem: ControlProblem, grid: Grid) -> np.ndarray:
     """drift_base sampled at all nodes, shape grid.shape + (dim,)."""
     return np.asarray(problem.drift_base(grid.node_coordinates()), dtype=float)
@@ -297,36 +274,3 @@ def policy_cost_and_drift(
     state cost and drift already sampled there (see scheme.GridProblem)."""
     a = policy.controls
     return state_cost + 0.5 * np.sum(a * a, axis=-1), drift_base + a
-
-
-def check_assumptions(problem: ControlProblem, grid: Grid) -> dict:
-    """Sample-based well-posedness report.
-
-    Checks boundedness of drift and state cost over the grid and estimates
-    the spatial Lipschitz constant of the drift by nearest-neighbor finite
-    differences.  Warns when the discount rate does not dominate the
-    estimate, since the continuous-rate guarantees assume lam > Lip_x(f).
-    """
-    b = grid_drift(problem, grid)
-    cost = grid_state_cost(problem, grid)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("drift is not finite on the grid")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("state cost is not finite on the grid")
-    lip = 0.0
-    for k in range(grid.dim):
-        d = np.diff(b, axis=k) / grid.h
-        lip = max(lip, float(np.max(np.abs(d))))
-    if problem.lam <= lip:
-        warnings.warn(
-            f"discount rate {problem.lam} does not dominate the drift Lipschitz "
-            f"estimate {lip:.6g}; contraction-rate guarantees may degrade",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return {
-        "drift_bound": float(np.max(np.abs(b))),
-        "state_cost_bound": float(np.max(np.abs(cost))),
-        "drift_lipschitz_estimate": lip,
-        "discount_dominates": bool(problem.lam > lip),
-    }

@@ -5,7 +5,10 @@ The per-policy linear operator at an interior node x is
     (L_a u)(x) = lam*u(x) - c(x, a) - f(x, a) . grad_h u(x) - N*h*lap_h u(x)
 
 with centered differences, and the scheme operator is F_h[u] = sup_a L_a u.
-Collecting stencil weights,
+The supremum is attained pointwise by the greedy control a*(u), the clip of
+-grad_h u onto the control box, so F_h[u] = L_{a*(u)} u: bellman_residual
+computes L_alpha u for a given policy and F_h[u] without one, reading c and
+f from the sampled GridProblem either way.  Collecting stencil weights,
 
     L_a u = (lam + 2*d*N/h) u(x) - c(x, a)
             + sum_i (-N/h - f_i/(2h)) u(x + h e_i)
@@ -14,7 +17,8 @@ Collecting stencil weights,
 so every neighbor weight is nonpositive exactly when N >= |f_i|/2, which is
 the monotonicity condition enforced throughout.  Dividing by the center
 weight gives the resolvent map T_a, a contraction with factor
-beta = (2*d*N/h) / (lam + 2*d*N/h), and F_h[u] = (lam + 2*d*N/h)(u - T u).
+beta = (2*d*N/h) / (lam + 2*d*N/h) (SchemeParams.contraction_factor), and
+F_h[u] = (lam + 2*d*N/h)(u - T u).
 
 A GridProblem is the discrete problem: a control problem, its grid and its
 scheme parameters, checked for consistency, with the state cost and drift
@@ -36,7 +40,6 @@ from .problems import (
     PolicyField,
     greedy_policy,
     grid_drift,
-    hamiltonian,
     policy_cost_and_drift,
 )
 
@@ -48,10 +51,8 @@ __all__ = [
     "MonotonicityError",
     "viscosity_coefficient",
     "stencil_coefficients",
-    "apply_policy_operator",
     "bellman_residual",
     "resolvent_map",
-    "contraction_factor",
     "certify_monotone_stencil",
 ]
 
@@ -82,6 +83,12 @@ class SchemeParams:
     @property
     def center_weight(self) -> float:
         return self.lam + 2.0 * self.dim * self.viscosity / self.h
+
+    @property
+    def contraction_factor(self) -> float:
+        """beta = (2*d*N/h) / (lam + 2*d*N/h), the resolvent contraction factor."""
+        r = 2.0 * self.dim * self.viscosity / self.h
+        return r / (self.lam + r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,43 +194,46 @@ def stencil_coefficients(params: SchemeParams, f: np.ndarray) -> StencilCoeffs:
     return StencilCoeffs(center=params.center_weight, plus=plus, minus=minus)
 
 
-def apply_policy_operator(
+def _policy_terms(
     problem: ControlProblem,
     params: SchemeParams,
-    policy: PolicyField,
     field: GridField,
-) -> GridField:
-    """L_alpha applied to a field: residual of the frozen-policy equation.
-
-    Interior nodes carry lam*u - c_alpha - f_alpha . grad_h u - N*h*lap_h u;
-    boundary entries are 0.
-    """
+    policy: PolicyField | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grad_h u, c_alpha, f_alpha) at the interior nodes of u = field, with
+    c and f read from the sampled GridProblem.  Without a policy, alpha is
+    the greedy control of grad_h u."""
     gp = GridProblem(problem, grid := field.grid, params)
-    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
     g = interior_gradient(field)
-    lap = interior_laplacian(field)
-    res = (
-        params.lam * field.interior()
-        - c
-        - np.sum(f * g, axis=-1)
-        - params.viscosity * grid.h * lap
-    )
-    out = np.zeros(grid.shape)
-    out[(slice(1, -1),) * grid.dim] = res
-    return GridField(grid, out)
+    if policy is None:
+        policy = PolicyField(grid, greedy_policy(problem, None, g), problem.a_max)
+    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
+    return g, c, f
 
 
 def bellman_residual(
-    problem: ControlProblem, params: SchemeParams, field: GridField
+    problem: ControlProblem,
+    params: SchemeParams,
+    field: GridField,
+    policy: PolicyField | None = None,
 ) -> GridField:
-    """F_h[u] via the closed-form control maximizer; boundary entries are 0."""
-    GridProblem(problem, grid := field.grid, params)  # consistency checks only
-    g = interior_gradient(field)
+    """L_alpha u for the given policy, else F_h[u] = L_{a*(u)} u.
+
+    Interior nodes carry lam*u - c - f . grad_h u - N*h*lap_h u at the
+    policy's controls, or at the greedy control of grad_h u when no policy
+    is given; boundary entries are 0.
+    """
+    grid = field.grid
+    g, c, f = _policy_terms(problem, params, field, policy)
     lap = interior_laplacian(field)
-    ham = hamiltonian(problem, grid.interior_coordinates(), g)
-    res = params.lam * field.interior() + ham - params.viscosity * grid.h * lap
     out = np.zeros(grid.shape)
-    out[(slice(1, -1),) * grid.dim] = res
+    # lam*u + H - N*h*lap_h u, with the Hamiltonian term H = -c - f.g at the
+    # control summed first: this order fixes the rounding of F_h's values
+    out[(slice(1, -1),) * grid.dim] = (
+        params.lam * field.interior()
+        + (-c - np.sum(f * g, axis=-1))
+        - params.viscosity * grid.h * lap
+    )
     return GridField(grid, out)
 
 
@@ -245,11 +255,8 @@ def resolvent_map(
     result is T u = inf_a T_a u.  Boundary values pass through unchanged,
     making Dirichlet data invariant under iteration of the map.
     """
-    gp = GridProblem(problem, grid := field.grid, params)
-    if policy is None:
-        a = greedy_policy(problem, None, interior_gradient(field))
-        policy = PolicyField(grid, a, problem.a_max)
-    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
+    grid = field.grid
+    _, c, f = _policy_terms(problem, params, field, policy)
     coeffs = stencil_coefficients(params, f)
     num = c.copy()
     for k in range(grid.dim):
@@ -258,17 +265,6 @@ def resolvent_map(
     out = field.values.copy()
     out[(slice(1, -1),) * grid.dim] = num / coeffs.center
     return GridField(grid, out)
-
-
-def contraction_factor(lam: float, dim: int, viscosity: float, h: float) -> float:
-    """beta = (2*d*N/h) / (lam + 2*d*N/h), the resolvent contraction factor."""
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-    for name, v in (("lam", lam), ("viscosity", viscosity), ("h", h)):
-        if not (v > 0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive, got {v}")
-    r = 2.0 * dim * viscosity / h
-    return r / (lam + r)
 
 
 def certify_monotone_stencil(

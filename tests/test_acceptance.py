@@ -18,7 +18,6 @@ from hjb_pi import (
     bellman_residual,
     build_benchmark,
     certify_monotone_stencil,
-    contraction_factor,
     detect_plateau,
     error_metrics,
     fit_power_rate,
@@ -156,7 +155,7 @@ def test_c02_fixed_point_identity():
 def test_c03_resolvent_contraction():
     t0 = time.perf_counter()
     s = _setup("lq1d", 0.1)
-    beta = contraction_factor(s.params.lam, 1, s.params.viscosity, s.params.h)
+    beta = s.params.contraction_factor
     excess = contraction_excess(s, np.random.default_rng(9002), 10, 4.0)
     elapsed = time.perf_counter() - t0
     ok = excess <= 1e-12 and elapsed < 1.0
@@ -170,7 +169,7 @@ def test_c04_geometric_error_envelope():
     t0 = time.perf_counter()
     s = _setup("lq1d", 0.2)
     rep = _lq_coarse_envelope_run()
-    beta = contraction_factor(s.params.lam, 1, s.params.viscosity, s.params.h)
+    beta = s.params.contraction_factor
     errors = rep.linf_error_to_reference
     excess = max(
         err - (beta**n * errors[0] + 1e-8) for n, err in enumerate(errors)

@@ -7,7 +7,6 @@ from hjb_pi import (
     GridField,
     PIConfig,
     build_grid,
-    contraction_factor,
     detect_plateau,
     error_metrics,
     fit_geometric_rate,
@@ -80,7 +79,7 @@ def test_measured_pi_factor_below_contraction_bound(lq_coarse):
     )
     usable = [r for r in report.residual_l2[1:] if np.isfinite(r)]
     fit = fit_geometric_rate(usable)
-    beta = contraction_factor(1.0, 1, setup.params.viscosity, setup.params.h)
+    beta = setup.params.contraction_factor
     assert math.exp(fit.slope) <= beta + 0.01
 
 

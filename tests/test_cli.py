@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from hjb_pi import cli
 from hjb_pi.checks import CHECKS
 from hjb_pi.cli import TRAJECTORY_HEADER, execute_command
 
@@ -55,6 +57,72 @@ def test_run1d_rejects_incompatible_mesh(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def refuse_solving(monkeypatch):
+    """Make any solve fail the test: a refusal must come before it."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the command solved before refusing its input")
+
+    monkeypatch.setattr(cli, "run_policy_iteration", no_solve)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run1d", "--half-width", "inf"],
+        ["run1d", "--half-width", "1e308"],
+        ["run2d", "--h", "nan"],
+        ["sweep", "--h-list", "0.2,nan"],
+    ],
+)
+def test_non_finite_grid_input_is_refused(argv, tmp_path, capsys, monkeypatch):
+    refuse_solving(monkeypatch)
+    out = tmp_path / "g"
+    assert execute_command(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the slice at x = 0.80 lies outside [-0.5, 0.5]
+        (["--half-width", "0.5", "--h", "0.25"], "not a grid node of [-0.5, 0.5]"),
+        # nodes at h = 0.5 are ..., 0.5, 1.0, ...; 0.80 is none of them
+        (["--h", "0.5"], "not a grid node"),
+    ],
+)
+def test_run2d_refuses_off_grid_slices_before_solving(argv, message, tmp_path, capsys,
+                                                      monkeypatch):
+    refuse_solving(monkeypatch)
+    out = tmp_path / "s"
+    assert execute_command(["run2d"] + argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "h_list, message",
+    [
+        ("0.1,0.2", "strictly decreasing"),
+        ("0.2,0.2", "strictly decreasing"),
+        ("0.2,-0.1", "positive"),
+        ("0.2,inf", "finite"),
+        ("0.2", "at least two"),
+        ("0.2,0.07", "does not divide"),  # refused by the grid of the second mesh
+    ],
+)
+def test_sweep_refuses_bad_h_list_before_solving(h_list, message, tmp_path, capsys,
+                                                 monkeypatch):
+    refuse_solving(monkeypatch)
+    out = tmp_path / "h"
+    assert execute_command(["sweep", "--h-list", h_list, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 def test_meaningless_solver_settings_are_refused(tmp_path, capsys):

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from hjb_pi import GridField, apply_dirichlet, build_grid
+from hjb_pi import GridField, build_grid
 from hjb_pi.grid import discrete_gradient, discrete_laplacian, interior_gradient, interior_laplacian
-from hjb_pi.problems import lq_reference_value, manufactured_value
 
 from conftest import make_rng
 
@@ -25,6 +26,23 @@ def test_build_grid_rejects_bad_input():
         build_grid(1.0, -0.1, dim=1)
     with pytest.raises(ValueError):
         build_grid(0.5, 1.0, dim=1)  # only 2 nodes, no interior
+
+
+@pytest.mark.parametrize(
+    "half_width, h, named",
+    [
+        (math.inf, 0.1, "half_width"),
+        (math.nan, 0.1, "half_width"),
+        (1.0, math.nan, "h"),
+        (1.0, math.inf, "h"),
+        (1.0, 0.0, "h"),
+        (1e308, 0.1, "cell count"),  # 2L overflows
+        (3.0, 1e-320, "cell count"),  # 2L/h overflows
+    ],
+)
+def test_build_grid_refuses_non_finite_input(half_width, h, named):
+    with pytest.raises(ValueError, match=named):
+        build_grid(half_width, h, dim=1)
 
 
 def test_node_coordinates_exact():
@@ -121,24 +139,6 @@ def test_operator_polynomial_exactness():
     lap = interior_laplacian(cubic)
     expect = 6.0 * xs[1:-1] - 4.0
     assert np.max(np.abs(lap - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
-
-
-def test_apply_dirichlet_zero_and_references():
-    grid = build_grid(3.0, 0.5, dim=1)
-    field = GridField.full(grid, 9.9)
-    zeroed = apply_dirichlet(field, lambda x: np.zeros(x.shape[:-1]))
-    assert zeroed.values[0] == 0.0 and zeroed.values[-1] == 0.0
-    assert np.all(zeroed.values[1:-1] == 9.9)  # interior untouched
-
-    lq = apply_dirichlet(field, lambda x: lq_reference_value(1.0, x[..., 0]))
-    assert lq.values[0] == pytest.approx(lq_reference_value(1.0, -3.0))
-    assert lq.values[-1] == pytest.approx(lq_reference_value(1.0, 3.0))
-
-    grid2 = build_grid(2.0, 0.5, dim=2)
-    field2 = GridField.zeros(grid2)
-    man = apply_dirichlet(field2, lambda x: manufactured_value(x[..., 0], x[..., 1]))
-    assert man.values[-1, -1] == pytest.approx(manufactured_value(2.0, 2.0))
-    assert man.values[2, 2] == 0.0
 
 
 def test_grid_field_validation():

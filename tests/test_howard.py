@@ -11,12 +11,10 @@ from hjb_pi import (
     PolicyField,
     SchemeParams,
     SolverError,
-    apply_policy_operator,
     bellman_residual,
     build_benchmark,
     build_grid,
     certify_monotone_stencil,
-    contraction_factor,
     initial_policy,
     lq_reference_policy,
     policy_evaluate,
@@ -82,7 +80,7 @@ def test_policy_evaluate_frozen_optimal_policy(lq_paper):
     gap = np.max(np.abs(value.values - setup.reference.values))
     assert gap <= 0.1
 
-    residual = apply_policy_operator(setup.problem, setup.params, policy, value)
+    residual = bellman_residual(setup.problem, setup.params, value, policy)
     assert np.max(np.abs(residual.values)) <= 1e-9  # direct-solve certificate
 
 
@@ -94,7 +92,7 @@ def test_policy_evaluate_sor_residual_certificate(man_paper):
     gp = GridProblem(setup.problem, setup.grid, setup.params)
     value, stats = policy_evaluate(gp, policy, setup.boundary)
     assert stats.converged
-    residual = apply_policy_operator(setup.problem, setup.params, policy, value)
+    residual = bellman_residual(setup.problem, setup.params, value, policy)
     bound = setup.params.center_weight * 1e-10
     assert np.max(np.abs(residual.values)) <= bound
 
@@ -151,6 +149,7 @@ def test_run_trivial_problem_converges_immediately():
     report = run_policy_iteration(
         problem, grid, params,
         PIConfig(max_outer_iterations=5, outer_tolerance=1e-12),
+        boundary=GridField.zeros(grid),
     )
     assert report.iterations_run <= 2
     assert np.max(np.abs(report.final_value.values)) == 0.0
@@ -179,7 +178,7 @@ def test_geometric_envelope_with_solver_slack(lq_coarse):
         PIConfig(max_outer_iterations=25),
         boundary=setup.boundary, reference=fixed.final_value,
     )
-    beta = contraction_factor(1.0, 1, setup.params.viscosity, setup.params.h)
+    beta = setup.params.contraction_factor
     errors = envelope.linf_error_to_reference
     for n, err in enumerate(errors):
         assert err <= beta**n * errors[0] + 10 * 1e-10
@@ -243,7 +242,7 @@ def test_problem_is_sampled_once_per_run():
             calls = {"state_cost": 0, "drift_base": 0}
             report = run_policy_iteration(
                 counting_problem(dim, calls), grid, params,
-                PIConfig(max_outer_iterations=iterations),
+                PIConfig(max_outer_iterations=iterations), boundary=GridField.zeros(grid),
             )
             assert report.iterations_run == iterations
             counts.append(calls)
@@ -262,7 +261,7 @@ def test_scheme_rejects_a_problem_with_another_lam(lq_coarse):
         lambda: run_policy_iteration(other, setup.grid, setup.params,
                                      PIConfig(max_outer_iterations=2), boundary=setup.boundary),
         lambda: resolvent_map(other, setup.params, setup.reference),
-        lambda: apply_policy_operator(other, setup.params, policy, setup.reference),
+        lambda: bellman_residual(other, setup.params, setup.reference, policy),
         lambda: certify_monotone_stencil(other, setup.grid, setup.params, n_controls=10),
         lambda: GridProblem(other, setup.grid, setup.params),
     ]

@@ -5,10 +5,12 @@ import pytest
 
 from hjb_pi import (
     ControlProblem,
+    GridField,
     PolicyField,
+    SchemeParams,
+    bellman_residual,
     build_grid,
     greedy_policy,
-    hamiltonian,
     lq1d_problem,
     lq_reference_policy,
     lq_reference_value,
@@ -18,7 +20,7 @@ from hjb_pi import (
     manufactured_value,
 )
 from hjb_pi.checks import greedy_scan_gaps, hamiltonian_scan_gap
-from hjb_pi.problems import check_assumptions, dynamics, make_grid_lookup, running_cost
+from hjb_pi.problems import dynamics, make_grid_lookup, running_cost
 
 from conftest import make_rng
 
@@ -53,14 +55,24 @@ def test_greedy_policy_examples():
 
 
 def test_hamiltonian_examples():
+    """H(x, p) read from F_h[u] = lam*u + H(x, grad_h u) - N*h*lap_h u on
+    linear fields u = p*x, where grad_h u = p and lap_h u = 0."""
     problem = ControlProblem(
         lam=1.0, drift_base=lambda x: np.zeros_like(x),
         state_cost=lambda x: 0.5 * np.sum(x * x, axis=-1), a_max=2.0, dim=1,
     )
-    assert hamiltonian(problem, np.zeros(1), np.ones(1)) == pytest.approx(0.5)
-    assert hamiltonian(problem, np.ones(1), np.zeros(1)) == pytest.approx(-0.5)
+    grid = build_grid(2.0, 0.5, dim=1)  # nodes -2, -1.5, ..., 2
+    params = SchemeParams(viscosity=1.0, h=0.5, dim=1, lam=1.0)
+    xs = grid.axis_coords()
+
+    def hamiltonian(node, p):
+        u = GridField(grid, p * xs)
+        return bellman_residual(problem, params, u).values[node] - p * xs[node]
+
+    assert hamiltonian(4, 1.0) == pytest.approx(0.5)  # x = 0, p = 1
+    assert hamiltonian(6, 0.0) == pytest.approx(-0.5)  # x = 1, p = 0
     # p=3 clips the optimizer to -2: H = -(0 + 2) - (-2)*3 = 4
-    assert hamiltonian(problem, np.zeros(1), np.array([3.0])) == pytest.approx(4.0)
+    assert hamiltonian(4, 3.0) == pytest.approx(4.0)
 
 
 def test_lq_coefficient_and_reference():
@@ -174,21 +186,3 @@ def test_control_problem_validation():
     with pytest.raises(ValueError):
         ControlProblem(lam=1.0, drift_base=lambda x: x, state_cost=lambda x: 0.0,
                        a_max=-1.0, dim=1)
-
-
-def test_check_assumptions_warns_on_weak_discount():
-    grid = build_grid(1.0, 0.1, dim=1)
-    steep = ControlProblem(
-        lam=1.0, drift_base=lambda x: 5.0 * x,
-        state_cost=lambda x: np.zeros(x.shape[:-1]), a_max=1.0, dim=1,
-    )
-    with pytest.warns(RuntimeWarning):
-        report = check_assumptions(steep, grid)
-    assert report["drift_lipschitz_estimate"] > 1.0
-    assert not report["discount_dominates"]
-
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = check_assumptions(lq1d_problem(), grid)
-    assert report["discount_dominates"]

@@ -7,11 +7,9 @@ from hjb_pi import (
     MonotonicityError,
     PolicyField,
     SchemeParams,
-    apply_policy_operator,
     bellman_residual,
     build_grid,
     certify_monotone_stencil,
-    contraction_factor,
     resolvent_map,
     viscosity_coefficient,
 )
@@ -78,12 +76,13 @@ def test_stencil_row_sum_identity():
 
 
 def test_apply_policy_operator_on_constants():
+    """L_alpha, bellman_residual with a policy, maps a constant m to lam*m."""
     problem = zero_cost_problem()
     grid = build_grid(1.0, 0.25, dim=1)
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
     m = 2.75
-    out = apply_policy_operator(problem, params, policy, GridField.full(grid, m))
+    out = bellman_residual(problem, params, GridField.full(grid, m), policy)
     assert np.max(np.abs(out.interior() - 1.0 * m)) < 1e-12
     assert np.all(out.values[[0, -1]] == 0.0)
 
@@ -104,7 +103,7 @@ def test_apply_policy_operator_barrier_sign():
         policy = PolicyField(grid, controls, 2.0)
         cost_sup = 0.5 + 0.5 * 4.0
         barrier = GridField.full(grid, cost_sup / lam)
-        out = apply_policy_operator(problem, params, policy, barrier)
+        out = bellman_residual(problem, params, barrier, policy)
         assert np.min(out.interior()) >= -1e-12
 
 
@@ -128,7 +127,7 @@ def test_resolvent_constant_contraction_value():
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
     k = 3.3
     out = resolvent_map(problem, params, GridField.full(grid, k))
-    beta = contraction_factor(1.0, 1, 1.0, 0.25)
+    beta = params.contraction_factor
     assert np.max(np.abs(out.interior() - beta * k)) < 1e-12
 
 
@@ -162,15 +161,40 @@ def test_resolvent_policy_improvement_identity(lq_mid):
 
 
 def test_contraction_factor_values():
-    assert contraction_factor(1.0, 1, 1.0, 0.03) == pytest.approx(0.985222, abs=1e-6)
+    def beta(viscosity, h, lam=1.0):
+        return SchemeParams(viscosity=viscosity, h=h, dim=1, lam=lam).contraction_factor
+
+    assert beta(1.0, 0.03) == pytest.approx(0.985222, abs=1e-6)
     # lam equal to 2dN/h gives exactly one half
-    assert contraction_factor(1.0, 1, 0.05, 0.1) == pytest.approx(0.5, abs=1e-15)
+    assert beta(0.05, 0.1) == pytest.approx(0.5, abs=1e-15)
     hs = [0.4, 0.2, 0.1, 0.05]
-    betas = [contraction_factor(1.0, 1, 1.0, h) for h in hs]
+    betas = [beta(1.0, h) for h in hs]
     assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
     assert all(0 < b < 1 for b in betas)
     with pytest.raises(ValueError):
-        contraction_factor(0.0, 1, 1.0, 0.1)
+        beta(1.0, 0.1, lam=0.0)
+
+
+@pytest.mark.parametrize("fixture", ["lq_mid", "man_coarse"])
+def test_bellman_residual_is_the_supremum_over_policies(fixture, request):
+    """F_h[u] >= L_alpha u at every node for in-box policies alpha, and the
+    greedy policy of grad_h u passed explicitly reproduces F_h[u] bit for bit."""
+    setup = request.getfixturevalue(fixture)
+    grid, a_max = setup.grid, setup.problem.a_max
+    rng = make_rng(307)
+    for _ in range(5):
+        u = GridField(grid, rng.uniform(-2, 2, grid.shape))
+        sup = bellman_residual(setup.problem, setup.params, u).values
+        for _ in range(4):
+            controls = rng.uniform(-a_max, a_max, grid.interior_shape + (grid.dim,))
+            policy = PolicyField(grid, controls, a_max)
+            frozen = bellman_residual(setup.problem, setup.params, u, policy).values
+            assert np.all(sup >= frozen - 1e-12)
+        greedy = greedy_policy(setup.problem, None, interior_gradient(u))
+        pinned = bellman_residual(
+            setup.problem, setup.params, u, PolicyField(grid, greedy, a_max)
+        ).values
+        assert np.array_equal(pinned, sup)
 
 
 def test_certification_passes_on_benchmarks(lq_coarse, man_coarse):
