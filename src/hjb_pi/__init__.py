@@ -3,9 +3,10 @@
 The package discretizes lam*V + sup_a{-c(x,a) - f(x,a).grad V} = 0 on a
 uniform grid with centered differences plus an artificial viscosity term
 N*h*Lap_h chosen large enough that the per-policy stencil is monotone,
-then solves the discrete equation by Howard policy iteration: a Thomas
-(1D) or red-black SOR (2D) policy-evaluation solve alternating with a
-closed-form greedy policy update, optionally relaxed.
+then solves the discrete equation by Howard policy iteration: a direct
+tridiagonal solve (1D: odd-even reduction, then Thomas) or red-black SOR
+(2D) for policy evaluation, alternating with a closed-form greedy policy
+update, optionally relaxed.
 
 Layer map, bottom to top: grid -> analysis, problems -> scheme ->
 linsolve -> howard -> benchmarks -> cli.  analysis (error norms and fits)

@@ -150,7 +150,9 @@ class GridField:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        # one reduction: the largest magnitude is nan or inf exactly when
+        # some value is
+        if not math.isfinite(float(np.abs(values).max())):
             raise ValueError("field values must be finite at every node")
         self.grid = grid
         self.values = values

@@ -1,13 +1,13 @@
 """Howard policy iteration: evaluation, improvement, and the outer driver.
 
 Each outer iteration solves the frozen-policy linear equation L_alpha V = 0
-exactly (Thomas in 1D) or to an inner tolerance (SOR in 2D, warm started
-from the previous value field), then improves the policy from the centered
-gradient of the new value.  With relaxation theta < 1 the new policy is the
-convex mix (1 - theta) * previous + theta * greedy, clipped to the control
-box; theta = 1 is classical greedy improvement, for which iterates decrease
-pointwise and converge geometrically with factor
-beta = (2*d*N/h) / (lam + 2*d*N/h).
+exactly (odd-even reduction, then Thomas, in 1D) or to an inner tolerance
+(SOR in 2D, warm started from the previous value field), then improves the
+policy from the centered gradient of the new value.  With relaxation
+theta < 1 the new policy is the convex mix (1 - theta) * previous +
+theta * greedy, clipped to the control box; theta = 1 is classical greedy
+improvement, for which iterates decrease pointwise and converge
+geometrically with factor beta = (2*d*N/h) / (lam + 2*d*N/h).
 
 With theta < 1 the run is inexact Howard: evaluations 0 and 1 stop at
 solver_tol, and evaluation n >= 2 at

@@ -82,9 +82,12 @@ class PolicyField:
         expected = self.grid.interior_shape + (self.grid.dim,)
         if controls.shape != expected:
             raise ValueError(f"controls shape {controls.shape}, expected {expected}")
-        if not np.all(np.isfinite(controls)):
+        # one reduction: the largest magnitude is nan or inf exactly when
+        # some control is
+        peak = float(np.abs(controls).max())
+        if not math.isfinite(peak):
             raise ValueError("policy controls must be finite")
-        if np.max(np.abs(controls)) > self.a_max * (1.0 + 1e-12):
+        if peak > self.a_max * (1.0 + 1e-12):
             raise ValueError("policy controls leave the control box")
 
     @classmethod
@@ -129,10 +132,16 @@ def lq_value_coefficient(lam: float) -> float:
     into lam*V - x^2/2 + (V')^2/2 = 0 forces exactly this quadratic; the
     other sign choice, (lam + sqrt(lam^2 + 4))/2, does not solve it.  The
     value-iteration oracle in hjb_pi.oracles confirms the root numerically.
+
+    The root is evaluated as 2 / (lam + sqrt(lam^2 + 4)), which adds two
+    positive terms: the textbook (-lam + sqrt(lam^2 + 4)) / 2 cancels for
+    large lam (7.45e-9 instead of 1e-8 at lam = 1e8, and 0 from about
+    1e9).  hypot forms the square root without squaring lam, which would
+    overflow past about 1.3e154.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"discount rate must be positive, got {lam}")
-    return (-lam + math.sqrt(lam * lam + 4.0)) / 2.0
+    return 2.0 / (lam + math.hypot(lam, 2.0))
 
 
 def lq_reference_value(lam: float, x):
@@ -273,4 +282,9 @@ def policy_cost_and_drift(
     """(c_alpha, f_alpha) at interior nodes for a fixed policy, given the
     state cost and drift already sampled there (see scheme.GridProblem)."""
     a = policy.controls
-    return state_cost + 0.5 * np.sum(a * a, axis=-1), drift_base + a
+    # Adding the axes' squares in order gives np.sum(a * a, axis=-1) bit for
+    # bit, without numpy's slow reduction over a last axis of length dim.
+    squares = a[..., 0] * a[..., 0]
+    for k in range(1, a.shape[-1]):
+        squares = squares + a[..., k] * a[..., k]
+    return state_cost + 0.5 * squares, drift_base + a

@@ -183,8 +183,9 @@ def stencil_coefficients(params: SchemeParams, f: np.ndarray) -> StencilCoeffs:
     if f.shape[-1:] != (params.dim,):
         raise ValueError(f"f has shape {f.shape}, expected (..., {params.dim})")
     ratio = params.viscosity / params.h
-    plus = -ratio - f / (2.0 * params.h)
-    minus = -ratio + f / (2.0 * params.h)
+    half = f / (2.0 * params.h)
+    plus = -ratio - half
+    minus = -ratio + half
     worst = max(float(plus.max()), float(minus.max()))
     if worst > 1e-12 * max(1.0, ratio):
         raise MonotonicityError(

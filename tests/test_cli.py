@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ def test_run1d_reruns_are_byte_identical(tmp_path):
     a = (tmp_path / "one" / "run1d_trajectory.csv").read_bytes()
     b = (tmp_path / "two" / "run1d_trajectory.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("lam", ["1e8", "1e300"])
+def test_run1d_at_extreme_rates_runs_without_warnings(lam, tmp_path, capsys):
+    """The LQ root stays finite and accurate for large lam, so the boundary
+    data and reference are finite; warnings are errors in this suite."""
+    code = execute_command(
+        ["run1d", "--lambda", lam, "--iterations", "3", "--out-dir", str(tmp_path / "run")]
+    )
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "RuntimeWarning" not in captured.out + captured.err
+    summary = json.loads((tmp_path / "run" / "run1d_summary.json").read_text())
+    assert math.isfinite(summary["result"]["final_linf_error"])
 
 
 def test_run1d_rejects_incompatible_mesh(tmp_path, capsys):

@@ -149,3 +149,13 @@ def test_grid_field_validation():
         GridField(grid, bad)
     with pytest.raises(ValueError):
         GridField(grid, np.zeros(4))
+
+
+def test_grid_field_rejects_non_finite_values():
+    for dim in (1, 2):
+        grid = build_grid(1.0, 0.5, dim=dim)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.zeros(grid.shape)
+            bad.flat[-1] = value
+            with pytest.raises(ValueError, match="must be finite at every node"):
+                GridField(grid, bad)

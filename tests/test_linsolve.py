@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from hjb_pi.checks import (
     random_structured_system,
     thomas_dense_gap,
 )
-from hjb_pi.linsolve import system_to_dense
+from hjb_pi.linsolve import REDUCTION_THRESHOLD, system_to_dense
 
 from conftest import make_rng
 
@@ -161,14 +164,73 @@ def test_thomas_on_assembled_lq1d_system():
     assert np.max(np.abs(sol - solve_dense_oracle(system))) <= 1e-10
 
 
+def test_reduction_matches_dense_around_the_threshold():
+    """Sizes on both sides of the switch-over, both parities after each
+    halving, and the benchmark's 599 and 600 unknowns."""
+    t = REDUCTION_THRESHOLD
+    rng = make_rng(412)
+    for n in (t - 1, t, t + 1, 2 * t, 2 * t + 1, 599, 600, 2047):
+        system = random_dominant_tridiagonal(rng, n)
+        dense = solve_dense_oracle(system)
+        gap = np.max(np.abs(solve_tridiagonal(system) - dense))
+        assert gap <= 1e-12 * np.max(np.abs(dense)), n
+
+
+def _exact_residual(system, x) -> float:
+    """||rhs - A x||_inf in exact rational arithmetic."""
+    sub, diag, sup, rhs, xs = (
+        [Fraction(v) for v in a.tolist()]
+        for a in (system.sub, system.diag, system.sup, system.rhs, x)
+    )
+    n = len(xs)
+    worst = Fraction(0)
+    for i in range(n):
+        row = diag[i] * xs[i]
+        if i > 0:
+            row += sub[i] * xs[i - 1]
+        if i < n - 1:
+            row += sup[i] * xs[i + 1]
+        worst = max(worst, abs(rhs[i] - row))
+    return float(worst)
+
+
+def test_reduction_backward_error_at_benchmark_size():
+    """||b - A x||_inf <= 8 eps || |A||x| + |b| ||_inf at 599 unknowns, on a
+    random dominant system and on an assembled lq1d system."""
+    setup = build_benchmark("lq1d", lam=0.25, h=0.01)
+    a_max = setup.problem.a_max
+    controls = make_rng(413).uniform(-a_max, a_max, setup.grid.interior_shape + (1,))
+    assembled = assemble_evaluation_system(
+        GridProblem(setup.problem, setup.grid, setup.params),
+        PolicyField(setup.grid, controls, a_max), setup.boundary,
+    )
+    for system in (random_dominant_tridiagonal(make_rng(414), 599), assembled):
+        assert system.n == 599
+        x = solve_tridiagonal(system)
+        a, b = system_to_dense(system)
+        scale = float(np.max(np.abs(a) @ np.abs(x) + np.abs(b)))
+        assert _exact_residual(system, x) <= 8 * np.finfo(float).eps * scale
+
+
 def test_thomas_ignores_sub0_and_sup_last():
-    system = random_dominant_tridiagonal(make_rng(411), 7)
-    expected = solve_tridiagonal(system)
-    for value in (1e300, -1e300, np.inf, -np.inf, np.nan):
-        sub, sup = system.sub.copy(), system.sup.copy()
-        sub[0] = sup[-1] = value
-        changed = TridiagonalSystem(sub=sub, diag=system.diag, sup=sup, rhs=system.rhs)
-        assert np.array_equal(solve_tridiagonal(changed), expected), value
+    """Below the threshold (Thomas only) and above it with both parities;
+    the inputs are left unchanged and the result shares no memory with
+    them."""
+    t = REDUCTION_THRESHOLD
+    fields = ("sub", "diag", "sup", "rhs")
+    for n in (7, 2 * t + 1, 2 * t + 2):
+        system = random_dominant_tridiagonal(make_rng(411), n)
+        expected = solve_tridiagonal(system)
+        for value in (1e300, -1e300, np.inf, -np.inf, np.nan):
+            sub, sup = system.sub.copy(), system.sup.copy()
+            sub[0] = sup[-1] = value
+            changed = TridiagonalSystem(sub=sub, diag=system.diag, sup=sup, rhs=system.rhs)
+            before = {name: getattr(changed, name).copy() for name in fields}
+            sol = solve_tridiagonal(changed)
+            assert np.array_equal(sol, expected), (n, value)
+            for name in fields:
+                assert np.array_equal(getattr(changed, name), before[name], equal_nan=True), name
+                assert not np.shares_memory(sol, getattr(changed, name)), name
 
 
 def test_thomas_zero_pivot_is_reported():
@@ -180,6 +242,16 @@ def test_thomas_zero_pivot_is_reported():
         )
         with pytest.raises(SolverError, match="zero pivot"):
             solve_tridiagonal(system)
+    # above the threshold, a zero diagonal on a row the reduction eliminates
+    # first is reported before any division, with no numpy warning
+    n = 2 * REDUCTION_THRESHOLD + 1
+    for row in (1, 7, n - 2):
+        system = random_dominant_tridiagonal(make_rng(416), n)
+        system.diag[row] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="zero pivot"):
+                solve_tridiagonal(system)
 
 
 def test_sor_matches_dense_and_gauss_seidel():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,40 @@ def test_lq_coefficient_and_reference():
     assert lq_reference_value(1.0, 1.0) == pytest.approx(0.3090170, abs=1e-7)
     with pytest.raises(ValueError):
         lq_value_coefficient(-1.0)
+
+
+def test_lq_coefficient_solves_its_quadratic_at_extreme_rates():
+    """P^2 + lam*P - 1, in exact arithmetic at the returned P, is a few
+    rounding units of P at most, from lam = 1e-300 to 1e300."""
+    eps = np.finfo(float).eps
+    for lam in (1e-300, 0.25, 1.0, 4.0, 1e8, 1e160, 1e300):
+        p = lq_value_coefficient(lam)
+        assert 0.0 < p <= 1.0, lam
+        exact = Fraction(p) ** 2 + Fraction(lam) * Fraction(p) - 1
+        # d/dP (P^2 + lam*P) * P = P^2 + 1 at the root: one ulp of P moves
+        # the residual by about eps * (1 + P^2)
+        assert abs(exact) <= 4 * eps * (1 + Fraction(p) ** 2), lam
+
+
+def test_policy_field_rejects_non_finite_controls(lq_coarse):
+    grid = lq_coarse.grid
+    for value in (np.nan, np.inf, -np.inf):
+        controls = np.zeros(grid.interior_shape + (1,))
+        controls[2] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            PolicyField(grid, controls, a_max=6.0)
+
+
+def test_policy_field_box_edge(lq_coarse, man_coarse):
+    for grid in (lq_coarse.grid, man_coarse.grid):
+        shape = grid.interior_shape + (grid.dim,)
+        PolicyField(grid, np.full(shape, 6.0), a_max=6.0)
+        PolicyField(grid, np.full(shape, -6.0), a_max=6.0)
+        for value in (6.0 * (1 + 2e-12), -6.0 * (1 + 2e-12)):
+            controls = np.zeros(shape)
+            controls.flat[-1] = value
+            with pytest.raises(ValueError, match="leave the control box"):
+                PolicyField(grid, controls, a_max=6.0)
 
 
 def test_lq_reference_policy():
