@@ -22,6 +22,7 @@ from hjb_pi import (
     resolvent_map,
     run_policy_iteration,
 )
+from hjb_pi import howard
 from hjb_pi.checks import greedy_run_extremes
 from hjb_pi.grid import interior_gradient
 from hjb_pi.problems import lq1d_problem
@@ -336,16 +337,86 @@ def test_greedy_run_keeps_exact_inner_tolerance():
 
 
 def test_relaxed_run_keeps_certified_accuracy():
-    """At lam = 0.8, h = 0.1, the rate with the largest certified error over
-    lam in [0.8, 1.25], the inexact run still ends with certified error
-    ||F_h[V]||/lam <= 2e-9, and the bound holds against the discrete-exact
-    reference."""
-    setup = build_benchmark("manufactured2d", lam=0.8, h=0.1)
+    """At both ends of lam in [0.8, 1.25], h = 0.1 (lam = 0.8 has the largest
+    certified error over that range), the inexact run with predicted warm
+    starts still ends with certified error ||F_h[V]||/lam <= 2e-9, and the
+    bound holds against the discrete-exact reference."""
+    for lam in (0.8, 1.25):
+        setup = build_benchmark("manufactured2d", lam=lam, h=0.1)
+        report = _manufactured_run(setup, 0.18, 60)
+        residual = bellman_residual(setup.problem, setup.params, report.final_value)
+        certified = float(np.max(np.abs(residual.values))) / lam
+        assert certified <= 2e-9, lam
+        assert report.linf_error_to_reference[-1] <= certified, lam
+
+
+def _recorded_run(monkeypatch, theta, iterations):
+    """A manufactured2d run at h = 0.1 that keeps every value field and the
+    warm start handed to each evaluation."""
+    evaluate = howard.policy_evaluate
+    starts = []
+
+    def recording(*args, initial=None, **kwargs):
+        starts.append(initial.values.copy())
+        return evaluate(*args, initial=initial, **kwargs)
+
+    monkeypatch.setattr(howard, "policy_evaluate", recording)
+    setup = build_benchmark("manufactured2d", h=0.1)
+    report = _manufactured_run(setup, theta, iterations, snapshots=tuple(range(iterations)))
+    assert len(starts) == iterations
+    return report, starts
+
+
+def _expected_ratios(report):
+    """Evaluation n >= 3 with an inner tolerance above the floor starts from
+    a prediction with r = step_{n-1} / step_{n-2} when 0 < step_{n-1} <
+    step_{n-2}, where step_k = max|V_k - V_{k-1}|; every other evaluation
+    has r = 0."""
+    v = report.value_snapshots
+    step = [math.nan] + [float(np.max(np.abs(v[k] - v[k - 1]))) for k in range(1, len(v))]
+    expected = []
+    for n, tol in enumerate(report.inner_tolerance):
+        predicted = n >= 3 and tol > PIConfig.solver_tol and 0.0 < step[n - 1] < step[n - 2]
+        expected.append(step[n - 1] / step[n - 2] if predicted else 0.0)
+    return expected
+
+
+def test_relaxed_run_predicts_warm_starts(monkeypatch):
+    """theta < 1: an inexact evaluation starts from V_n + r (V_n - V_{n-1})
+    with r the ratio of the last two outer steps, bit for bit; evaluations
+    at the solver_tol floor start from V_n."""
+    report, starts = _recorded_run(monkeypatch, 0.18, 60)
+    ratios = report.warm_start_ratio
+    assert ratios == _expected_ratios(report)
+    floor = PIConfig.solver_tol
+    assert all(r == 0.0 for r, tol in zip(ratios, report.inner_tolerance) if tol == floor)
+    assert sum(r > 0.0 for r in ratios) >= 10  # the prediction is active
+    assert all(0.0 <= r < 1.0 for r in ratios)
+    v = report.value_snapshots
+    assert starts[0].tobytes() == np.where(
+        report.final_value.grid.boundary_mask(), v[0], 0.0).tobytes()
+    for n in range(1, 60):
+        r = ratios[n]
+        expect = v[n - 1] + r * (v[n - 1] - v[n - 2]) if r > 0.0 else v[n - 1]
+        assert starts[n].tobytes() == expect.tobytes(), n
+
+
+def test_greedy_run_keeps_plain_warm_starts(monkeypatch):
+    """theta = 1: every evaluation starts from the previous value field;
+    greedy steps are not geometric, so no prediction is made."""
+    report, starts = _recorded_run(monkeypatch, 1.0, 12)
+    assert report.warm_start_ratio == [0.0] * 12
+    v = report.value_snapshots
+    for n in range(1, 12):
+        assert starts[n].tobytes() == v[n - 1].tobytes(), n
+
+
+def test_predicted_warm_starts_cut_sweeps():
+    """The relaxed run2d settings at h = 0.1, lam = 1 take at most 0.6x the
+    755 sweeps they took with plain warm starts (410 with the prediction)."""
+    setup = build_benchmark("manufactured2d", h=0.1)
     report = _manufactured_run(setup, 0.18, 60)
-    residual = bellman_residual(setup.problem, setup.params, report.final_value)
-    certified = float(np.max(np.abs(residual.values))) / 0.8
-    assert certified <= 2e-9
-    assert report.linf_error_to_reference[-1] <= certified
+    assert sum(s.iterations for s in report.solve_stats) <= 453
 
 
 def test_solver_failure_aborts_run(man_coarse):
