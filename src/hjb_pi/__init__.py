@@ -16,9 +16,12 @@ the one stencil routine that assembly, the resolvent and certification
 share; and bellman_residual, the one operator routine: L_alpha u for a
 policy, and F_h[u] = L_{a*(u)} u at the greedy control without one.
 SchemeParams carries the derived center weight and contraction factor
-beta.  benchmarks owns BENCHMARK_DEFAULTS, the one table of benchmark
-defaults.  oracles holds independent reimplementations used only to
-cross-check the main path.
+beta, and refuses a discount lost in the rounding of the center weight.
+linsolve has one interior system type for both dimensions,
+EvaluationSystem: a center, one plus and one minus weight per axis, and a
+right-hand side with the Dirichlet ring folded in.  benchmarks owns
+BENCHMARK_DEFAULTS, the one table of benchmark defaults.  oracles holds
+independent reimplementations used only to cross-check the main path.
 """
 
 from .analysis import (
@@ -42,10 +45,9 @@ from .howard import (
     run_policy_iteration,
 )
 from .linsolve import (
+    EvaluationSystem,
     SolverError,
     SolveStats,
-    StructuredSystem2D,
-    TridiagonalSystem,
     assemble_evaluation_system,
     solve_dense_oracle,
     solve_sor,
@@ -82,6 +84,7 @@ __all__ = [
     "BenchmarkSetup",
     "ControlProblem",
     "ErrorDecomposition",
+    "EvaluationSystem",
     "Grid",
     "GridField",
     "GridProblem",
@@ -94,8 +97,6 @@ __all__ = [
     "SolveStats",
     "SolverError",
     "StencilCertificate",
-    "StructuredSystem2D",
-    "TridiagonalSystem",
     "assemble_evaluation_system",
     "bellman_residual",
     "build_benchmark",

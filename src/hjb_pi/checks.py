@@ -17,12 +17,11 @@ from typing import Callable
 import numpy as np
 
 from .benchmarks import BenchmarkSetup, build_benchmark
-from .grid import GridField, build_grid, discrete_gradient, discrete_laplacian
+from .grid import GridField, build_grid, interior_gradient, interior_laplacian
 from .howard import PIConfig, run_policy_iteration
 from .linsolve import (
+    EvaluationSystem,
     SolverError,
-    StructuredSystem2D,
-    TridiagonalSystem,
     assemble_evaluation_system,
     solve_dense_oracle,
     solve_sor,
@@ -78,21 +77,22 @@ def _random_field(grid, rng, scale=1.0) -> GridField:
 # random systems
 
 
-def random_dominant_tridiagonal(rng: np.random.Generator, n: int) -> TridiagonalSystem:
-    """Size-n system, diagonally dominant by a margin drawn from [0.5, 2].
+def random_dominant_tridiagonal(rng: np.random.Generator, n: int) -> EvaluationSystem:
+    """Size-n 1D system, diagonally dominant by a margin drawn from [0.5, 2]
+    for each row.
 
-    Draws sub, sup, the margins and rhs, in that order.
+    Draws the minus and plus weights, the margins and rhs, in that order.
     """
-    sub = rng.uniform(-1, 1, n)
-    sup = rng.uniform(-1, 1, n)
-    sub[0] = 0.0
-    sup[-1] = 0.0
-    diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, n)
+    minus = rng.uniform(-1, 1, n)
+    plus = rng.uniform(-1, 1, n)
+    minus[0] = 0.0
+    plus[-1] = 0.0
+    center = np.abs(minus) + np.abs(plus) + rng.uniform(0.5, 2.0, n)
     rhs = rng.uniform(-1, 1, n)
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    return EvaluationSystem(center=center, plus=(plus,), minus=(minus,), rhs=rhs)
 
 
-def random_structured_system(rng: np.random.Generator, m0: int, m1: int) -> StructuredSystem2D:
+def random_structured_system(rng: np.random.Generator, m0: int, m1: int) -> EvaluationSystem:
     """Five-point system with the scheme's sign structure and dominance.
 
     Draws N/h, lam, the drift and rhs, in that order.
@@ -100,12 +100,10 @@ def random_structured_system(rng: np.random.Generator, m0: int, m1: int) -> Stru
     ratio = rng.uniform(5.0, 30.0)
     lam = rng.uniform(0.5, 2.0)
     drift = rng.uniform(-0.9, 0.9, size=(2, m0, m1)) * 2.0 * ratio
-    return StructuredSystem2D(
+    return EvaluationSystem(
         center=np.full((m0, m1), lam + 4.0 * ratio),
-        xplus=-(ratio + drift[0] / 4.0),
-        xminus=-(ratio - drift[0] / 4.0),
-        yplus=-(ratio + drift[1] / 4.0),
-        yminus=-(ratio - drift[1] / 4.0),
+        plus=(-(ratio + drift[0] / 4.0), -(ratio + drift[1] / 4.0)),
+        minus=(-(ratio - drift[0] / 4.0), -(ratio - drift[1] / 4.0)),
         rhs=rng.uniform(-1, 1, size=(m0, m1)),
     )
 
@@ -264,14 +262,13 @@ def check_grid_operator_exactness() -> tuple[bool, str]:
     """Centered operators are exact on quadratics and cubics."""
     grid = build_grid(3.0, 0.1, dim=1)
     xs = grid.axis_coords()
-    quad = GridField(grid, 0.25 * xs**2 - 1.3 * xs + 0.7)
-    cubic = GridField(grid, xs**3)
-    worst = 0.0
-    for i in range(1, grid.nodes_per_axis - 1):
-        g = discrete_gradient(quad, (i,))[0]
-        worst = max(worst, abs(g - (0.5 * xs[i] - 1.3)))
-        lap = discrete_laplacian(cubic, (i,))
-        worst = max(worst, abs(lap - 6.0 * xs[i]) / max(1.0, abs(6.0 * xs[i])))
+    x = xs[1:-1]
+    g = interior_gradient(GridField(grid, 0.25 * xs**2 - 1.3 * xs + 0.7))[:, 0]
+    lap = interior_laplacian(GridField(grid, xs**3))
+    worst = max(
+        float(np.max(np.abs(g - (0.5 * x - 1.3)))),
+        float(np.max(np.abs(lap - 6.0 * x) / np.maximum(1.0, np.abs(6.0 * x)))),
+    )
     return worst <= 1e-11, f"max pointwise deviation {worst:.2e}"
 
 

@@ -2,15 +2,14 @@
 
 A grid covers [-L, L]^d (d = 1 or 2) with spacing h and node coordinates
 x_i = -L + i*h per axis.  Fields hold one value per node in row-major order.
-The centered gradient and Laplacian are defined at interior nodes only;
-boundary nodes carry Dirichlet data and are never differenced.
+The centered gradient and Laplacian are computed at all interior nodes at
+once; boundary nodes carry Dirichlet data and are never differenced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -18,8 +17,6 @@ __all__ = [
     "Grid",
     "GridField",
     "build_grid",
-    "discrete_gradient",
-    "discrete_laplacian",
     "interior_gradient",
     "interior_laplacian",
 ]
@@ -102,17 +99,6 @@ class Grid:
         inner = (slice(1, -1),) * self.dim
         return self.node_coordinates()[inner]
 
-    def coordinate(self, node: Sequence[int]) -> np.ndarray:
-        node = _as_node(node, self.dim)
-        for k in node:
-            if not 0 <= k < self.nodes_per_axis:
-                raise IndexError(f"node {node} outside grid of shape {self.shape}")
-        return np.array([-self.half_width + k * self.h for k in node])
-
-    def is_interior(self, node: Sequence[int]) -> bool:
-        node = _as_node(node, self.dim)
-        return all(1 <= k <= self.nodes_per_axis - 2 for k in node)
-
     def boundary_mask(self) -> np.ndarray:
         """Boolean array over all nodes, True exactly on the boundary."""
         mask = np.ones(self.shape, dtype=bool)
@@ -123,15 +109,6 @@ class Grid:
 def build_grid(half_width: float, h: float, dim: int) -> Grid:
     """Construct a grid, validating that h divides the box width exactly."""
     return Grid(dim=int(dim), half_width=float(half_width), h=float(h))
-
-
-def _as_node(node, dim: int) -> tuple[int, ...]:
-    if np.isscalar(node):
-        node = (node,)
-    node = tuple(int(k) for k in node)
-    if len(node) != dim:
-        raise ValueError(f"node index {node} has wrong length for dim={dim}")
-    return node
 
 
 class GridField:
@@ -171,43 +148,6 @@ class GridField:
     def interior(self) -> np.ndarray:
         """View of the interior values (do not mutate)."""
         return self.values[(slice(1, -1),) * self.grid.dim]
-
-
-def discrete_gradient(field: GridField, node: Sequence[int]) -> np.ndarray:
-    """Centered difference gradient at one interior node.
-
-    Component k is (u(x + h e_k) - u(x - h e_k)) / (2h).  Raises on boundary
-    or out-of-range nodes.
-    """
-    grid = field.grid
-    idx = _as_node(node, grid.dim)
-    if not grid.is_interior(idx):
-        raise ValueError(f"gradient requested at non-interior node {idx}")
-    out = np.empty(grid.dim)
-    for k in range(grid.dim):
-        up = list(idx)
-        dn = list(idx)
-        up[k] += 1
-        dn[k] -= 1
-        out[k] = (field.values[tuple(up)] - field.values[tuple(dn)]) / (2.0 * grid.h)
-    return out
-
-
-def discrete_laplacian(field: GridField, node: Sequence[int]) -> float:
-    """Five-point (three-point in 1D) Laplacian at one interior node."""
-    grid = field.grid
-    idx = _as_node(node, grid.dim)
-    if not grid.is_interior(idx):
-        raise ValueError(f"laplacian requested at non-interior node {idx}")
-    total = 0.0
-    center = field.values[idx]
-    for k in range(grid.dim):
-        up = list(idx)
-        dn = list(idx)
-        up[k] += 1
-        dn[k] -= 1
-        total += (field.values[tuple(up)] - 2.0 * center + field.values[tuple(dn)]) / grid.h**2
-    return float(total)
 
 
 def _shifted(values: np.ndarray, axis: int, offset: int, dim: int) -> np.ndarray:

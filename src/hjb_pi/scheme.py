@@ -56,7 +56,12 @@ __all__ = [
     "certify_monotone_stencil",
 ]
 
-VISCOSITY_MODES = ("theory", "bench1d", "bench2d")
+VISCOSITY_MODES = ("bench1d", "bench2d")
+
+# Assembly checks each row's dominance margin against lam up to a rounding
+# slack of DOMINANCE_RTOL * center weight, so a lam at or below that slack
+# cannot be told apart from a margin of 0.
+DOMINANCE_RTOL = 1e-12
 
 
 class MonotonicityError(ValueError):
@@ -65,7 +70,12 @@ class MonotonicityError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Discretization parameters: viscosity coefficient N, spacing h, dim, lam."""
+    """Discretization parameters: viscosity coefficient N, spacing h, dim, lam.
+
+    Refuses a lam at or below DOMINANCE_RTOL times the center weight
+    lam + 2*dim*N/h: there the discount is lost in the rounding of the
+    center weight, and no solve could be certified.
+    """
 
     viscosity: float
     h: float
@@ -79,6 +89,12 @@ class SchemeParams:
                 raise ValueError(f"{name} must be positive, got {v}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if not self.lam > DOMINANCE_RTOL * self.center_weight:
+            raise ValueError(
+                f"lam={self.lam} is lost in the rounding of the center weight "
+                f"lam + 2*dim*N/h = {self.center_weight:.6g} (N={self.viscosity}, "
+                f"h={self.h}); lam must exceed {DOMINANCE_RTOL:g} times that weight"
+            )
 
     @property
     def center_weight(self) -> float:
@@ -155,8 +171,6 @@ class StencilCertificate:
 def viscosity_coefficient(problem: ControlProblem, grid: Grid, mode: str) -> float:
     """Artificial viscosity N for the given problem and grid.
 
-    theory   max(1, ||f||_inf / 2) with ||f||_inf estimated over grid nodes
-             and control-box corners (|b_i| + a_max per component);
     bench1d  max(1, a_max / 2), the 1D benchmark rule;
     bench2d  1.05 * (||b||_inf + a_max) / 2 with ||b||_inf the grid maximum
              component magnitude of the drift, the 2D benchmark rule.
@@ -167,8 +181,6 @@ def viscosity_coefficient(problem: ControlProblem, grid: Grid, mode: str) -> flo
     bmax = float(np.max(np.abs(b)))
     if mode == "bench2d":
         return 1.05 * 0.5 * (bmax + problem.a_max)
-    if mode == "theory":
-        return max(1.0, 0.5 * (bmax + problem.a_max))
     raise ValueError(f"unknown viscosity mode {mode!r}; expected one of {VISCOSITY_MODES}")
 
 

@@ -140,6 +140,19 @@ def test_sweep_refuses_bad_h_list_before_solving(h_list, message, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run1d", "run2d"])
+def test_unresolvable_discount_is_refused_before_solving(command, tmp_path, capsys, monkeypatch):
+    """A huge control box makes N so large that lam = 1 is lost in the
+    rounding of the center weight; the parent reported the boundary
+    interpolation as a solution."""
+    refuse_solving(monkeypatch)
+    out = tmp_path / "a"
+    assert execute_command([command, "--a-max", "1e300", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lost in the rounding" in err
+    assert not out.exists()
+
+
 def test_meaningless_solver_settings_are_refused(tmp_path, capsys):
     for flags in (["--solver-tol", "-1"], ["--solver-tol", "nan"], ["--solver-tol", "inf"],
                   ["--omega", "2.5"], ["--solver-max-iter", "0"]):

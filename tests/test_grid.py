@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hjb_pi import GridField, build_grid
-from hjb_pi.grid import discrete_gradient, discrete_laplacian, interior_gradient, interior_laplacian
+from hjb_pi.grid import interior_gradient, interior_laplacian
 
 from conftest import make_rng
 
@@ -55,56 +55,41 @@ def test_node_coordinates_exact():
 
 def test_interior_classification():
     grid = build_grid(1.0, 0.5, dim=2)  # 5x5 nodes
-    assert grid.is_interior((1, 1))
-    assert grid.is_interior((3, 3))
-    assert not grid.is_interior((0, 2))
-    assert not grid.is_interior((2, 4))
     mask = grid.boundary_mask()
     assert mask.sum() == 25 - 9
 
 
 def test_gradient_pointwise_examples():
+    """Entry i - 1 of the interior operators belongs to node i."""
     grid = build_grid(1.0, 0.5, dim=1)
     const = GridField.full(grid, 4.2)
-    assert discrete_gradient(const, (1,)) == pytest.approx([0.0], abs=0)
+    assert interior_gradient(const)[0] == pytest.approx([0.0], abs=0)
 
     xs = grid.axis_coords()
     linear = GridField(grid, xs)
-    for i in range(1, grid.nodes_per_axis - 1):
-        assert discrete_gradient(linear, (i,))[0] == 1.0
+    assert np.all(interior_gradient(linear)[:, 0] == 1.0)
 
-    # u = x^2 at x = 0.5, h = 0.1: (0.36 - 0.16) / 0.2 = 1.0
+    # u = x^2 at x = 0.5 (node 15), h = 0.1: (0.36 - 0.16) / 0.2 = 1.0
     grid2 = build_grid(1.0, 0.1, dim=1)
     quad = GridField(grid2, grid2.axis_coords() ** 2)
-    node = (15,)
-    assert grid2.coordinate(node)[0] == pytest.approx(0.5)
-    assert discrete_gradient(quad, node)[0] == pytest.approx(1.0, abs=1e-14)
+    assert grid2.axis_coords()[15] == pytest.approx(0.5)
+    assert interior_gradient(quad)[14, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_laplacian_pointwise_examples():
     grid = build_grid(1.0, 0.1, dim=1)
     const = GridField.full(grid, -7.0)
-    assert discrete_laplacian(const, (5,)) == 0.0
+    assert interior_laplacian(const)[4] == 0.0
 
     quad = GridField(grid, grid.axis_coords() ** 2)
     for i in (1, 10, 19):
-        assert discrete_laplacian(quad, (i,)) == pytest.approx(2.0, abs=1e-12)
+        assert interior_laplacian(quad)[i - 1] == pytest.approx(2.0, abs=1e-12)
 
-    # u = x^3 at x = 1, h = 0.1: (1.331 - 2 + 0.729) / 0.01 = 6.0
+    # u = x^3 at x = 1 (node 30), h = 0.1: (1.331 - 2 + 0.729) / 0.01 = 6.0
     grid2 = build_grid(2.0, 0.1, dim=1)
     cubic = GridField(grid2, grid2.axis_coords() ** 3)
-    node = (30,)
-    assert grid2.coordinate(node)[0] == pytest.approx(1.0)
-    assert discrete_laplacian(cubic, node) == pytest.approx(6.0, rel=1e-12)
-
-
-def test_operators_reject_boundary_nodes():
-    grid = build_grid(1.0, 0.5, dim=1)
-    field = GridField.zeros(grid)
-    with pytest.raises(ValueError):
-        discrete_gradient(field, (0,))
-    with pytest.raises(ValueError):
-        discrete_laplacian(field, (4,))
+    assert grid2.axis_coords()[30] == pytest.approx(1.0)
+    assert interior_laplacian(cubic)[29] == pytest.approx(6.0, rel=1e-12)
 
 
 def test_operator_linearity_random_fields():

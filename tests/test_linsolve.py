@@ -6,14 +6,15 @@ import pytest
 
 from hjb_pi import (
     ControlProblem,
+    EvaluationSystem,
     GridField,
     GridProblem,
     MonotonicityError,
     PolicyField,
     SchemeParams,
     SolverError,
-    TridiagonalSystem,
     assemble_evaluation_system,
+    bellman_residual,
     build_benchmark,
     build_grid,
     solve_dense_oracle,
@@ -29,6 +30,22 @@ from hjb_pi.checks import (
 from hjb_pi.linsolve import REDUCTION_THRESHOLD, system_to_dense
 
 from conftest import make_rng
+
+
+def tridiagonal(minus, center, plus, rhs) -> EvaluationSystem:
+    """A 1D system from lists: minus, center and plus weights per row."""
+    return EvaluationSystem(
+        center=np.array(center, dtype=float), plus=(np.array(plus, dtype=float),),
+        minus=(np.array(minus, dtype=float),), rhs=np.array(rhs, dtype=float),
+    )
+
+
+def system_arrays(system) -> dict:
+    """Every array of a system by name, for checks that it is unchanged."""
+    arrays = {"center": system.center, "rhs": system.rhs}
+    for k, (plus, minus) in enumerate(zip(system.plus, system.minus)):
+        arrays[f"plus{k}"], arrays[f"minus{k}"] = plus, minus
+    return arrays
 
 
 def constant_cost_problem(kappa, dim=1, a_max=1.0):
@@ -79,7 +96,7 @@ def test_lq_paper_assembly_diagonal(lq_paper):
     gp = GridProblem(lq_paper.problem, lq_paper.grid, lq_paper.params)
     system = assemble_evaluation_system(gp, policy, lq_paper.boundary)
     # center weight 1 + 2*3/0.03 = 201 exactly, every row
-    assert np.all(system.diag == 201.0)
+    assert np.all(system.center == 201.0)
 
 
 def test_assembled_dominance_margin(lq_coarse, man_coarse):
@@ -92,15 +109,36 @@ def test_assembled_dominance_margin(lq_coarse, man_coarse):
         policy = PolicyField(setup.grid, controls, setup.problem.a_max)
         gp = GridProblem(setup.problem, setup.grid, setup.params)
         system = assemble_evaluation_system(gp, policy, setup.boundary)
-        if isinstance(system, TridiagonalSystem):
-            off = np.abs(system.sub) + np.abs(system.sup)
-            diag = system.diag
-        else:
-            off = (np.abs(system.xplus) + np.abs(system.xminus)
-                   + np.abs(system.yplus) + np.abs(system.yminus))
-            diag = system.center
+        off = sum(np.abs(w) for w in system.plus + system.minus)
         lam = setup.problem.lam
-        assert np.min(diag - off) >= lam - 1e-12 * np.max(diag)
+        assert np.min(system.center - off) >= lam - 1e-12 * np.max(system.center)
+
+
+def test_assembly_matches_policy_operator():
+    """A u - rhs equals L_alpha u, bellman_residual with the policy, at the
+    interior nodes: random policies, u random at every node with its ring as
+    the Dirichlet data, odd and even interior widths.  Pins the fold of the
+    ring, corners included, the zeroed boundary weights, and the row-major
+    layout of system_to_dense."""
+    rng = make_rng(417)
+    for name, half_width, h in (("lq1d", 3.0, 0.2), ("lq1d", 3.0, 0.4),
+                                ("manufactured2d", 2.0, 0.25), ("manufactured2d", 1.5, 0.2)):
+        setup = build_benchmark(name, half_width=half_width, h=h)
+        grid, a_max = setup.grid, setup.problem.a_max
+        controls = rng.uniform(-a_max, a_max, grid.interior_shape + (grid.dim,))
+        policy = PolicyField(grid, controls, a_max)
+        u = GridField(grid, rng.uniform(-1, 1, grid.shape))
+        gp = GridProblem(setup.problem, grid, setup.params)
+        system = assemble_evaluation_system(gp, policy, u)
+        for k in range(grid.dim):
+            assert not np.take(system.minus[k], 0, axis=k).any(), (name, k)
+            assert not np.take(system.plus[k], -1, axis=k).any(), (name, k)
+        a, b = system_to_dense(system)
+        applied = a @ u.interior().reshape(-1) - b
+        expected = bellman_residual(setup.problem, setup.params, u, policy).interior()
+        scale = setup.params.center_weight * np.max(np.abs(u.values))
+        gap = np.max(np.abs(applied - expected.reshape(-1)))
+        assert gap <= 1e-14 * scale, (name, h)
 
 
 def test_assembly_rejects_non_monotone_stencil():
@@ -122,22 +160,15 @@ def test_assembly_rejects_non_monotone_stencil():
 def test_thomas_examples():
     rng = make_rng(402)
     n = 6
-    system = TridiagonalSystem(
-        sub=np.zeros(n), diag=np.ones(n), sup=np.zeros(n),
-        rhs=rng.uniform(-1, 1, n),
-    )
+    system = tridiagonal(np.zeros(n), np.ones(n), np.zeros(n), rng.uniform(-1, 1, n))
     assert solve_tridiagonal(system) == pytest.approx(system.rhs, abs=0)
 
-    system = TridiagonalSystem(
-        sub=np.array([0.0, -1.0]), diag=np.array([2.0, 2.0]),
-        sup=np.array([-1.0, 0.0]), rhs=np.array([1.0, 1.0]),
-    )
+    system = tridiagonal([0.0, -1.0], [2.0, 2.0], [-1.0, 0.0], [1.0, 1.0])
     assert solve_tridiagonal(system) == pytest.approx([1.0, 1.0], abs=1e-15)
 
-    # one unknown; the ignored sub[0] and sup[-1] are nonzero
-    system = TridiagonalSystem(
-        sub=np.array([3.0]), diag=np.array([4.0]), sup=np.array([5.0]), rhs=np.array([2.0]),
-    )
+    # one unknown; the ignored boundary weights minus[0][0] and plus[0][-1]
+    # are nonzero
+    system = tridiagonal([3.0], [4.0], [5.0], [2.0])
     assert np.array_equal(solve_tridiagonal(system), [0.5])
 
 
@@ -156,11 +187,10 @@ def test_thomas_on_assembled_lq1d_system():
         PolicyField(setup.grid, controls, a_max), setup.boundary,
     )
     assert system.n == 599
-    fields = ("sub", "diag", "sup", "rhs")
-    before = {name: getattr(system, name).copy() for name in fields}
+    before = {name: a.copy() for name, a in system_arrays(system).items()}
     sol = solve_tridiagonal(system)
-    for name in fields:
-        assert np.array_equal(getattr(system, name), before[name]), name
+    for name, a in system_arrays(system).items():
+        assert np.array_equal(a, before[name]), name
     assert np.max(np.abs(sol - solve_dense_oracle(system))) <= 1e-10
 
 
@@ -178,18 +208,18 @@ def test_reduction_matches_dense_around_the_threshold():
 
 def _exact_residual(system, x) -> float:
     """||rhs - A x||_inf in exact rational arithmetic."""
-    sub, diag, sup, rhs, xs = (
+    minus, center, plus, rhs, xs = (
         [Fraction(v) for v in a.tolist()]
-        for a in (system.sub, system.diag, system.sup, system.rhs, x)
+        for a in (system.minus[0], system.center, system.plus[0], system.rhs, x)
     )
     n = len(xs)
     worst = Fraction(0)
     for i in range(n):
-        row = diag[i] * xs[i]
+        row = center[i] * xs[i]
         if i > 0:
-            row += sub[i] * xs[i - 1]
+            row += minus[i] * xs[i - 1]
         if i < n - 1:
-            row += sup[i] * xs[i + 1]
+            row += plus[i] * xs[i + 1]
         worst = max(worst, abs(rhs[i] - row))
     return float(worst)
 
@@ -212,34 +242,33 @@ def test_reduction_backward_error_at_benchmark_size():
         assert _exact_residual(system, x) <= 8 * np.finfo(float).eps * scale
 
 
-def test_thomas_ignores_sub0_and_sup_last():
-    """Below the threshold (Thomas only) and above it with both parities;
-    the inputs are left unchanged and the result shares no memory with
-    them."""
+def test_thomas_ignores_boundary_weights():
+    """minus[0][0] and plus[0][-1] are ignored below the threshold (Thomas
+    only) and above it with both parities; the inputs are left unchanged
+    and the result shares no memory with them."""
     t = REDUCTION_THRESHOLD
-    fields = ("sub", "diag", "sup", "rhs")
     for n in (7, 2 * t + 1, 2 * t + 2):
         system = random_dominant_tridiagonal(make_rng(411), n)
         expected = solve_tridiagonal(system)
         for value in (1e300, -1e300, np.inf, -np.inf, np.nan):
-            sub, sup = system.sub.copy(), system.sup.copy()
-            sub[0] = sup[-1] = value
-            changed = TridiagonalSystem(sub=sub, diag=system.diag, sup=sup, rhs=system.rhs)
-            before = {name: getattr(changed, name).copy() for name in fields}
+            minus, plus = system.minus[0].copy(), system.plus[0].copy()
+            minus[0] = plus[-1] = value
+            changed = EvaluationSystem(
+                center=system.center, plus=(plus,), minus=(minus,), rhs=system.rhs
+            )
+            before = {name: a.copy() for name, a in system_arrays(changed).items()}
             sol = solve_tridiagonal(changed)
             assert np.array_equal(sol, expected), (n, value)
-            for name in fields:
-                assert np.array_equal(getattr(changed, name), before[name], equal_nan=True), name
-                assert not np.shares_memory(sol, getattr(changed, name)), name
+            for name, a in system_arrays(changed).items():
+                assert np.array_equal(a, before[name], equal_nan=True), name
+                assert not np.shares_memory(sol, a), name
 
 
 def test_thomas_zero_pivot_is_reported():
     # at row 0, and at row 1, where the pivot 1 - 1 * 1 vanishes
-    for sub, diag, sup in (([0.0, 0.0], [0.0, 1.0], [0.0, 0.0]),
-                           ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0])):
-        system = TridiagonalSystem(
-            sub=np.array(sub), diag=np.array(diag), sup=np.array(sup), rhs=np.array([1.0, 1.0]),
-        )
+    for minus, center, plus in (([0.0, 0.0], [0.0, 1.0], [0.0, 0.0]),
+                                ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0])):
+        system = tridiagonal(minus, center, plus, [1.0, 1.0])
         with pytest.raises(SolverError, match="zero pivot"):
             solve_tridiagonal(system)
     # above the threshold, a zero diagonal on a row the reduction eliminates
@@ -247,7 +276,7 @@ def test_thomas_zero_pivot_is_reported():
     n = 2 * REDUCTION_THRESHOLD + 1
     for row in (1, 7, n - 2):
         system = random_dominant_tridiagonal(make_rng(416), n)
-        system.diag[row] = 0.0
+        system.center[row] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="zero pivot"):
@@ -273,14 +302,13 @@ def test_sor_leaves_inputs_unchanged():
     rng = make_rng(409)
     system = random_structured_system(rng, 9, 8)
     initial = rng.uniform(-1, 1, size=(9, 8))
-    fields = ("center", "xplus", "xminus", "yplus", "yminus", "rhs")
-    before = {name: getattr(system, name).copy() for name in fields}
+    before = {name: a.copy() for name, a in system_arrays(system).items()}
     initial_before = initial.copy()
     sol, stats = solve_sor(system, omega=1.7, tol=1e-10, initial=initial)
     assert stats.converged
     assert np.array_equal(initial, initial_before)
-    for name in fields:
-        assert np.array_equal(getattr(system, name), before[name]), name
+    for name, a in system_arrays(system).items():
+        assert np.array_equal(a, before[name]), name
     assert not np.shares_memory(sol, initial)
 
 

@@ -40,7 +40,7 @@ def test_running_cost_examples(man_paper):
     assert running_cost(lq, np.array([0.0]), np.array([0.0])) == 0.0
     assert running_cost(lq, np.array([1.0]), np.array([2.0])) == pytest.approx(2.5)
     # zero control on the 2D benchmark returns the stored source values
-    node = man_paper.grid.coordinate((3, 7))
+    node = man_paper.grid.node_coordinates()[3, 7]
     q = man_paper.problem.state_cost(node)
     assert running_cost(man_paper.problem, node, np.zeros(2)) == pytest.approx(float(q))
 

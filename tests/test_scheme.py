@@ -34,7 +34,6 @@ def test_viscosity_coefficient_rules(lq_paper, man_paper):
     assert n2 == pytest.approx(1.05 * 0.5 * (0.48 + 2.0), abs=0.05)
     assert n2 <= 1.302
     grid = build_grid(1.0, 0.5, dim=1)
-    assert viscosity_coefficient(zero_cost_problem(), grid, "theory") == 1.0
     with pytest.raises(ValueError):
         viscosity_coefficient(zero_cost_problem(), grid, "bench3d")
 
@@ -219,3 +218,17 @@ def test_scheme_params_validation():
         SchemeParams(viscosity=-1.0, h=0.1, dim=1, lam=1.0)
     with pytest.raises(ValueError):
         SchemeParams(viscosity=1.0, h=0.1, dim=4, lam=1.0)
+
+
+def test_scheme_params_refuse_unresolvable_discount():
+    """lam must exceed 1e-12 times the center weight lam + 2*dim*N/h, the
+    rounding slack of assembly's dominance check."""
+    # center weight 1 + 2e11: the slack is 0.2
+    assert SchemeParams(viscosity=1e11, h=1.0, dim=1, lam=1.0).center_weight > 2e11
+    for viscosity, h, dim, lam in ((1e11, 1.0, 1, 0.1),  # below the slack
+                                   (5e299, 0.03, 1, 1.0),  # run1d --a-max 1e300
+                                   (5e307, 0.05, 2, 1.0)):  # infinite center weight
+        with pytest.raises(ValueError, match="lost in the rounding") as refused:
+            SchemeParams(viscosity=viscosity, h=h, dim=dim, lam=lam)
+        for named in (f"lam={lam}", f"N={viscosity}", f"h={h}"):
+            assert named in str(refused.value)
