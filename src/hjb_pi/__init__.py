@@ -10,7 +10,9 @@ update, optionally relaxed.
 
 Layer map, bottom to top: grid -> analysis, problems -> scheme ->
 linsolve -> howard -> benchmarks -> cli.  analysis (error norms and fits)
-needs only grid, so howard records its norms with it.  scheme owns
+needs only grid, so howard records its norms with it.  problems writes the
+control model once: policy_cost_and_drift forms (c, f) and greedy_policy
+the clip of -grad_h u.  scheme owns
 GridProblem, the problem sampled once onto a grid; stencil_coefficients,
 the one stencil routine that assembly, the resolvent and certification
 share; and bellman_residual, the one operator routine: L_alpha u for a
@@ -20,7 +22,8 @@ beta, and refuses a discount lost in the rounding of the center weight.
 linsolve has one interior system type for both dimensions,
 EvaluationSystem: a center, one plus and one minus weight per axis, and a
 right-hand side with the Dirichlet ring folded in.  benchmarks owns
-BENCHMARK_DEFAULTS, the one table of benchmark defaults.  oracles holds
+BENCHMARK_DEFAULTS, the one table of benchmark defaults, and builds the 2D
+manufactured cost with bellman_residual itself.  oracles holds
 independent reimplementations used only to cross-check the main path.
 """
 
@@ -62,7 +65,6 @@ from .problems import (
     lq_reference_value,
     lq_value_coefficient,
     manufactured_drift,
-    manufactured_source,
     manufactured_value,
 )
 from .scheme import (
@@ -113,7 +115,6 @@ __all__ = [
     "lq_reference_value",
     "lq_value_coefficient",
     "manufactured_drift",
-    "manufactured_source",
     "manufactured_value",
     "optimal_iteration_count",
     "policy_evaluate",

@@ -37,12 +37,11 @@ from .oracles import (
 from .problems import (
     ControlProblem,
     PolicyField,
-    dynamics,
     greedy_policy,
     lq1d_problem,
     lq_value_coefficient,
     lq_reference_value,
-    running_cost,
+    policy_cost_and_drift,
 )
 from .scheme import (
     GridProblem,
@@ -164,14 +163,15 @@ def thomas_dense_gap(
 def sor_dense_gap(
     rng: np.random.Generator, trials: int, shape: tuple[int, int], tol: float, max_iter: int
 ) -> float:
-    """Largest |SOR (omega 1.7) - dense LU| over random five-point systems.
+    """Largest |SOR (at PIConfig.omega) - dense LU| over random five-point
+    systems.
 
     Raises SolverError if SOR misses tol within max_iter sweeps.
     """
     worst = 0.0
     for _ in range(trials):
         system = random_structured_system(rng, *shape)
-        x, stats = solve_sor(system, omega=1.7, tol=tol, max_iter=max_iter)
+        x, stats = solve_sor(system, omega=PIConfig.omega, tol=tol, max_iter=max_iter)
         if not stats.converged:
             raise SolverError("SOR failed to converge on a random system")
         y = solve_dense_oracle(system)
@@ -181,10 +181,11 @@ def sor_dense_gap(
 
 def _scan_objective(problem: ControlProblem, x: np.ndarray, p: np.ndarray):
     """c(x, a) + f(x, a) . p over a batch of controls a."""
+    state_cost, drift_base = problem.state_cost(x), problem.drift_base(x)
 
     def objective(cand):
-        xx = np.broadcast_to(x, cand.shape[:-1] + x.shape)
-        return running_cost(problem, xx, cand) + np.sum(dynamics(problem, xx, cand) * p, axis=-1)
+        c, f = policy_cost_and_drift(state_cost, drift_base, cand)
+        return c + np.sum(f * p, axis=-1)
 
     return objective
 
@@ -200,11 +201,9 @@ def greedy_scan_gaps(
     for k in range(trials):
         x = rng.uniform(-3, 3, size=(1,))
         p = rng.uniform(-8, 8, size=(1,))
-        a = greedy_policy(problem, x, p)
-        best = running_cost(problem, x, a) + dynamics(problem, x, a) @ p
-        scanned, _ = scan_extremum(
-            _scan_objective(problem, x, p), problem.a_max, 1, 10000, mode="min", stages=stages
-        )
+        objective = _scan_objective(problem, x, p)
+        best = objective(greedy_policy(problem, p))
+        scanned, _ = scan_extremum(objective, problem.a_max, 1, 10000, mode="min", stages=stages)
         gaps[k] = best - scanned[0]
     return gaps
 
@@ -220,7 +219,7 @@ def hamiltonian_scan_gap(setup: BenchmarkSetup, rng: np.random.Generator, sample
     worst = 0.0
     for x, p in zip(xs, ps):
         objective = _scan_objective(problem, x, p)
-        hval = -float(objective(greedy_policy(problem, x, p)))
+        hval = -float(objective(greedy_policy(problem, p)))
         scanned, _ = scan_extremum(objective, problem.a_max, 2, 1024, mode="min", stages=4)
         worst = max(worst, abs(hval + float(scanned[0])))
     return worst

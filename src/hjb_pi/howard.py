@@ -232,7 +232,7 @@ def policy_improve(
     mix would reproduce them, already in the box, bit for bit."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    greedy = greedy_policy(problem, None, interior_gradient(value))
+    greedy = greedy_policy(problem, interior_gradient(value))
     if theta == 1.0:
         return PolicyField(value.grid, greedy, problem.a_max)
     mixed = (1.0 - theta) * prev_policy.controls + theta * greedy

@@ -101,7 +101,7 @@ def assemble_evaluation_system(
     grid, lam = gp.grid, gp.params.lam
     if boundary.grid != grid:
         raise ValueError("boundary field lives on a different grid")
-    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
+    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy.controls)
     coeffs = stencil_coefficients(gp.params, f)
     # one contiguous copy per axis and direction, modified in place below
     plus = tuple([coeffs.plus[..., k].copy() for k in range(grid.dim)])
@@ -231,13 +231,15 @@ def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndar
 
 def solve_sor(
     system: EvaluationSystem,
-    omega: float = 1.7,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
+    *,
+    omega: float,
+    tol: float,
+    max_iter: int,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """SOR with red-black sweeps on a 2D system; stops on the max-norm of
-    the update.
+    the update.  The settings have no defaults here: a run takes them from
+    howard.PIConfig.
 
     A sweep updates every node of one checkerboard colour at once from the
     other colour's values, then every node of the other colour.  The stopping

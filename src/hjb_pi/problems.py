@@ -1,19 +1,21 @@
-"""Controlled dynamics, running costs, greedy policies, and benchmark problems.
+"""Control problems, the greedy control, and the benchmark ingredients.
 
 All problems share the affine-in-control structure
 
     f(x, a) = b(x) + a,        c(x, a) = state_cost(x) + |a|^2 / 2,
 
-with controls in the box [-a_max, a_max]^dim.  Because the control cost is
-quadratic and separable, the Hamiltonian minimizer is the componentwise clip
-of -p onto the box, which every routine here exploits.
+with controls in the box [-a_max, a_max]^dim.  policy_cost_and_drift is the
+one routine that forms (c, f) from the sampled state cost and drift.
+Because the control cost is quadratic and separable, the Hamiltonian
+minimizer is the componentwise clip of -p onto the box (greedy_policy).
 
-Two built-in benchmarks:
+Ingredients of the two built-in benchmarks:
 
 * a 1D linear-quadratic problem (zero drift, state cost x^2/2) with the
   closed-form value V(x) = P x^2 / 2, P the positive root of P^2 + lam*P = 1;
-* a 2D problem whose state cost is manufactured on the grid so that a fixed
-  nonlinear reference surface solves the semi-discrete equation exactly.
+* the drift and reference surface of a 2D problem whose state cost
+  benchmarks manufactures with the scheme operator itself, so that the
+  reference solves the discrete equation exactly.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, GridField, interior_gradient, interior_laplacian
+from .grid import Grid, GridField
 
 __all__ = [
     "ControlProblem",
     "PolicyField",
-    "dynamics",
-    "running_cost",
     "greedy_policy",
     "lq_value_coefficient",
     "lq_reference_value",
@@ -38,7 +38,6 @@ __all__ = [
     "lq1d_problem",
     "manufactured_drift",
     "manufactured_value",
-    "manufactured_source",
     "grid_drift",
     "policy_cost_and_drift",
     "make_grid_lookup",
@@ -95,27 +94,12 @@ class PolicyField:
         return cls(grid, np.zeros(grid.interior_shape + (grid.dim,)), a_max)
 
 
-def dynamics(problem: ControlProblem, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """f(x, a) = b(x) + a, vectorized over leading axes."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return problem.drift_base(x) + a
-
-
-def running_cost(problem: ControlProblem, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """c(x, a) = state_cost(x) + |a|^2 / 2."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return problem.state_cost(x) + 0.5 * np.sum(a * a, axis=-1)
-
-
-def greedy_policy(problem: ControlProblem, x: np.ndarray | None, p: np.ndarray) -> np.ndarray:
+def greedy_policy(problem: ControlProblem, p: np.ndarray) -> np.ndarray:
     """Exact minimizer of c(x, a) + f(x, a) . p over the control box.
 
     The objective is state_cost(x) + |a|^2/2 + (b(x) + a) . p, separable and
     strictly convex in each control component, so the minimizer is
-    clip(-p, -a_max, a_max) regardless of x; x is never read, and callers
-    without coordinates at hand pass None.
+    clip(-p, -a_max, a_max) whatever x is.
     """
     p = np.asarray(p, dtype=float)
     return np.clip(-p, -problem.a_max, problem.a_max)
@@ -208,43 +192,6 @@ def manufactured_value(x, y):
     )
 
 
-def manufactured_source(
-    grid: Grid,
-    viscosity: float,
-    lam: float = 1.0,
-    value_fn: Callable = manufactured_value,
-    drift_fn: Callable = manufactured_drift,
-) -> GridField:
-    """State-cost grid function that makes the reference surface discrete-exact.
-
-    At interior nodes,
-
-        q_h = lam*V - b . grad_h V + |grad_h V|^2 / 2 - viscosity*h*lap_h V,
-
-    where grad_h and lap_h are the centered operators of this grid, so the
-    cancellation against the scheme is exact by construction.  Boundary nodes
-    get 0; they are never read as running cost.  Note q_h depends on both h
-    and the viscosity coefficient.
-    """
-    if grid.dim != 2:
-        raise ValueError("manufactured source is defined for 2D grids")
-    coords = grid.node_coordinates()
-    ref = GridField(grid, value_fn(coords[..., 0], coords[..., 1]))
-    inner = coords[1:-1, 1:-1]
-    b = drift_fn(inner[..., 0], inner[..., 1])
-    g = interior_gradient(ref)
-    lap = interior_laplacian(ref)
-    q = (
-        lam * ref.interior()
-        - np.sum(b * g, axis=-1)
-        + 0.5 * np.sum(g * g, axis=-1)
-        - viscosity * grid.h * lap
-    )
-    values = np.zeros(grid.shape)
-    values[1:-1, 1:-1] = q
-    return GridField(grid, values)
-
-
 def make_grid_lookup(source: GridField) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap a grid function as a coordinate callable (nodes only).
 
@@ -277,11 +224,11 @@ def grid_drift(problem: ControlProblem, grid: Grid) -> np.ndarray:
 
 
 def policy_cost_and_drift(
-    state_cost: np.ndarray, drift_base: np.ndarray, policy: PolicyField
+    state_cost: np.ndarray, drift_base: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(c_alpha, f_alpha) at interior nodes for a fixed policy, given the
-    state cost and drift already sampled there (see scheme.GridProblem)."""
-    a = policy.controls
+    """(c(x, a), f(x, a)) from the state cost and drift sampled at the
+    points x (see scheme.GridProblem) and controls a of shape (..., dim),
+    whose leading axes broadcast against the samples'."""
     # Adding the axes' squares in order gives np.sum(a * a, axis=-1) bit for
     # bit, without numpy's slow reduction over a last axis of length dim.
     squares = a[..., 0] * a[..., 0]

@@ -219,8 +219,8 @@ def _policy_terms(
     gp = GridProblem(problem, grid := field.grid, params)
     g = interior_gradient(field)
     if policy is None:
-        policy = PolicyField(grid, greedy_policy(problem, None, g), problem.a_max)
-    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy)
+        policy = PolicyField(grid, greedy_policy(problem, g), problem.a_max)
+    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy.controls)
     return g, c, f
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hjb_pi import (
+    BENCHMARK_DEFAULTS,
     ControlProblem,
     GridField,
     GridProblem,
@@ -348,6 +349,36 @@ def test_relaxed_run_keeps_certified_accuracy():
         certified = float(np.max(np.abs(residual.values))) / lam
         assert certified <= 2e-9, lam
         assert report.linf_error_to_reference[-1] <= certified, lam
+
+
+@pytest.mark.parametrize(
+    "name, theta, iterations",
+    [("manufactured2d", 0.18, 60), ("manufactured2d", 1.0, 12), ("lq1d", 0.5, 20)],
+)
+def test_certified_bound_covers_the_true_error_at_every_iterate(name, theta, iterations):
+    """||F_h[V_n]||/lam >= ||V_n - V^h|| at every iterate, with no slack.
+    V^h is the discrete-exact reference of manufactured2d (h = 0.1), and
+    for lq1d (h = 0.03) the final value of a greedy run of 50 iterations."""
+    setup = build_benchmark(name, h=0.1 if name == "manufactured2d" else 0.03)
+    grid, params = setup.grid, setup.params
+
+    def run(config):
+        return run_policy_iteration(setup.problem, grid, params, config, boundary=setup.boundary)
+
+    def certified(values):
+        residual = bellman_residual(setup.problem, params, GridField(grid, values))
+        return float(np.max(np.abs(residual.values))) / params.lam
+
+    exact = setup.reference.values
+    if name == "lq1d":
+        exact = run(PIConfig(max_outer_iterations=50)).final_value.values
+        assert certified(exact) <= 1e-11
+    spec = BENCHMARK_DEFAULTS[name]["initial_policy"]
+    report = run(PIConfig(max_outer_iterations=iterations, relaxation_theta=theta,
+                          initial_policy_spec=spec, snapshot_iterations=tuple(range(iterations))))
+    assert len(report.value_snapshots) == iterations
+    for n, values in report.value_snapshots.items():
+        assert float(np.max(np.abs(values - exact))) <= certified(values), n
 
 
 def _recorded_run(monkeypatch, theta, iterations):

@@ -10,6 +10,7 @@ from hjb_pi import (
     GridField,
     GridProblem,
     MonotonicityError,
+    PIConfig,
     PolicyField,
     SchemeParams,
     SolverError,
@@ -72,7 +73,9 @@ def test_homogeneous_system_solves_to_zero():
     system2 = assemble_evaluation_system(
         GridProblem(problem2, grid2, params2), policy2, GridField.zeros(grid2)
     )
-    sol, stats = solve_sor(system2)
+    sol, stats = solve_sor(
+        system2, omega=PIConfig.omega, tol=PIConfig.solver_tol, max_iter=PIConfig.solver_max_iter
+    )
     assert np.max(np.abs(sol)) == 0.0
     assert stats.iterations == 1 and stats.converged
 
@@ -304,7 +307,7 @@ def test_sor_leaves_inputs_unchanged():
     initial = rng.uniform(-1, 1, size=(9, 8))
     before = {name: a.copy() for name, a in system_arrays(system).items()}
     initial_before = initial.copy()
-    sol, stats = solve_sor(system, omega=1.7, tol=1e-10, initial=initial)
+    sol, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=5000, initial=initial)
     assert stats.converged
     assert np.array_equal(initial, initial_before)
     for name, a in system_arrays(system).items():
@@ -326,7 +329,7 @@ def test_sor_validates_omega():
     system = random_structured_system(rng, 3, 3)
     for omega in (0.0, 2.0, -1.0):
         with pytest.raises(ValueError):
-            solve_sor(system, omega=omega)
+            solve_sor(system, omega=omega, tol=1e-10, max_iter=5000)
 
 
 def test_dense_oracle_limits():

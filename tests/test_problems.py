@@ -10,6 +10,7 @@ from hjb_pi import (
     PolicyField,
     SchemeParams,
     bellman_residual,
+    build_benchmark,
     build_grid,
     greedy_policy,
     lq1d_problem,
@@ -17,32 +18,43 @@ from hjb_pi import (
     lq_reference_value,
     lq_value_coefficient,
     manufactured_drift,
-    manufactured_source,
     manufactured_value,
 )
 from hjb_pi.checks import greedy_scan_gaps, hamiltonian_scan_gap
-from hjb_pi.problems import dynamics, make_grid_lookup, running_cost
+from hjb_pi.grid import interior_gradient, interior_laplacian
+from hjb_pi.problems import make_grid_lookup, policy_cost_and_drift
 
 from conftest import make_rng
 
 
+def cost_and_drift(problem, x, a):
+    """(c(x, a), f(x, a)) at one point x, sampled as GridProblem samples."""
+    return policy_cost_and_drift(problem.state_cost(x), problem.drift_base(x), a)
+
+
 def test_dynamics_examples(man_paper):
     lq = lq1d_problem()
-    assert dynamics(lq, np.array([0.7]), np.array([-0.3])) == pytest.approx([-0.3])
+    assert cost_and_drift(lq, np.array([0.7]), np.array([-0.3]))[1] == pytest.approx([-0.3])
     p2 = man_paper.problem
     origin = np.zeros(2)
-    assert dynamics(p2, origin, np.zeros(2)) == pytest.approx([0.06, 0.0], abs=1e-15)
-    assert dynamics(p2, origin, np.array([1.0, -1.0])) == pytest.approx([1.06, -1.0])
+    assert cost_and_drift(p2, origin, np.zeros(2))[1] == pytest.approx([0.06, 0.0], abs=1e-15)
+    _, f = cost_and_drift(p2, origin, np.array([1.0, -1.0]))
+    assert f == pytest.approx([1.06, -1.0])
+    # a batch of controls against one sampled point
+    _, f = cost_and_drift(p2, origin, np.array([[0.0, 0.0], [1.0, -1.0]]))
+    assert f == pytest.approx(np.array([[0.06, 0.0], [1.06, -1.0]]))
 
 
 def test_running_cost_examples(man_paper):
     lq = lq1d_problem()
-    assert running_cost(lq, np.array([0.0]), np.array([0.0])) == 0.0
-    assert running_cost(lq, np.array([1.0]), np.array([2.0])) == pytest.approx(2.5)
-    # zero control on the 2D benchmark returns the stored source values
+    assert cost_and_drift(lq, np.array([0.0]), np.array([0.0]))[0] == 0.0
+    assert cost_and_drift(lq, np.array([1.0]), np.array([2.0]))[0] == pytest.approx(2.5)
+    # zero control on the 2D benchmark returns the stored cost values
     node = man_paper.grid.node_coordinates()[3, 7]
     q = man_paper.problem.state_cost(node)
-    assert running_cost(man_paper.problem, node, np.zeros(2)) == pytest.approx(float(q))
+    assert cost_and_drift(man_paper.problem, node, np.zeros(2))[0] == pytest.approx(float(q))
+    c, _ = cost_and_drift(man_paper.problem, node, np.array([[0.0, 0.0], [0.6, -0.8]]))
+    assert c == pytest.approx([float(q), float(q) + 0.5])
 
 
 def test_greedy_policy_examples():
@@ -50,9 +62,9 @@ def test_greedy_policy_examples():
         lam=1.0, drift_base=lambda x: np.zeros_like(x),
         state_cost=lambda x: np.zeros(x.shape[:-1]), a_max=2.0, dim=1,
     )
-    assert greedy_policy(problem, np.zeros(1), np.zeros(1)) == pytest.approx([0.0])
-    assert greedy_policy(problem, np.zeros(1), np.array([0.5])) == pytest.approx([-0.5])
-    assert greedy_policy(problem, np.zeros(1), np.array([3.0])) == pytest.approx([-2.0])
+    assert greedy_policy(problem, np.zeros(1)) == pytest.approx([0.0])
+    assert greedy_policy(problem, np.array([0.5])) == pytest.approx([-0.5])
+    assert greedy_policy(problem, np.array([3.0])) == pytest.approx([-2.0])
 
 
 def test_hamiltonian_examples():
@@ -151,35 +163,42 @@ def test_manufactured_value():
     assert np.all(np.isfinite(manufactured_value(xs, ys)))
 
 
-def test_manufactured_source_constant_value():
-    """Discrete operators annihilate constants, so q_h = lam * kappa."""
-    grid = build_grid(2.0, 0.5, dim=2)
-    kappa = 1.7
-    src = manufactured_source(
-        grid, viscosity=1.3, lam=2.0,
-        value_fn=lambda x, y: np.full(np.broadcast(x, y).shape, kappa),
+def test_manufactured_cost_matches_closed_form_while_clip_is_inactive():
+    """Where the clip is inactive, F_h of the zero-cost problem at V is
+    lam*V - b . grad_h V + |grad_h V|^2 / 2 - N*h*lap_h V, the closed form
+    of the manufactured cost."""
+    setup = build_benchmark("manufactured2d", h=0.1)
+    grid, params, ref = setup.grid, setup.params, setup.reference
+    assert np.max(np.abs(interior_gradient(ref))) < setup.problem.a_max
+    inner = grid.interior_coordinates()
+    g = interior_gradient(ref)
+    closed = (
+        params.lam * ref.interior()
+        - np.sum(manufactured_drift(inner[..., 0], inner[..., 1]) * g, axis=-1)
+        + 0.5 * np.sum(g * g, axis=-1)
+        - params.viscosity * grid.h * interior_laplacian(ref)
     )
-    assert np.max(np.abs(src.interior() - 2.0 * kappa)) < 1e-14
+    cost = setup.problem.state_cost(inner)
+    assert np.max(np.abs(cost - closed)) <= 1e-14 * params.center_weight
 
 
 def test_manufactured_source_depends_on_h():
-    coarse = manufactured_source(build_grid(2.0, 0.1, dim=2), viscosity=1.3)
-    fine = manufactured_source(build_grid(2.0, 0.05, dim=2), viscosity=1.3)
-    # node (0, 0) sits at index (20, 20) coarse and (40, 40) fine
-    assert coarse.values[20, 20] != fine.values[40, 40]
-
-
-def test_manufactured_source_rejects_1d():
-    with pytest.raises(ValueError):
-        manufactured_source(build_grid(2.0, 0.5, dim=1), viscosity=1.0)
+    coarse = build_benchmark("manufactured2d", h=0.1).problem
+    fine = build_benchmark("manufactured2d", h=0.05).problem
+    origin = np.zeros(2)
+    assert coarse.state_cost(origin) != fine.state_cost(origin)
 
 
 def test_grid_lookup_rejects_off_node_points():
-    src = manufactured_source(build_grid(2.0, 0.5, dim=2), viscosity=1.0)
-    lookup = make_grid_lookup(src)
-    assert lookup(np.array([0.5, -1.5])) == src.values[5, 1]
+    grid = build_grid(2.0, 0.5, dim=2)
+    coords = grid.node_coordinates()
+    source = GridField(grid, coords[..., 0] + 10.0 * coords[..., 1])
+    lookup = make_grid_lookup(source)
+    assert lookup(np.array([0.5, -1.5])) == source.values[5, 1] == -14.5
     with pytest.raises(ValueError):
         lookup(np.array([0.26, 0.0]))
+    with pytest.raises(ValueError):
+        lookup(np.array([2.5, 0.0]))
 
 
 def test_policy_field_box_invariant(lq_coarse):
@@ -205,12 +224,11 @@ def test_hamiltonian_matches_negated_scan(man_coarse):
 def test_greedy_policy_is_one_lipschitz_in_p():
     rng = make_rng(204)
     problem = lq1d_problem()
-    x = np.zeros(1)
     for _ in range(200):
         p1 = rng.uniform(-10, 10, size=(1,))
         p2 = rng.uniform(-10, 10, size=(1,))
-        a1 = greedy_policy(problem, x, p1)
-        a2 = greedy_policy(problem, x, p2)
+        a1 = greedy_policy(problem, p1)
+        a2 = greedy_policy(problem, p2)
         assert np.max(np.abs(a1 - a2)) <= np.max(np.abs(p1 - p2)) + 1e-15
 
 

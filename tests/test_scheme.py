@@ -8,6 +8,7 @@ from hjb_pi import (
     PolicyField,
     SchemeParams,
     bellman_residual,
+    build_benchmark,
     build_grid,
     certify_monotone_stencil,
     resolvent_map,
@@ -120,6 +121,15 @@ def test_bellman_residual_manufactured(man_coarse):
     assert np.max(np.abs(res.values)) < 1e-11
 
 
+def test_manufactured_reference_is_exact_with_a_binding_clip():
+    """The manufactured cost is F_h of the zero-cost problem at the
+    reference, so F_h[reference] = 0 also where the greedy clip binds."""
+    setup = build_benchmark("manufactured2d", h=0.1, a_max=0.3)
+    assert np.max(np.abs(interior_gradient(setup.reference))) > 0.3
+    res = bellman_residual(setup.problem, setup.params, setup.reference)
+    assert np.max(np.abs(res.values)) <= 1e-11
+
+
 def test_resolvent_constant_contraction_value():
     problem = zero_cost_problem(a_max=2.0)
     grid = build_grid(1.0, 0.25, dim=1)
@@ -152,7 +162,7 @@ def test_resolvent_policy_improvement_identity(lq_mid):
     rng = make_rng(306)
     u = GridField(lq_mid.grid, rng.uniform(-3, 3, lq_mid.grid.shape))
     g = interior_gradient(u)
-    controls = greedy_policy(lq_mid.problem, lq_mid.grid.interior_coordinates(), g)
+    controls = greedy_policy(lq_mid.problem, g)
     policy = PolicyField(lq_mid.grid, controls, lq_mid.problem.a_max)
     free = resolvent_map(lq_mid.problem, lq_mid.params, u)
     pinned = resolvent_map(lq_mid.problem, lq_mid.params, u, policy=policy)
@@ -189,7 +199,7 @@ def test_bellman_residual_is_the_supremum_over_policies(fixture, request):
             policy = PolicyField(grid, controls, a_max)
             frozen = bellman_residual(setup.problem, setup.params, u, policy).values
             assert np.all(sup >= frozen - 1e-12)
-        greedy = greedy_policy(setup.problem, None, interior_gradient(u))
+        greedy = greedy_policy(setup.problem, interior_gradient(u))
         pinned = bellman_residual(
             setup.problem, setup.params, u, PolicyField(grid, greedy, a_max)
         ).values
