@@ -15,11 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField
+from .grid import Grid, GridField
 
 __all__ = [
     "RateFit",
     "ErrorDecomposition",
+    "difference_norms",
     "error_metrics",
     "fit_geometric_rate",
     "fit_power_rate",
@@ -67,9 +68,13 @@ def error_metrics(field: GridField, reference: GridField) -> tuple[float, float]
     """
     if field.grid != reference.grid:
         raise ValueError("fields live on different grids")
-    diff = field.values - reference.values
+    return difference_norms(field.values - reference.values, field.grid)
+
+
+def difference_norms(diff: np.ndarray, grid: Grid) -> tuple[float, float]:
+    """The norms of error_metrics for a difference already formed on `grid`."""
     linf = float(np.max(np.abs(diff)))
-    l2 = float(math.sqrt(field.grid.h ** field.grid.dim * float(np.sum(diff * diff))))
+    l2 = float(math.sqrt(grid.h ** grid.dim * float(np.sum(diff * diff))))
     return linf, l2
 
 

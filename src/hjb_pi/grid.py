@@ -166,10 +166,12 @@ def interior_gradient(field: GridField) -> np.ndarray:
     """Centered gradient at all interior nodes, shape interior_shape + (dim,)."""
     grid = field.grid
     v = field.values
-    comps = []
+    out = np.empty(grid.interior_shape + (grid.dim,))
     for k in range(grid.dim):
-        comps.append((_shifted(v, k, +1, grid.dim) - _shifted(v, k, -1, grid.dim)) / (2.0 * grid.h))
-    return np.stack(comps, axis=-1)
+        comp = out[..., k]
+        np.subtract(_shifted(v, k, +1, grid.dim), _shifted(v, k, -1, grid.dim), out=comp)
+        comp /= 2.0 * grid.h
+    return out
 
 
 def interior_laplacian(field: GridField) -> np.ndarray:

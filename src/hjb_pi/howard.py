@@ -8,7 +8,10 @@ gradient of the new value.  With relaxation theta < 1 the new policy is
 the convex mix (1 - theta) * previous + theta * greedy, clipped to the
 control box; theta = 1 is classical greedy improvement, for which iterates
 decrease pointwise and converge geometrically with factor
-beta = (2*d*N/h) / (lam + 2*d*N/h).
+beta = (2*d*N/h) / (lam + 2*d*N/h).  A 2D run sets up one SOR layout
+(linsolve.RedBlackLayout) and hands it to every evaluation through
+policy_evaluate; it holds buffers, not results, so reusing it changes no
+bit of any solve.
 
 With theta < 1 the run is inexact Howard: evaluations 0 and 1 stop at
 solver_tol, and evaluation n >= 2 at
@@ -43,13 +46,15 @@ warm start, so 1D runs make no prediction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import error_metrics
+from .analysis import difference_norms, error_metrics
 from .grid import Grid, GridField, interior_gradient
 from .linsolve import (
+    RedBlackLayout,
     SolveStats,
     SolverError,
     assemble_evaluation_system,
@@ -104,6 +109,10 @@ class PIConfig:
     snapshot_iterations: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("max_outer_iterations", "solver_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
         if not 0.0 < self.relaxation_theta <= 1.0:
@@ -194,12 +203,14 @@ def policy_evaluate(
     solver_tol: float = PIConfig.solver_tol,
     solver_max_iter: int = PIConfig.solver_max_iter,
     initial: GridField | None = None,
+    layout: RedBlackLayout | None = None,
 ) -> tuple[GridField, SolveStats]:
     """Solve L_alpha V = 0 with Dirichlet data from `boundary`.
 
     1D systems are eliminated directly; 2D systems run SOR warm started
-    from `initial` when given.  Raises SolverError if SOR does not reach
-    its update tolerance within the sweep budget.
+    from `initial` when given, in `layout` (see solve_sor), and write the
+    solution straight into the returned field.  Raises SolverError if SOR
+    does not reach its update tolerance within the sweep budget.
     """
     system = assemble_evaluation_system(gp, policy, boundary)
     values = boundary.values.copy()
@@ -208,15 +219,15 @@ def policy_evaluate(
         stats = SolveStats(iterations=1, final_update_norm=0.0, converged=True)
     else:
         guess = initial.interior() if initial is not None else None
-        sol, stats = solve_sor(
-            system, omega=omega, tol=solver_tol, max_iter=solver_max_iter, initial=guess
+        _, stats = solve_sor(
+            system, omega=omega, tol=solver_tol, max_iter=solver_max_iter, initial=guess,
+            layout=layout, out=values[1:-1, 1:-1],
         )
         if not stats.converged:
             raise SolverError(
                 f"SOR stalled at update norm {stats.final_update_norm:.3e} "
                 f"after {stats.iterations} sweeps (tolerance {solver_tol:.3e})"
             )
-        values[1:-1, 1:-1] = sol
     return GridField(gp.grid, values), stats
 
 
@@ -255,7 +266,8 @@ def run_policy_iteration(
     mesh-weighted L2 errors against it are recorded.  Solver failure aborts
     with SolverError; otherwise the report's stop_reason states whether the
     budget or the outer tolerance ended the run.  The problem is sampled
-    onto the grid once per call (see GridProblem).
+    onto the grid once per call (see GridProblem), and a 2D run builds one
+    SOR layout (see linsolve.RedBlackLayout) for all its evaluations.
     """
     gp = GridProblem(problem, grid, params)
     if boundary.grid != grid:
@@ -265,6 +277,7 @@ def run_policy_iteration(
     # keep only the boundary ring as data; the interior is the warm start (zero)
     boundary_field = GridField(grid, np.where(grid.boundary_mask(), boundary.values, 0.0))
     policy = initial_policy(config.initial_policy_spec, grid, problem)
+    layout = RedBlackLayout(grid.interior_shape) if grid.dim == 2 else None
     report = PIReport()
     prev: GridField | None = None
     warm = boundary_field
@@ -283,6 +296,7 @@ def run_policy_iteration(
             solver_tol=inner_tol,
             solver_max_iter=config.solver_max_iter,
             initial=warm,
+            layout=layout,
         )
         report.inner_tolerance.append(inner_tol)
         report.warm_start_ratio.append(ratio)
@@ -296,9 +310,12 @@ def run_policy_iteration(
             report.monotonicity_violation.append(math.nan)
             update = math.inf
         else:
-            update, step_l2 = error_metrics(value, prev)
+            # V_n - V_{n-1}, formed once for the step norms, the
+            # monotonicity check and the predicted warm start
+            step = value.values - prev.values
+            update, step_l2 = difference_norms(step, grid)
             report.residual_l2.append(step_l2)
-            report.monotonicity_violation.append(float(np.max(value.values - prev.values)))
+            report.monotonicity_violation.append(float(np.max(step)))
         if n in config.snapshot_iterations:
             report.value_snapshots[n] = value.values.copy()
         if config.outer_tolerance is not None and update <= config.outer_tolerance:
@@ -316,7 +333,7 @@ def run_policy_iteration(
         if predict and grid.dim > 1:
             # predicted warm start, see the module docstring
             ratio = update / prev_update
-            warm = GridField(grid, value.values + ratio * (value.values - prev.values))
+            warm = GridField(grid, value.values + ratio * step)
         prev = value
         prev_update = update
 

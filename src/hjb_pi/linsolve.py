@@ -9,12 +9,17 @@ level, until at most REDUCTION_THRESHOLD unknowns remain; Thomas
 elimination solves the rest, a sequential recurrence whose loop runs on
 Python floats taken once from the arrays, because reading numpy arrays
 element by element costs several times the arithmetic.  2D systems are
-solved by SOR with red-black sweeps, vectorized over each colour.  A dense
-LU path exists purely as a test oracle.
+solved by SOR with red-black sweeps, vectorized over each colour.  Its
+padded colour layout, RedBlackLayout, is set up once per interior shape and
+serves every solve of a policy-iteration run; its sweep kernel writes each
+colour's updates into one shared buffer, so the stopping test is one
+reduction per sweep.  A dense LU path exists purely as a test oracle.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,7 @@ from .scheme import DOMINANCE_RTOL, GridProblem, MonotonicityError, stencil_coef
 
 __all__ = [
     "EvaluationSystem",
+    "RedBlackLayout",
     "SolveStats",
     "SolverError",
     "assemble_evaluation_system",
@@ -229,6 +235,95 @@ def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndar
     return out
 
 
+class RedBlackLayout:
+    """The padded red-black layout of one 2D interior shape, with its buffers.
+
+    Padding the unknowns with a zero ring to an odd row width makes a node's
+    colour the parity of its flat index p, and all four of its neighbours
+    (p +- 1, p +- width) have the other colour.  Each colour is stored
+    contiguously, flat position p = 2q + c as entry q of colour c, so the
+    neighbour p + d is entry q + (2c + d - 1) // 2 of the other colour.  Ring
+    nodes have zero coefficients and rhs, so they stay 0.
+
+    Everything that depends on the shape alone is built once, here: the
+    padded staging array, the colour-split buffers of the four weights, the
+    rhs and the values, and each colour's views into them.  A layout serves
+    any number of solves of its shape, one at a time: `load` writes a system
+    and a start into the buffers, `sweep` runs one sweep, and `unload`
+    writes the solution out.  Nothing carries over from one solve to the
+    next, so a run builds one layout and hands it to every solve.
+    """
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        m0, m1 = shape
+        self.shape = (m0, m1)
+        width = m1 + 2 if m1 % 2 else m1 + 3
+        rows = m0 + 2 if m0 % 2 == 0 else m0 + 3  # even, so the colours split evenly
+        self._staging = np.zeros((rows, width))
+        self._inner = self._staging[1 : m0 + 1, 1 : m1 + 1]
+        # the staging array as its (2, rows * width / 2) colour rows
+        self._split = self._staging.reshape(-1, 2).T
+        self._scale = np.empty(self.shape)
+        # E, W, N, S coefficients and rhs, scaled by omega / center
+        self._layers = np.empty((5,) + self._split.shape)
+        self._values = np.empty(self._split.shape)
+        # entries of colour c in rows 1..m0
+        bounds = [((width - c + 1) // 2, ((m0 + 1) * width - c + 1) // 2) for c in (0, 1)]
+        sizes = [hi - lo for lo, hi in bounds]
+        # both colours' updates share one buffer, so a sweep makes one
+        # abs and one max over it
+        self._delta = np.empty(sum(sizes))
+        deltas = self._delta[: sizes[0]], self._delta[sizes[0] :]
+        term = np.empty(max(sizes))
+        self._colours = []
+        for c, (lo, hi) in enumerate(bounds):
+            shifts = [(2 * c + d - 1) // 2 for d in (width, -width, 1, -1)]
+            neighbours = [self._values[1 - c, lo + k : hi + k] for k in shifts]
+            *weights, rhs = (layer[c, lo:hi] for layer in self._layers)
+            self._colours.append(
+                (self._values[c, lo:hi], neighbours, weights, rhs, deltas[c], term[: sizes[c]])
+            )
+
+    def load(self, system: EvaluationSystem, omega: float, initial: np.ndarray | None) -> None:
+        """Write the system, scaled by omega / center, and the start (0 when
+        `initial` is None) into the buffers; neither input is modified."""
+        if system.shape != self.shape:
+            raise ValueError(f"system shape {system.shape}, layout shape {self.shape}")
+        if initial is not None:
+            initial = np.asarray(initial, dtype=float)
+            if initial.shape != self.shape:
+                raise ValueError(f"initial guess shape {initial.shape}, expected {self.shape}")
+        self._omega = omega
+        inner, split = self._inner, self._split
+        scale = np.divide(omega, system.center, out=self._scale)
+        (east, north), (west, south) = system.plus, system.minus
+        for layer, a in zip(self._layers, (east, west, north, south, system.rhs)):
+            np.multiply(scale, a, out=inner)
+            np.copyto(layer, split)
+        inner[...] = 0.0 if initial is None else initial
+        np.copyto(self._values, split)
+
+    def sweep(self) -> float:
+        """One sweep, at the omega of the last load: every node of one
+        colour from the other colour's values, then every node of the other
+        colour.  Returns the largest absolute update."""
+        omega = self._omega
+        for node, neighbours, weights, rhs, delta, term in self._colours:
+            # delta = omega * (rhs - offdiag . u) / center - omega * u
+            np.multiply(node, omega, out=delta)
+            for a, v in zip(weights, neighbours):
+                np.multiply(a, v, out=term)
+                delta += term
+            np.subtract(rhs, delta, out=delta)
+            node += delta
+        return np.abs(self._delta, out=self._delta).max()
+
+    def unload(self, out: np.ndarray) -> None:
+        """Write the current values of the unknowns into `out`."""
+        m0, m1 = self.shape
+        out[...] = self._values.T.reshape(self._staging.shape)[1 : m0 + 1, 1 : m1 + 1]
+
+
 def solve_sor(
     system: EvaluationSystem,
     *,
@@ -236,6 +331,8 @@ def solve_sor(
     tol: float,
     max_iter: int,
     initial: np.ndarray | None = None,
+    layout: RedBlackLayout | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """SOR with red-black sweeps on a 2D system; stops on the max-norm of
     the update.  The settings have no defaults here: a run takes them from
@@ -244,70 +341,35 @@ def solve_sor(
     A sweep updates every node of one checkerboard colour at once from the
     other colour's values, then every node of the other colour.  The stopping
     rule is the same as for any sweep order: the largest absolute update of
-    a sweep is at most tol.  Neither the system nor `initial` is modified.
-    The returned stats report the sweep count and last update norm; callers
-    decide whether a non-converged result is fatal.
+    a sweep is at most tol.  The sweeps run in `layout`, a RedBlackLayout of
+    the system's shape, built here when not given; reusing one across solves
+    gives the same results bit for bit.  The solution is written into `out`
+    when given, else into a new array, and returned.  Neither the system nor
+    `initial` is modified.  The returned stats report the sweep count and
+    last update norm; callers decide whether a non-converged result is fatal.
     """
     if not 0.0 < omega < 2.0:
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
-    m0, m1 = system.shape
-    # Padding the unknowns with a zero ring to an odd row width makes a
-    # node's colour the parity of its flat index p, and all four of its
-    # neighbours (p +- 1, p +- width) have the other colour.  Each colour is
-    # stored contiguously, flat position p = 2q + c as entry q of colour c,
-    # so the neighbour p + d is entry q + (2c + d - 1) // 2 of the other
-    # colour.  Ring nodes have zero coefficients and rhs, so they stay 0.
-    width = m1 + 2 if m1 % 2 else m1 + 3
-    rows = m0 + 2 if m0 % 2 == 0 else m0 + 3  # even, so the colours split evenly
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.shape != (m0, m1):
-            raise ValueError(f"initial guess shape {initial.shape}, expected {(m0, m1)}")
-    padded = np.zeros((rows, width))
-    inner = padded[1 : m0 + 1, 1 : m1 + 1]
-
-    def split(block: np.ndarray) -> np.ndarray:
-        """Fill the inner block, return its (2, rows * width / 2) colour rows."""
-        inner[:] = block
-        return padded.reshape(-1, 2).T.copy()
-
-    # E, W, N, S coefficients and rhs, scaled by omega / center
-    scale = omega / system.center
-    (east, north), (west, south) = system.plus, system.minus
-    layers = [split(scale * a) for a in (east, west, north, south, system.rhs)]
-    values = split(0.0 if initial is None else initial)
-    colours = []
-    for c in (0, 1):
-        # entries of colour c in rows 1..m0
-        lo, hi = (width - c + 1) // 2, ((m0 + 1) * width - c + 1) // 2
-        shifts = [(2 * c + d - 1) // 2 for d in (width, -width, 1, -1)]
-        neighbours = [values[1 - c, lo + k : hi + k] for k in shifts]
-        *weights, rhs = (layer[c, lo:hi] for layer in layers)
-        delta, term = np.empty((2, hi - lo))
-        colours.append((values[c, lo:hi], neighbours, weights, rhs, delta, term))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    if layout is None:
+        layout = RedBlackLayout(system.shape)
+    layout.load(system, omega, initial)
     update = np.inf
     iters = 0
     for iters in range(1, max_iter + 1):
-        update = 0.0
-        for node, neighbours, weights, rhs, delta, term in colours:
-            # delta = omega * (rhs - offdiag . u) / center - omega * u
-            np.multiply(node, omega, out=delta)
-            for a, v in zip(weights, neighbours):
-                np.multiply(a, v, out=term)
-                delta += term
-            np.subtract(rhs, delta, out=delta)
-            node += delta
-            update = np.maximum(update, np.abs(delta, out=delta).max())
+        update = layout.sweep()
         if not np.isfinite(update):
             raise SolverError(f"SOR diverged after {iters} sweeps")
         if update <= tol:
             break
-    converged = update <= tol
-    u = values.T.reshape(rows, width)
-    return u[1 : m0 + 1, 1 : m1 + 1].copy(), SolveStats(
-        iterations=iters, final_update_norm=float(update), converged=bool(converged)
+    if out is None:
+        out = np.empty(system.shape)
+    layout.unload(out)
+    return out, SolveStats(
+        iterations=iters, final_update_norm=float(update), converged=bool(update <= tol)
     )
 
 

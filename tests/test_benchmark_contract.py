@@ -59,3 +59,28 @@ def test_workload_solve_runs_against_the_library(name):
     direct = workloads.certified_error(hjb_pi, setup, setup.reference)
     # the 2D reference is discrete-exact; the 1D one carries mesh error
     assert direct <= 1e-11 if workload.exact_reference else direct > 0
+
+
+def test_traced_solve_records_one_solver_span_per_evaluation():
+    """The tracer's layer spans fire, not merely resolve: each evaluation of
+    a traced relaxed2d solve makes one linsolve.assemble and one
+    linsolve.sor span inside its howard.evaluate span.  A solver called
+    other than through its howard module attribute would read 0 s."""
+    tracer = load_perfbench("tracer")
+    workloads = load_perfbench("workloads")
+    workload = workloads.WORKLOADS["relaxed2d"]
+    setup = workload.build(hjb_pi, 1.0)
+    solve_sor = hjb_pi.howard.solve_sor
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        result = workloads.solve(hjb_pi, workload, setup, iterations=2)
+    finally:
+        spans.uninstall()
+    assert hjb_pi.howard.solve_sor is solve_sor
+    assert spans.absent == [] and len(result.sweeps) == 2
+    evaluations = [i for i, span in enumerate(spans.spans) if span.name == "howard.evaluate"]
+    assert len(evaluations) == 2
+    for name in ("linsolve.assemble", "linsolve.sor"):
+        parents = [span.parent for span in spans.spans if span.name == name]
+        assert parents == evaluations, name

@@ -52,6 +52,17 @@ def test_run1d_reruns_are_byte_identical(tmp_path):
     assert a == b
 
 
+def test_run2d_reruns_in_one_process_are_byte_identical(tmp_path):
+    """Nothing a 2D run keeps between its solves leaks into the next run."""
+    args = ["run2d", "--h", "0.1"]
+    assert execute_command(args + ["--out-dir", str(tmp_path / "one")]) == 0
+    assert execute_command(args + ["--out-dir", str(tmp_path / "two")]) == 0
+    names = sorted(path.name for path in (tmp_path / "one").glob("*.csv"))
+    assert names == ["run2d_slice_x0.csv", "run2d_slice_y0.csv", "run2d_trajectory.csv"]
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
 @pytest.mark.parametrize("lam", ["1e8", "1e300"])
 def test_run1d_at_extreme_rates_runs_without_warnings(lam, tmp_path, capsys):
     """The LQ root stays finite and accurate for large lam, so the boundary

@@ -16,6 +16,7 @@ from hjb_pi import (
     build_benchmark,
     build_grid,
     certify_monotone_stencil,
+    error_metrics,
     initial_policy,
     lq_reference_policy,
     policy_evaluate,
@@ -381,6 +382,20 @@ def test_certified_bound_covers_the_true_error_at_every_iterate(name, theta, ite
         assert float(np.max(np.abs(values - exact))) <= certified(values), n
 
 
+@pytest.mark.parametrize("theta, iterations", [(0.18, 60), (1.0, 12)])
+def test_step_norms_match_the_snapshots(theta, iterations):
+    """residual_l2[n] and monotonicity_violation[n] are the error_metrics
+    L2 norm and the max of V_n - V_{n-1}, recomputed from the snapshots bit
+    for bit."""
+    setup = build_benchmark("manufactured2d", h=0.1)
+    report = _manufactured_run(setup, theta, iterations, snapshots=tuple(range(iterations)))
+    v = {n: GridField(setup.grid, values) for n, values in report.value_snapshots.items()}
+    assert math.isnan(report.residual_l2[0]) and math.isnan(report.monotonicity_violation[0])
+    for n in range(1, iterations):
+        assert report.residual_l2[n] == error_metrics(v[n], v[n - 1])[1], n
+        assert report.monotonicity_violation[n] == float(np.max(v[n].values - v[n - 1].values)), n
+
+
 def _recorded_run(monkeypatch, theta, iterations):
     """A manufactured2d run at h = 0.1 that keeps every value field and the
     warm start handed to each evaluation."""
@@ -471,8 +486,11 @@ def test_pi_config_validation():
         ("solver_tol", math.nan), ("solver_tol", math.inf), ("solver_tol", 0.0),
         ("solver_tol", -1e-10), ("omega", 0.0), ("omega", 2.0), ("omega", -0.5),
         ("omega", math.nan), ("solver_max_iter", 0), ("solver_max_iter", -3),
+        ("solver_max_iter", 2.5), ("solver_max_iter", True), ("max_outer_iterations", 2.5),
+        ("max_outer_iterations", True), ("max_outer_iterations", "5"),
     ]
     for name, value in rejected:
         with pytest.raises(ValueError, match=name):
-            PIConfig(max_outer_iterations=5, **{name: value})
+            PIConfig(**{"max_outer_iterations": 5, name: value})
     PIConfig(max_outer_iterations=5, solver_tol=1e-300, omega=1.999, solver_max_iter=1)
+    PIConfig(max_outer_iterations=np.int64(5), solver_max_iter=np.int64(1))

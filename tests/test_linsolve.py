@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from hjb_pi.checks import (
     random_structured_system,
     thomas_dense_gap,
 )
-from hjb_pi.linsolve import REDUCTION_THRESHOLD, system_to_dense
+from hjb_pi.linsolve import REDUCTION_THRESHOLD, RedBlackLayout, system_to_dense
 
 from conftest import make_rng
 
@@ -286,11 +287,88 @@ def test_thomas_zero_pivot_is_reported():
                 solve_tridiagonal(system)
 
 
+# Edge shapes of the red-black layout: a single node, single rows and
+# columns, and both parities of each side, which set its padding.
+SOR_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (9, 8), (9, 9)]
+
+
+def pointwise_red_black_sor(system, omega, tol, max_iter, initial=None):
+    """Red-black SOR one node at a time on Python floats: first every node
+    with i + j even, then every node with i + j odd, each from its four
+    neighbours in a zero-padded copy of the unknowns.  Returns (solution,
+    sweeps, last update norm)."""
+    m0, m1 = system.shape
+    u = [[0.0] * (m1 + 2) for _ in range(m0 + 2)]
+    if initial is not None:
+        for i in range(m0):
+            for j in range(m1):
+                u[i + 1][j + 1] = float(initial[i, j])
+    colours = [[(i, j) for i in range(m0) for j in range(m1) if (i + j) % 2 == c] for c in (0, 1)]
+    arrays = (system.plus[0], system.minus[0], system.plus[1], system.minus[1], system.rhs)
+    scaled = {}
+    for i in range(m0):
+        for j in range(m1):
+            scale = omega / float(system.center[i, j])
+            scaled[i, j] = [scale * float(a[i, j]) for a in arrays]
+    for sweeps in range(1, max_iter + 1):
+        update = 0.0
+        for nodes in colours:
+            for i, j in nodes:
+                east, west, north, south, rhs = scaled[i, j]
+                delta = u[i + 1][j + 1] * omega
+                delta += east * u[i + 2][j + 1]
+                delta += west * u[i][j + 1]
+                delta += north * u[i + 1][j + 2]
+                delta += south * u[i + 1][j]
+                delta = rhs - delta
+                u[i + 1][j + 1] += delta
+                update = max(update, abs(delta))
+        if update <= tol:
+            break
+    return np.array(u)[1:-1, 1:-1], sweeps, update
+
+
+def test_sor_matches_pointwise_red_black_bit_for_bit():
+    """The vectorized kernel does each node's floating-point operations in
+    the pointwise order: same solution bits, sweep count and update norm."""
+    rng = make_rng(417)
+    for shape in SOR_SHAPES:
+        system = random_structured_system(rng, *shape)
+        for omega, initial in ((1.7, None), (1.0, None), (1.3, rng.uniform(-1, 1, size=shape))):
+            sol, stats = solve_sor(system, omega=omega, tol=1e-10, max_iter=5000, initial=initial)
+            expect, sweeps, update = pointwise_red_black_sor(system, omega, 1e-10, 5000, initial)
+            assert sol.tobytes() == expect.tobytes(), (shape, omega)
+            assert (stats.iterations, stats.final_update_norm) == (sweeps, update), (shape, omega)
+
+
+def test_sor_layout_reuse_is_bit_identical():
+    """One layout serves several systems and starts of its shape, also a
+    cold start after a warm one and a solve cut off by its budget, with the
+    bits of fresh solves; the solution can go into a caller's array."""
+    rng = make_rng(418)
+    shape = (9, 8)
+    systems = [random_structured_system(rng, *shape) for _ in range(3)]
+    starts = [rng.uniform(-1, 1, size=shape), None, rng.uniform(-1, 1, size=shape), None]
+    layout = RedBlackLayout(shape)
+    runs = [(systems[0], starts[0], 5000), (systems[1], starts[1], 5000),
+            (systems[2], starts[2], 3), (systems[0], starts[3], 5000),
+            (systems[2], starts[0], 5000)]
+    for system, initial, max_iter in runs:
+        settings = dict(omega=1.7, tol=1e-10, max_iter=max_iter, initial=initial)
+        fresh, fresh_stats = solve_sor(system, **settings)
+        out = np.full(shape, np.nan)
+        sol, stats = solve_sor(system, layout=layout, out=out, **settings)
+        assert sol is out
+        assert sol.tobytes() == fresh.tobytes()
+        assert stats == fresh_stats
+    with pytest.raises(ValueError, match="layout shape"):
+        solve_sor(random_structured_system(rng, 9, 9), omega=1.7, tol=1e-10, max_iter=5000,
+                  layout=layout)
+
+
 def test_sor_matches_dense_and_gauss_seidel():
-    # Edge shapes: a single node, single rows and columns, and both parities
-    # of each side, which set the padding of the red-black layout.  omega = 1
-    # is plain Gauss-Seidel and must converge on the same systems.
-    for shape in [(1, 1), (1, 4), (4, 1), (2, 3), (9, 8), (9, 9)]:
+    # omega = 1 is plain Gauss-Seidel and must converge on the same systems.
+    for shape in SOR_SHAPES:
         system = random_structured_system(make_rng(404), *shape)
         dense = solve_dense_oracle(system)
         for omega in (1.7, 1.0):
@@ -325,11 +403,21 @@ def test_sor_non_convergence_is_reported_not_fatal():
 
 
 def test_sor_validates_omega():
+    """omega outside (0, 2), a non-finite or non-positive tol and a
+    max_iter that is not an integer of at least 1 are refused."""
     rng = make_rng(406)
     system = random_structured_system(rng, 3, 3)
-    for omega in (0.0, 2.0, -1.0):
-        with pytest.raises(ValueError):
+    for omega in (0.0, 2.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="omega"):
             solve_sor(system, omega=omega, tol=1e-10, max_iter=5000)
+    for tol in (math.nan, math.inf, 0.0, -1e-10):
+        with pytest.raises(ValueError, match="tol"):
+            solve_sor(system, omega=1.7, tol=tol, max_iter=5000)
+    for max_iter in (2.5, True, 0, -1, "10"):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_sor(system, omega=1.7, tol=1e-10, max_iter=max_iter)
+    _, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=np.int64(5000))
+    assert stats.converged
 
 
 def test_dense_oracle_limits():
