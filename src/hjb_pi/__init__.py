@@ -22,9 +22,10 @@ beta, and refuses a discount lost in the rounding of the center weight.
 linsolve has one interior system type for both dimensions,
 EvaluationSystem: a center, one plus and one minus weight per axis, and a
 right-hand side with the Dirichlet ring folded in.  benchmarks owns
-BENCHMARK_DEFAULTS, the one table of benchmark defaults, and builds the 2D
-manufactured cost with bellman_residual itself.  oracles holds
-independent reimplementations used only to cross-check the main path.
+BENCHMARK_DEFAULTS, the one table of benchmark defaults; its builders set
+each benchmark's viscosity N and build the 2D cost with bellman_residual.
+oracles holds independent reimplementations used only to cross-check the
+main path.
 """
 
 from .analysis import (
@@ -75,7 +76,6 @@ from .scheme import (
     bellman_residual,
     certify_monotone_stencil,
     resolvent_map,
-    viscosity_coefficient,
 )
 
 __version__ = "0.1.0"
@@ -125,6 +125,5 @@ __all__ = [
     "solve_sor",
     "solve_tridiagonal",
     "total_error_bound",
-    "viscosity_coefficient",
     "__version__",
 ]

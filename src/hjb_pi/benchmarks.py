@@ -1,6 +1,8 @@
 """Benchmark wiring: problem, grid, scheme parameters, reference, boundary.
 
-Bundles everything a run needs for the two built-in benchmarks.  The 2D
+Bundles everything a run needs for the two built-in benchmarks.  Each
+builder sets its viscosity N so every stencil is monotone: max(1, a_max/2)
+in 1D, whose drift is the control, 1.05 * (max|b| + a_max) / 2 in 2D.  The 2D
 benchmark's state cost is F_h of the zero-cost problem at the reference
 surface, computed by scheme.bellman_residual, so the reference solves the
 discrete equation exactly, to rounding, at any control box.
@@ -26,7 +28,7 @@ from .problems import (
     manufactured_drift,
     manufactured_value,
 )
-from .scheme import SchemeParams, bellman_residual, viscosity_coefficient
+from .scheme import SchemeParams, bellman_residual
 
 __all__ = ["BenchmarkSetup", "build_benchmark", "BENCHMARK_DEFAULTS", "BENCHMARK_NAMES"]
 
@@ -74,8 +76,7 @@ def build_benchmark(
 def _build_lq1d(lam: float, half_width: float, h: float, a_max: float) -> BenchmarkSetup:
     grid = build_grid(half_width, h, dim=1)
     problem = lq1d_problem(lam=lam, a_max=a_max)
-    n = viscosity_coefficient(problem, grid, "bench1d")
-    params = SchemeParams(viscosity=n, h=grid.h, dim=1, lam=lam)
+    params = SchemeParams(viscosity=max(1.0, 0.5 * a_max), h=grid.h, dim=1, lam=lam)
     coords = grid.node_coordinates()
     reference = GridField(grid, lq_reference_value(lam, coords[..., 0]))
     return BenchmarkSetup(
@@ -97,9 +98,9 @@ def _build_manufactured2d(lam: float, half_width: float, h: float, a_max: float)
         a_max=a_max,
         dim=2,
     )
-    n = viscosity_coefficient(skeleton, grid, "bench2d")
-    params = SchemeParams(viscosity=n, h=grid.h, dim=2, lam=lam)
     coords = grid.node_coordinates()
+    bmax = float(np.max(np.abs(_drift_on_coords(coords))))
+    params = SchemeParams(viscosity=1.05 * 0.5 * (bmax + a_max), h=grid.h, dim=2, lam=lam)
     reference = GridField(grid, manufactured_value(coords[..., 0], coords[..., 1]))
     # F_h[reference] of the zero-cost problem, taken as the state cost,
     # cancels F_h[reference] whether or not the greedy clip binds

@@ -16,12 +16,10 @@ configuration and contain no timestamps.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .analysis import detect_plateau, fit_power_rate, optimal_iteration_count
 from .benchmarks import BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
@@ -31,55 +29,35 @@ from .howard import PIConfig, PIReport, run_policy_iteration
 from .linsolve import SolverError
 from .scheme import MonotonicityError, bellman_residual
 
-__all__ = ["RunConfig", "execute_command", "main"]
+__all__ = ["execute_command", "main"]
 
-SLICE_X0 = 0.80
-SLICE_Y0 = -0.80
+# the benchmark each single-run command solves
+RUN_BENCHMARKS = {"run1d": "lq1d", "run2d": "manufactured2d"}
+
+# flags echoed into the JSON summaries under their own names
+ECHOED_FLAGS = ("half_width", "h", "iterations", "theta", "a_max", "omega", "solver_tol",
+                "solver_max_iter", "outer_tolerance", "out_dir")
+
+# run2d profiles: file suffix -> (axis of the fixed coordinate, its value);
+# the profile with x fixed runs along y, and vice versa
+SLICES = {"x0": (0, 0.80), "y0": (1, -0.80)}
 SLICE_ITERATIONS = (0, 5, 15, 30)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echoed verbatim into every JSON summary."""
+def _config_echo(args: argparse.Namespace, command: str, benchmark: str) -> dict:
+    """The settings of a run as parsed, echoed verbatim into its JSON summary.
 
-    command: str
-    benchmark: str
-    lam: float
-    half_width: float
-    h: float
-    iterations: int
-    theta: float
-    a_max: float
-    initial_policy: str
-    omega: float
-    solver_tol: float
-    solver_max_iter: int
-    outer_tolerance: float | None
-    sweep_h: tuple[float, ...] | None
-    out_dir: str
-
-    def __post_init__(self) -> None:
-        # the solver settings are checked once, by PIConfig
-        numeric = {
-            "lambda": self.lam,
-            "half_width": self.half_width,
-            "h": self.h,
-            "iterations": self.iterations,
-            "theta": self.theta,
-            "a_max": self.a_max,
-        }
-        for name, value in numeric.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.benchmark not in BENCHMARK_NAMES:
-            raise ValueError(f"unknown benchmark {self.benchmark!r}")
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["lambda"] = out.pop("lam")
-        if out["sweep_h"] is not None:
-            out["sweep_h"] = list(out["sweep_h"])
-        return out
+    Nothing is checked here: Grid, ControlProblem, SchemeParams and PIConfig
+    refuse a meaningless setting when the run builds them.
+    """
+    return {
+        "command": command,
+        "benchmark": benchmark,
+        "lambda": args.lam,
+        "initial_policy": BENCHMARK_DEFAULTS[benchmark]["initial_policy"],
+        "sweep_h": None,
+        **{name: getattr(args, name) for name in ECHOED_FLAGS},
+    }
 
 
 def _fmt(value: float) -> str:
@@ -128,20 +106,7 @@ TRAJECTORY_HEADER = [
 ]
 
 
-def _pi_config(config: RunConfig, snapshots: tuple[int, ...] = ()) -> PIConfig:
-    return PIConfig(
-        max_outer_iterations=config.iterations,
-        relaxation_theta=config.theta,
-        initial_policy_spec=config.initial_policy,
-        outer_tolerance=config.outer_tolerance,
-        omega=config.omega,
-        solver_tol=config.solver_tol,
-        solver_max_iter=config.solver_max_iter,
-        snapshot_iterations=snapshots,
-    )
-
-
-def _summary_payload(config: RunConfig, setup: BenchmarkSetup, report: PIReport) -> dict:
+def _summary_payload(config: dict, setup: BenchmarkSetup, report: PIReport) -> dict:
     residual = bellman_residual(setup.problem, setup.params, report.final_value)
     plateau = detect_plateau(
         [e for e in report.linf_error_to_reference if math.isfinite(e)],
@@ -149,15 +114,15 @@ def _summary_payload(config: RunConfig, setup: BenchmarkSetup, report: PIReport)
         rel_band=0.01,
     )
     return {
-        "config": config.to_dict(),
+        "config": config,
         "derived": {
             "viscosity": setup.params.viscosity,
             "contraction_factor": setup.params.contraction_factor,
             "center_weight": setup.params.center_weight,
             "optimal_iteration_count": optimal_iteration_count(
-                config.h, config.lam, setup.grid.dim, setup.params.viscosity
+                setup.params.h, setup.params.lam, setup.grid.dim, setup.params.viscosity
             )
-            if config.h < 1
+            if setup.params.h < 1
             else None,
             "nodes_per_axis": setup.grid.nodes_per_axis,
         },
@@ -177,45 +142,39 @@ def _summary_payload(config: RunConfig, setup: BenchmarkSetup, report: PIReport)
     }
 
 
-def _setup(config: RunConfig) -> BenchmarkSetup:
+def _build(config: dict, h: float) -> BenchmarkSetup:
     return build_benchmark(
-        config.benchmark,
-        lam=config.lam,
-        half_width=config.half_width,
-        h=config.h,
-        a_max=config.a_max,
+        config["benchmark"],
+        lam=config["lambda"],
+        half_width=config["half_width"],
+        h=h,
+        a_max=config["a_max"],
     )
 
 
-def _solve(config: RunConfig, setup: BenchmarkSetup, snapshots: tuple[int, ...] = ()) -> PIReport:
+def _solve(
+    config: dict, setup: BenchmarkSetup, iterations: int, snapshots: tuple[int, ...] = ()
+) -> PIReport:
+    """Policy iteration on `setup` under the echoed settings; PIConfig
+    refuses a meaningless setting before anything is solved."""
+    settings = PIConfig(
+        max_outer_iterations=iterations,
+        relaxation_theta=config["theta"],
+        initial_policy_spec=config["initial_policy"],
+        outer_tolerance=config["outer_tolerance"],
+        omega=config["omega"],
+        solver_tol=config["solver_tol"],
+        solver_max_iter=config["solver_max_iter"],
+        snapshot_iterations=snapshots,
+    )
     return run_policy_iteration(
         setup.problem,
         setup.grid,
         setup.params,
-        _pi_config(config, snapshots),
+        settings,
         boundary=setup.boundary,
         reference=setup.reference,
     )
-
-
-def _cmd_run1d(config: RunConfig) -> int:
-    setup = _setup(config)
-    report = _solve(config, setup)
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(config.out_dir, "run1d_trajectory.csv"),
-        TRAJECTORY_HEADER,
-        _trajectory_rows(report),
-    )
-    _write_json(
-        os.path.join(config.out_dir, "run1d_summary.json"),
-        _summary_payload(config, setup, report),
-    )
-    print(
-        f"run1d: {report.iterations_run} iterations, "
-        f"final linf error {report.linf_error_to_reference[-1]:.6e}"
-    )
-    return 0
 
 
 def _slice_index(grid: Grid, fixed: float) -> int:
@@ -245,62 +204,73 @@ def _slice_rows(
     return header, rows
 
 
-def _cmd_run2d(config: RunConfig) -> int:
-    snapshots = tuple(n for n in SLICE_ITERATIONS if n < config.iterations)
-    setup = _setup(config)
-    # refuse slices off the grid before solving, not after
-    kx = _slice_index(setup.grid, SLICE_X0)
-    ky = _slice_index(setup.grid, SLICE_Y0)
-    report = _solve(config, setup, snapshots)
-    os.makedirs(config.out_dir, exist_ok=True)
+def _cmd_run(args: argparse.Namespace, command: str) -> int:
+    """run1d or run2d; a 2D run also writes the two slice profiles."""
+    config = _config_echo(args, command, RUN_BENCHMARKS[command])
+    setup = _build(config, config["h"])
+    slices = {}
+    if setup.grid.dim == 2:
+        # refuse slices off the grid before solving, not after
+        slices = {name: (axis, _slice_index(setup.grid, fixed))
+                  for name, (axis, fixed) in SLICES.items()}
+    snapshots = tuple(n for n in SLICE_ITERATIONS if slices and n < config["iterations"])
+    report = _solve(config, setup, config["iterations"], snapshots)
+    out_dir = config["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
-        os.path.join(config.out_dir, "run2d_trajectory.csv"),
+        os.path.join(out_dir, f"{command}_trajectory.csv"),
         TRAJECTORY_HEADER,
         _trajectory_rows(report),
     )
-    # Slice with x fixed at SLICE_X0 runs along y, and vice versa.
-    header_x, rows_x = _slice_rows(setup, report, axis=0, k=kx)
-    _write_csv(os.path.join(config.out_dir, "run2d_slice_x0.csv"), header_x, rows_x)
-    header_y, rows_y = _slice_rows(setup, report, axis=1, k=ky)
-    _write_csv(os.path.join(config.out_dir, "run2d_slice_y0.csv"), header_y, rows_y)
+    for name, (axis, k) in slices.items():
+        header, rows = _slice_rows(setup, report, axis, k)
+        _write_csv(os.path.join(out_dir, f"{command}_slice_{name}.csv"), header, rows)
     _write_json(
-        os.path.join(config.out_dir, "run2d_summary.json"),
+        os.path.join(out_dir, f"{command}_summary.json"),
         _summary_payload(config, setup, report),
     )
-    first = report.linf_error_to_reference[0]
-    last = report.linf_error_to_reference[-1]
-    print(
-        f"run2d: {report.iterations_run} iterations, linf error "
-        f"{first:.6e} -> {last:.6e}"
-    )
+    errors = report.linf_error_to_reference
+    if slices:
+        progress = f"linf error {errors[0]:.6e} -> {errors[-1]:.6e}"
+    else:
+        progress = f"final linf error {errors[-1]:.6e}"
+    print(f"{command}: {report.iterations_run} iterations, {progress}")
     return 0
 
 
-def _cmd_sweep(config: RunConfig, cap: int) -> int:
-    h_values = config.sweep_h
+def _cmd_sweep(args: argparse.Namespace, h_values: tuple[float, ...]) -> int:
+    config = _config_echo(args, "sweep", args.benchmark)
+    # echoed placeholders: each mesh sets its own h and iteration budget
+    config["h"] = h_values[0]
+    config["iterations"] = BENCHMARK_DEFAULTS[args.benchmark]["iterations"]
+    config["sweep_h"] = list(h_values)
+    if config["outer_tolerance"] is None:
+        config["outer_tolerance"] = 1e-12
+    cap = args.max_iterations
     # build every mesh first, so a bad one is refused before any solve
-    setups = [_setup(dataclasses.replace(config, h=h)) for h in h_values]
+    setups = [_build(config, h) for h in h_values]
     rows = []
     errors = []
     for h, setup in zip(h_values, setups):
-        budget = optimal_iteration_count(h, config.lam, setup.grid.dim, setup.params.viscosity)
-        report = _solve(dataclasses.replace(config, h=h, iterations=min(budget, cap)), setup)
+        budget = optimal_iteration_count(h, config["lambda"], setup.grid.dim, setup.params.viscosity)
+        report = _solve(config, setup, min(budget, cap))
         err = report.linf_error_to_reference[-1]
         rows.append(
             [h, float(report.iterations_run), err, report.l2_error_to_reference[-1]]
         )
         errors.append(err)
     fit = fit_power_rate(h_values, errors)
-    os.makedirs(config.out_dir, exist_ok=True)
+    out_dir = config["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
-        os.path.join(config.out_dir, "sweep.csv"),
+        os.path.join(out_dir, "sweep.csv"),
         ["h", "n_iterations", "linf_error", "l2_error"],
         rows,
     )
     _write_json(
-        os.path.join(config.out_dir, "sweep_summary.json"),
+        os.path.join(out_dir, "sweep_summary.json"),
         {
-            "config": config.to_dict(),
+            "config": config,
             "result": {
                 "fitted_slope": fit.slope,
                 "fitted_intercept": fit.intercept,
@@ -371,27 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, command: str, benchmark: str,
-                      sweep_h: tuple[float, ...] | None) -> RunConfig:
-    return RunConfig(
-        command=command,
-        benchmark=benchmark,
-        lam=args.lam,
-        half_width=args.half_width,
-        h=args.h,
-        iterations=args.iterations,
-        theta=args.theta,
-        a_max=args.a_max,
-        initial_policy=BENCHMARK_DEFAULTS[benchmark]["initial_policy"],
-        omega=args.omega,
-        solver_tol=args.solver_tol,
-        solver_max_iter=args.solver_max_iter,
-        outer_tolerance=args.outer_tolerance,
-        sweep_h=sweep_h,
-        out_dir=args.out_dir,
-    )
-
-
 def execute_command(argv: list[str]) -> int:
     """Parse argv and run one subcommand; returns the process exit status."""
     parser = _build_parser()
@@ -400,12 +349,8 @@ def execute_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.subcommand == "run1d":
-            config = _config_from_args(args, "run1d", "lq1d", None)
-            return _cmd_run1d(config)
-        if args.subcommand == "run2d":
-            config = _config_from_args(args, "run2d", "manufactured2d", None)
-            return _cmd_run2d(config)
+        if args.subcommand in RUN_BENCHMARKS:
+            return _cmd_run(args, args.subcommand)
         if args.subcommand == "sweep":
             if args.benchmark == "manufactured2d":
                 raise ValueError(
@@ -416,6 +361,8 @@ def execute_command(argv: list[str]) -> int:
             if args.h is not None or args.iterations is not None:
                 raise ValueError("sweep takes h from --h-list and each budget from "
                                  "optimal_iteration_count; it does not accept --h or --iterations")
+            if not args.max_iterations >= 1:
+                raise ValueError(f"--max-iterations must be at least 1, got {args.max_iterations}")
             h_values = tuple(float(tok) for tok in args.h_list.split(",") if tok)
             # the fitted order needs two or more meshes, finer and finer
             pairs = zip(h_values, h_values[1:])
@@ -424,12 +371,7 @@ def execute_command(argv: list[str]) -> int:
                     "--h-list must name at least two positive, finite, strictly "
                     f"decreasing mesh sizes, got {args.h_list!r}"
                 )
-            args.h = h_values[0]  # echoed placeholders; each run sets its own h and budget
-            args.iterations = BENCHMARK_DEFAULTS[args.benchmark]["iterations"]
-            config = _config_from_args(args, "sweep", args.benchmark, h_values)
-            if config.outer_tolerance is None:
-                config = dataclasses.replace(config, outer_tolerance=1e-12)
-            return _cmd_sweep(config, args.max_iterations)
+            return _cmd_sweep(args, h_values)
         if args.subcommand == "check":
             failures = run_checks(fast=args.fast)
             return 1 if failures else 0

@@ -38,7 +38,6 @@ __all__ = [
     "lq1d_problem",
     "manufactured_drift",
     "manufactured_value",
-    "grid_drift",
     "policy_cost_and_drift",
     "make_grid_lookup",
 ]
@@ -212,15 +211,6 @@ def make_grid_lookup(source: GridField) -> Callable[[np.ndarray], np.ndarray]:
         return values[tuple(np.moveaxis(idx, -1, 0))]
 
     return lookup
-
-
-# ---------------------------------------------------------------------------
-# grid evaluation helpers
-
-
-def grid_drift(problem: ControlProblem, grid: Grid) -> np.ndarray:
-    """drift_base sampled at all nodes, shape grid.shape + (dim,)."""
-    return np.asarray(problem.drift_base(grid.node_coordinates()), dtype=float)
 
 
 def policy_cost_and_drift(

@@ -14,11 +14,11 @@ f from the sampled GridProblem either way.  Collecting stencil weights,
             + sum_i (-N/h - f_i/(2h)) u(x + h e_i)
             + sum_i (-N/h + f_i/(2h)) u(x - h e_i),
 
-so every neighbor weight is nonpositive exactly when N >= |f_i|/2, which is
-the monotonicity condition enforced throughout.  Dividing by the center
-weight gives the resolvent map T_a, a contraction with factor
-beta = (2*d*N/h) / (lam + 2*d*N/h) (SchemeParams.contraction_factor), and
-F_h[u] = (lam + 2*d*N/h)(u - T u).
+so every neighbor weight is nonpositive exactly when N >= |f_i|/2, the
+monotonicity condition enforced throughout (each benchmark builder sets N
+to meet it).  Dividing by the center weight gives the resolvent map T_a, a
+contraction with factor beta = (2*d*N/h) / (lam + 2*d*N/h)
+(SchemeParams.contraction_factor), and F_h[u] = (lam + 2*d*N/h)(u - T u).
 
 A GridProblem is the discrete problem: a control problem, its grid and its
 scheme parameters, checked for consistency, with the state cost and drift
@@ -35,13 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, GridField, interior_gradient, interior_laplacian, _shifted
-from .problems import (
-    ControlProblem,
-    PolicyField,
-    greedy_policy,
-    grid_drift,
-    policy_cost_and_drift,
-)
+from .problems import ControlProblem, PolicyField, greedy_policy, policy_cost_and_drift
 
 __all__ = [
     "SchemeParams",
@@ -49,14 +43,11 @@ __all__ = [
     "StencilCoeffs",
     "StencilCertificate",
     "MonotonicityError",
-    "viscosity_coefficient",
     "stencil_coefficients",
     "bellman_residual",
     "resolvent_map",
     "certify_monotone_stencil",
 ]
-
-VISCOSITY_MODES = ("bench1d", "bench2d")
 
 # Assembly checks each row's dominance margin against lam up to a rounding
 # slack of DOMINANCE_RTOL * center weight, so a lam at or below that slack
@@ -166,22 +157,6 @@ class StencilCertificate:
     max_row_sum_deviation: float
     nodes_checked: int
     controls_checked: int
-
-
-def viscosity_coefficient(problem: ControlProblem, grid: Grid, mode: str) -> float:
-    """Artificial viscosity N for the given problem and grid.
-
-    bench1d  max(1, a_max / 2), the 1D benchmark rule;
-    bench2d  1.05 * (||b||_inf + a_max) / 2 with ||b||_inf the grid maximum
-             component magnitude of the drift, the 2D benchmark rule.
-    """
-    if mode == "bench1d":
-        return max(1.0, 0.5 * problem.a_max)
-    b = grid_drift(problem, grid)
-    bmax = float(np.max(np.abs(b)))
-    if mode == "bench2d":
-        return 1.05 * 0.5 * (bmax + problem.a_max)
-    raise ValueError(f"unknown viscosity mode {mode!r}; expected one of {VISCOSITY_MODES}")
 
 
 def stencil_coefficients(params: SchemeParams, f: np.ndarray) -> StencilCoeffs:

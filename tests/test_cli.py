@@ -9,6 +9,13 @@ from hjb_pi.checks import CHECKS
 from hjb_pi.cli import TRAJECTORY_HEADER, execute_command
 
 
+CONFIG_KEYS = {
+    "command", "benchmark", "lambda", "half_width", "h", "iterations", "theta", "a_max",
+    "initial_policy", "omega", "solver_tol", "solver_max_iter", "outer_tolerance",
+    "sweep_h", "out_dir",
+}
+
+
 def read_lines(path):
     return path.read_text().splitlines()
 
@@ -37,6 +44,7 @@ def test_run1d_artifacts(tmp_path):
     assert all(float(row.split(",")[-1]) == 1e-10 for row in lines[1:])
 
     summary = json.loads((out / "run1d_summary.json").read_text())
+    assert set(summary["config"]) == CONFIG_KEYS
     assert summary["config"]["lambda"] == 1.0
     assert summary["config"]["h"] == 0.2
     assert summary["result"]["iterations_run"] == 5
@@ -164,6 +172,41 @@ def test_unresolvable_discount_is_refused_before_solving(command, tmp_path, caps
     assert not out.exists()
 
 
+SETTING_REFUSALS = [
+    ["--lambda", "0"], ["--lambda", "-1"], ["--lambda", "nan"], ["--lambda", "inf"],
+    ["--a-max", "0"], ["--a-max", "nan"],
+    ["--theta", "0"], ["--theta", "1.5"],
+    ["--half-width", "0"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command] + flags for command in ("run1d", "run2d")
+     for flags in SETTING_REFUSALS + [["--iterations", "0"]]]
+    # sweep refuses --iterations itself; it takes every other flag above
+    + [["sweep"] + flags for flags in SETTING_REFUSALS],
+    ids="_".join,
+)
+def test_meaningless_run_settings_are_refused_before_solving(argv, tmp_path, capsys,
+                                                             monkeypatch):
+    refuse_solving(monkeypatch)
+    out = tmp_path / "p"
+    assert execute_command(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_sweep_refuses_an_iteration_cap_below_one(cap, tmp_path, capsys, monkeypatch):
+    refuse_solving(monkeypatch)
+    out = tmp_path / "m"
+    assert execute_command(["sweep", "--max-iterations", cap, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--max-iterations" in err
+    assert not out.exists()
+
+
 def test_meaningless_solver_settings_are_refused(tmp_path, capsys):
     for flags in (["--solver-tol", "-1"], ["--solver-tol", "nan"], ["--solver-tol", "inf"],
                   ["--omega", "2.5"], ["--solver-max-iter", "0"]):
@@ -193,7 +236,9 @@ def test_run2d_slices(tmp_path):
     rows = [r.split(",") for r in read_lines(out / "run2d_trajectory.csv")[1:]]
     assert [float(r[-1]) for r in rows[:2]] == [1e-10, 1e-10]
     assert all(int(r[-2]) >= 1 for r in rows)
-    result = json.loads((out / "run2d_summary.json").read_text())["result"]
+    summary = json.loads((out / "run2d_summary.json").read_text())
+    assert set(summary["config"]) == CONFIG_KEYS
+    result = summary["result"]
     # the reference is discrete-exact, so the certified bound covers the true error
     assert 0 < result["final_linf_error"] <= result["final_certified_error"]
 
@@ -217,6 +262,8 @@ def test_sweep_artifacts(tmp_path):
     assert hs == [0.5, 0.25, 0.125]
     assert errs[0] > errs[1] > errs[2] > 0
     summary = json.loads((out / "sweep_summary.json").read_text())
+    assert set(summary["config"]) == CONFIG_KEYS
+    assert summary["config"]["sweep_h"] == [0.5, 0.25, 0.125]
     assert summary["result"]["fitted_slope"] > 0.45
     assert summary["result"]["points_used"] == 3
 

@@ -12,7 +12,6 @@ from hjb_pi import (
     build_grid,
     certify_monotone_stencil,
     resolvent_map,
-    viscosity_coefficient,
 )
 from hjb_pi.checks import contraction_excess, fixed_point_gap
 from hjb_pi.problems import greedy_policy
@@ -29,14 +28,14 @@ def zero_cost_problem(a_max=1.0, dim=1):
     )
 
 
-def test_viscosity_coefficient_rules(lq_paper, man_paper):
-    assert lq_paper.params.viscosity == 3.0  # max(1, a_max/2) with a_max = 6
-    n2 = man_paper.params.viscosity
-    assert n2 == pytest.approx(1.05 * 0.5 * (0.48 + 2.0), abs=0.05)
-    assert n2 <= 1.302
-    grid = build_grid(1.0, 0.5, dim=1)
-    with pytest.raises(ValueError):
-        viscosity_coefficient(zero_cost_problem(), grid, "bench3d")
+def test_benchmark_viscosity_rules():
+    """Each builder sets its own N: max(1, a_max/2) for lq1d, whose drift is
+    the control alone, and 1.05 * (max|b| over the nodes + a_max) / 2 for
+    manufactured2d, pinned as a literal so any change to N shows."""
+    for a_max in (1.0, 6.0, 20.0):
+        assert build_benchmark("lq1d", a_max=a_max).params.viscosity == max(1.0, a_max / 2)
+    for h in (0.1, 0.05):
+        assert build_benchmark("manufactured2d", h=h).params.viscosity == 1.2826740100994345
 
 
 def test_stencil_coefficients_examples():
