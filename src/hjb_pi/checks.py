@@ -21,7 +21,6 @@ from .grid import GridField, build_grid, interior_gradient, interior_laplacian
 from .howard import PIConfig, run_policy_iteration
 from .linsolve import (
     EvaluationSystem,
-    SolverError,
     assemble_evaluation_system,
     solve_dense_oracle,
     solve_sor,
@@ -166,14 +165,13 @@ def sor_dense_gap(
     """Largest |SOR (at PIConfig.omega) - dense LU| over random five-point
     systems.
 
-    Raises SolverError if SOR misses tol within max_iter sweeps.
+    Raises SolverError (from solve_sor) if SOR misses tol within max_iter
+    sweeps.
     """
     worst = 0.0
     for _ in range(trials):
         system = random_structured_system(rng, *shape)
-        x, stats = solve_sor(system, omega=PIConfig.omega, tol=tol, max_iter=max_iter)
-        if not stats.converged:
-            raise SolverError("SOR failed to converge on a random system")
+        x, _ = solve_sor(system, omega=PIConfig.omega, tol=tol, max_iter=max_iter)
         y = solve_dense_oracle(system)
         worst = max(worst, float(np.max(np.abs(x - y))))
     return worst

@@ -35,8 +35,9 @@ __all__ = ["execute_command", "main"]
 RUN_BENCHMARKS = {"run1d": "lq1d", "run2d": "manufactured2d"}
 
 # flags echoed into the JSON summaries under their own names
-ECHOED_FLAGS = ("half_width", "h", "iterations", "theta", "a_max", "omega", "solver_tol",
-                "solver_max_iter", "outer_tolerance", "out_dir")
+ECHOED_FLAGS = ("half_width", "h", "iterations", "theta", "a_max", "outer_tolerance", "out_dir")
+# the SOR settings: only run2d takes them, run1d and sweep keep PIConfig's
+SOLVER_FLAGS = ("omega", "solver_tol", "solver_max_iter")
 
 # run2d profiles: file suffix -> (axis of the fixed coordinate, its value);
 # the profile with x fixed runs along y, and vice versa
@@ -45,7 +46,8 @@ SLICE_ITERATIONS = (0, 5, 15, 30)
 
 
 def _config_echo(args: argparse.Namespace, command: str, benchmark: str) -> dict:
-    """The settings of a run as parsed, echoed verbatim into its JSON summary.
+    """The settings of a run as parsed, echoed verbatim into its JSON summary:
+    the flags the command takes, and no others.
 
     Nothing is checked here: Grid, ControlProblem, SchemeParams and PIConfig
     refuse a meaningless setting when the run builds them.
@@ -56,7 +58,7 @@ def _config_echo(args: argparse.Namespace, command: str, benchmark: str) -> dict
         "lambda": args.lam,
         "initial_policy": BENCHMARK_DEFAULTS[benchmark]["initial_policy"],
         "sweep_h": None,
-        **{name: getattr(args, name) for name in ECHOED_FLAGS},
+        **{name: getattr(args, name) for name in ECHOED_FLAGS + SOLVER_FLAGS if name in args},
     }
 
 
@@ -79,20 +81,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _trajectory_rows(report: PIReport) -> list[list[float]]:
-    rows = []
-    for n in range(report.iterations_run):
-        rows.append(
-            [
-                float(n),
-                report.linf_error_to_reference[n],
-                report.l2_error_to_reference[n],
-                report.residual_l2[n],
-                report.monotonicity_violation[n],
-                float(report.solve_stats[n].iterations),
-                report.inner_tolerance[n],
-            ]
-        )
-    return rows
+    return [
+        [float(n), report.linf_error_to_reference[n], report.l2_error_to_reference[n],
+         report.residual_l2[n], report.monotonicity_violation[n],
+         float(stats.iterations), stats.tol]
+        for n, stats in enumerate(report.solve_stats)
+    ]
 
 
 TRAJECTORY_HEADER = [
@@ -162,10 +156,8 @@ def _solve(
         relaxation_theta=config["theta"],
         initial_policy_spec=config["initial_policy"],
         outer_tolerance=config["outer_tolerance"],
-        omega=config["omega"],
-        solver_tol=config["solver_tol"],
-        solver_max_iter=config["solver_max_iter"],
         snapshot_iterations=snapshots,
+        **{name: config[name] for name in SOLVER_FLAGS if name in config},
     )
     return run_policy_iteration(
         setup.problem,
@@ -239,10 +231,8 @@ def _cmd_run(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, h_values: tuple[float, ...]) -> int:
+    # h and iterations echo as null: each mesh sets its own h and budget
     config = _config_echo(args, "sweep", args.benchmark)
-    # echoed placeholders: each mesh sets its own h and iteration budget
-    config["h"] = h_values[0]
-    config["iterations"] = BENCHMARK_DEFAULTS[args.benchmark]["iterations"]
     config["sweep_h"] = list(h_values)
     if config["outer_tolerance"] is None:
         config["outer_tolerance"] = 1e-12
@@ -298,6 +288,13 @@ def _add_common_flags(parser: argparse.ArgumentParser, benchmark: str) -> None:
                         help="policy relaxation weight in (0,1] (default %(default)s)")
     parser.add_argument("--a-max", type=float, default=defaults["a_max"],
                         help="control box half-width (default %(default)s)")
+    parser.add_argument("--outer-tol", dest="outer_tolerance", type=float, default=None,
+                        help="optional early-stop tolerance on max |V_n - V_{n-1}|")
+    parser.add_argument("--out-dir", default="out",
+                        help="directory for CSV/JSON artifacts (default %(default)s)")
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega", type=float, default=PIConfig.omega,
                         help="SOR relaxation parameter (default %(default)s)")
     parser.add_argument("--solver-tol", type=float, default=PIConfig.solver_tol,
@@ -305,10 +302,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, benchmark: str) -> None:
                         "schedule when theta < 1 (default %(default)s)")
     parser.add_argument("--solver-max-iter", type=int, default=PIConfig.solver_max_iter,
                         help="inner solver sweep cap (default %(default)s)")
-    parser.add_argument("--outer-tol", dest="outer_tolerance", type=float, default=None,
-                        help="optional early-stop tolerance on max |V_n - V_{n-1}|")
-    parser.add_argument("--out-dir", default="out",
-                        help="directory for CSV/JSON artifacts (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -324,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p2 = sub.add_parser("run2d", help="2D manufactured benchmark, relaxed updates")
     _add_common_flags(p2, "manufactured2d")
+    _add_solver_flags(p2)
 
     ps = sub.add_parser("sweep", help="mesh sweep with fitted error slope (lq1d only)")
     ps.add_argument("--benchmark", choices=list(BENCHMARK_NAMES), default="lq1d")

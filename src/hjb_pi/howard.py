@@ -56,7 +56,6 @@ from .grid import Grid, GridField, interior_gradient
 from .linsolve import (
     RedBlackLayout,
     SolveStats,
-    SolverError,
     assemble_evaluation_system,
     solve_sor,
     solve_tridiagonal,
@@ -95,8 +94,8 @@ class PIConfig:
     relaxation_theta < 1 the evaluations above the floor start SOR from a
     value predicted from the last two outer steps; evaluations at the floor
     and greedy ones start from the previous value field (see the module
-    docstring).  omega and solver_tol are unused by 1D runs, which solve
-    directly, but must still be meaningful.
+    docstring).  1D runs solve directly: omega and solver_max_iter go
+    unused and solver_tol only labels their records, but all three are checked.
     """
 
     max_outer_iterations: int
@@ -141,9 +140,10 @@ class PIReport:
     monotonicity_violation compare V_n with V_{n-1} and are NaN at n = 0:
     residual_l2 is the mesh-weighted step norm
     sqrt(h^d * sum (V_n - V_{n-1})^2), not a Bellman residual, and
-    monotonicity_violation is max (V_n - V_{n-1}).  inner_tolerance[n] is
-    the update tolerance evaluation n was asked to reach (a 1D direct solve
-    is exact whatever it says); solve_stats[n] has its sweep count.
+    monotonicity_violation is max (V_n - V_{n-1}).  solve_stats[n] is
+    evaluation n's record: its sweep count and, as tol, the update
+    tolerance it was asked to reach (a 1D direct solve is exact whatever
+    it says).
     warm_start_ratio[n] is the r of evaluation n's predicted warm start
     V_{n-1} + r (V_{n-1} - V_{n-2}), and 0.0 when it started from V_{n-1}
     (or, at n = 0, from the boundary data with a zero interior).
@@ -155,7 +155,6 @@ class PIReport:
     residual_l2: list[float] = field(default_factory=list)
     monotonicity_violation: list[float] = field(default_factory=list)
     linf_norm: list[float] = field(default_factory=list)
-    inner_tolerance: list[float] = field(default_factory=list)
     warm_start_ratio: list[float] = field(default_factory=list)
     solve_stats: list[SolveStats] = field(default_factory=list)
     value_snapshots: dict[int, np.ndarray] = field(default_factory=dict)
@@ -209,25 +208,21 @@ def policy_evaluate(
 
     1D systems are eliminated directly; 2D systems run SOR warm started
     from `initial` when given, in `layout` (see solve_sor), and write the
-    solution straight into the returned field.  Raises SolverError if SOR
-    does not reach its update tolerance within the sweep budget.
+    solution straight into the returned field.  The returned SolveStats
+    records solver_tol as the solve's tolerance.  Raises SolverError (from
+    solve_sor) if SOR does not reach it within the sweep budget.
     """
     system = assemble_evaluation_system(gp, policy, boundary)
     values = boundary.values.copy()
     if gp.grid.dim == 1:
         values[1:-1] = solve_tridiagonal(system)
-        stats = SolveStats(iterations=1, final_update_norm=0.0, converged=True)
+        stats = SolveStats(iterations=1, final_update_norm=0.0, tol=solver_tol)
     else:
         guess = initial.interior() if initial is not None else None
         _, stats = solve_sor(
             system, omega=omega, tol=solver_tol, max_iter=solver_max_iter, initial=guess,
             layout=layout, out=values[1:-1, 1:-1],
         )
-        if not stats.converged:
-            raise SolverError(
-                f"SOR stalled at update norm {stats.final_update_norm:.3e} "
-                f"after {stats.iterations} sweeps (tolerance {solver_tol:.3e})"
-            )
     return GridField(gp.grid, values), stats
 
 
@@ -298,7 +293,6 @@ def run_policy_iteration(
             initial=warm,
             layout=layout,
         )
-        report.inner_tolerance.append(inner_tol)
         report.warm_start_ratio.append(ratio)
         report.solve_stats.append(stats)
         report.linf_norm.append(float(np.max(np.abs(value.values))))

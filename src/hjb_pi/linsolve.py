@@ -75,9 +75,13 @@ class EvaluationSystem:
 
 @dataclass
 class SolveStats:
+    """One solve, which met its tolerance: its sweeps (1 for a direct
+    solve), its last update norm (0.0 when direct) and tol, the update
+    tolerance it was asked to reach (in a run, the schedule's value)."""
+
     iterations: int
     final_update_norm: float
-    converged: bool
+    tol: float
 
 
 # Per dimension and axis: the index of the interior rows on the low face, of
@@ -108,10 +112,9 @@ def assemble_evaluation_system(
     if boundary.grid != grid:
         raise ValueError("boundary field lives on a different grid")
     c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy.controls)
-    coeffs = stencil_coefficients(gp.params, f)
-    # one contiguous copy per axis and direction, modified in place below
-    plus = tuple([coeffs.plus[..., k].copy() for k in range(grid.dim)])
-    minus = tuple([coeffs.minus[..., k].copy() for k in range(grid.dim)])
+    # fresh arrays per axis and direction, folded in place below
+    plus, minus = stencil_coefficients(gp.params, f)
+    center_weight = gp.params.center_weight
     bvals = boundary.values
     rhs = c  # a fresh array, not shared
     for k, (low, low_nodes, high, high_nodes) in enumerate(_FACES[grid.dim]):
@@ -124,10 +127,10 @@ def assemble_evaluation_system(
     offsum = np.abs(plus[0]) + np.abs(minus[0])
     for k in range(1, grid.dim):
         offsum += np.abs(plus[k]) + np.abs(minus[k])
-    margin = coeffs.center - float(offsum.max())
-    if margin < lam - DOMINANCE_RTOL * coeffs.center:
+    margin = center_weight - float(offsum.max())
+    if margin < lam - DOMINANCE_RTOL * center_weight:
         raise MonotonicityError(f"diagonal dominance margin {margin:.6g} fell below {lam}")
-    center = np.full(grid.interior_shape, coeffs.center)
+    center = np.full(grid.interior_shape, center_weight)
     return EvaluationSystem(center=center, plus=plus, minus=minus, rhs=rhs)
 
 
@@ -235,6 +238,15 @@ def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndar
     return out
 
 
+def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of `shape` starting on a 64-byte (cache-line) boundary, so the
+    sweep kernel's speed does not depend on where the allocator puts them."""
+    size = math.prod(shape)
+    raw = np.zeros(size + 7)  # float64 data is at least 8-byte aligned
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + size].reshape(shape)
+
+
 class RedBlackLayout:
     """The padded red-black layout of one 2D interior shape, with its buffers.
 
@@ -259,22 +271,22 @@ class RedBlackLayout:
         self.shape = (m0, m1)
         width = m1 + 2 if m1 % 2 else m1 + 3
         rows = m0 + 2 if m0 % 2 == 0 else m0 + 3  # even, so the colours split evenly
-        self._staging = np.zeros((rows, width))
+        self._staging = _aligned_zeros((rows, width))
         self._inner = self._staging[1 : m0 + 1, 1 : m1 + 1]
         # the staging array as its (2, rows * width / 2) colour rows
         self._split = self._staging.reshape(-1, 2).T
         self._scale = np.empty(self.shape)
         # E, W, N, S coefficients and rhs, scaled by omega / center
-        self._layers = np.empty((5,) + self._split.shape)
-        self._values = np.empty(self._split.shape)
+        self._layers = _aligned_zeros((5,) + self._split.shape)
+        self._values = _aligned_zeros(self._split.shape)
         # entries of colour c in rows 1..m0
         bounds = [((width - c + 1) // 2, ((m0 + 1) * width - c + 1) // 2) for c in (0, 1)]
         sizes = [hi - lo for lo, hi in bounds]
         # both colours' updates share one buffer, so a sweep makes one
         # abs and one max over it
-        self._delta = np.empty(sum(sizes))
+        self._delta = _aligned_zeros((sum(sizes),))
         deltas = self._delta[: sizes[0]], self._delta[sizes[0] :]
-        term = np.empty(max(sizes))
+        term = _aligned_zeros((max(sizes),))
         self._colours = []
         for c, (lo, hi) in enumerate(bounds):
             shifts = [(2 * c + d - 1) // 2 for d in (width, -width, 1, -1)]
@@ -343,10 +355,12 @@ def solve_sor(
     rule is the same as for any sweep order: the largest absolute update of
     a sweep is at most tol.  The sweeps run in `layout`, a RedBlackLayout of
     the system's shape, built here when not given; reusing one across solves
-    gives the same results bit for bit.  The solution is written into `out`
-    when given, else into a new array, and returned.  Neither the system nor
-    `initial` is modified.  The returned stats report the sweep count and
-    last update norm; callers decide whether a non-converged result is fatal.
+    gives the same results bit for bit, also after a solve that raised.  The
+    solution is written into `out` when given, else into a new array, and
+    returned with its SolveStats.  Neither the system nor `initial` is
+    modified.  Raises SolverError when an update is not finite, or when
+    max_iter sweeps end with the update still above tol; `out` is then left
+    as it was.
     """
     if not 0.0 < omega < 2.0:
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
@@ -357,20 +371,21 @@ def solve_sor(
     if layout is None:
         layout = RedBlackLayout(system.shape)
     layout.load(system, omega, initial)
-    update = np.inf
-    iters = 0
     for iters in range(1, max_iter + 1):
         update = layout.sweep()
         if not np.isfinite(update):
             raise SolverError(f"SOR diverged after {iters} sweeps")
         if update <= tol:
             break
+    else:
+        raise SolverError(
+            f"SOR stalled at update norm {update:.3e} "
+            f"after {iters} sweeps (tolerance {tol:.3e})"
+        )
     if out is None:
         out = np.empty(system.shape)
     layout.unload(out)
-    return out, SolveStats(
-        iterations=iters, final_update_norm=float(update), converged=bool(update <= tol)
-    )
+    return out, SolveStats(iterations=iters, final_update_norm=float(update), tol=tol)
 
 
 def system_to_dense(system: EvaluationSystem) -> tuple[np.ndarray, np.ndarray]:

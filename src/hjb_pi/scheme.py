@@ -23,7 +23,9 @@ contraction with factor beta = (2*d*N/h) / (lam + 2*d*N/h)
 A GridProblem is the discrete problem: a control problem, its grid and its
 scheme parameters, checked for consistency, with the state cost and drift
 sampled once on the interior nodes.  stencil_coefficients is the one place
-the weights above are formed and their signs checked.
+the neighbor weights above are formed and their signs checked; it returns
+them per axis, (plus, minus), the layout the evaluation system holds, and
+the center weight is SchemeParams.center_weight.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .problems import ControlProblem, PolicyField, greedy_policy, policy_cost_an
 __all__ = [
     "SchemeParams",
     "GridProblem",
-    "StencilCoeffs",
     "StencilCertificate",
     "MonotonicityError",
     "stencil_coefficients",
@@ -140,16 +141,6 @@ class GridProblem:
 
 
 @dataclass(frozen=True)
-class StencilCoeffs:
-    """Monotone stencil weights: the center plus per-axis neighbor weights,
-    plus[..., i] on u(x + h e_i) and minus[..., i] on u(x - h e_i)."""
-
-    center: float
-    plus: np.ndarray
-    minus: np.ndarray
-
-
-@dataclass(frozen=True)
 class StencilCertificate:
     """Result of a sampled monotonicity certification."""
 
@@ -159,27 +150,28 @@ class StencilCertificate:
     controls_checked: int
 
 
-def stencil_coefficients(params: SchemeParams, f: np.ndarray) -> StencilCoeffs:
-    """Stencil weights for drift values f of shape (..., dim).
-
-    The neighbor weights -N/h -+ f_i/(2h) have the shape of f.  Raises
-    MonotonicityError if any of them is positive beyond rounding, i.e. if
-    the viscosity does not dominate |f_i|/2 somewhere.
-    """
+def stencil_coefficients(
+    params: SchemeParams, f: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Neighbor weights (plus, minus) for drift values f of shape (..., dim):
+    per axis i, plus[i] = -N/h - f_i/(2h) on u(x + h e_i) and minus[i] =
+    -N/h + f_i/(2h) on u(x - h e_i), fresh arrays of shape f.shape[:-1].
+    Raises MonotonicityError if one is positive beyond rounding, i.e. if the
+    viscosity does not dominate |f_i|/2 somewhere."""
     f = np.asarray(f, dtype=float)
     if f.shape[-1:] != (params.dim,):
         raise ValueError(f"f has shape {f.shape}, expected (..., {params.dim})")
     ratio = params.viscosity / params.h
-    half = f / (2.0 * params.h)
-    plus = -ratio - half
-    minus = -ratio + half
-    worst = max(float(plus.max()), float(minus.max()))
+    halves = [f[..., k] / (2.0 * params.h) for k in range(params.dim)]
+    plus = tuple(-ratio - half for half in halves)
+    minus = tuple(-ratio + half for half in halves)
+    worst = max(float(np.max(w)) for w in plus + minus)
     if worst > 1e-12 * max(1.0, ratio):
         raise MonotonicityError(
             f"positive neighbor weight {worst:.3e}: viscosity {params.viscosity} "
             f"does not dominate |f|/2 = {float(np.max(np.abs(f))) / 2.0:.6g}"
         )
-    return StencilCoeffs(center=params.center_weight, plus=plus, minus=minus)
+    return plus, minus
 
 
 def _policy_terms(
@@ -245,13 +237,13 @@ def resolvent_map(
     """
     grid = field.grid
     _, c, f = _policy_terms(problem, params, field, policy)
-    coeffs = stencil_coefficients(params, f)
+    plus, minus = stencil_coefficients(params, f)
     num = c.copy()
     for k in range(grid.dim):
-        num -= coeffs.plus[..., k] * _shifted(field.values, k, +1, grid.dim)
-        num -= coeffs.minus[..., k] * _shifted(field.values, k, -1, grid.dim)
+        num -= plus[k] * _shifted(field.values, k, +1, grid.dim)
+        num -= minus[k] * _shifted(field.values, k, -1, grid.dim)
     out = field.values.copy()
-    out[(slice(1, -1),) * grid.dim] = num / coeffs.center
+    out[(slice(1, -1),) * grid.dim] = num / params.center_weight
     return GridField(grid, out)
 
 
@@ -283,12 +275,12 @@ def certify_monotone_stencil(
     rowdev = 0.0
     for start in range(0, controls.shape[0], chunk):
         a = controls[start : start + chunk]
-        coeffs = stencil_coefficients(params, b[None, :, :] + a[:, None, :])
-        worst = max(worst, float(coeffs.plus.max()), float(coeffs.minus.max()))
+        plus, minus = stencil_coefficients(params, b[None, :, :] + a[:, None, :])
+        worst = max(worst, *(float(w.max()) for w in plus + minus))
         # Adding the axes in order gives np.sum(..., axis=-1) bit for bit,
         # without numpy's slow reduction over a last axis of length dim.
-        neighbors = sum(coeffs.plus[..., k] + coeffs.minus[..., k] for k in range(grid.dim))
-        rowsum = coeffs.center + neighbors
+        neighbors = sum(p + m for p, m in zip(plus, minus))
+        rowsum = params.center_weight + neighbors
         rowdev = max(rowdev, float(np.max(np.abs(rowsum - params.lam))))
     return StencilCertificate(
         max_neighbor_coefficient=worst,

@@ -9,10 +9,17 @@ from hjb_pi.checks import CHECKS
 from hjb_pi.cli import TRAJECTORY_HEADER, execute_command
 
 
-CONFIG_KEYS = {
+# the summary config of each command echoes exactly the flags it takes;
+# only run2d, which runs SOR, takes the solver flags
+DIRECT_CONFIG_KEYS = {
     "command", "benchmark", "lambda", "half_width", "h", "iterations", "theta", "a_max",
-    "initial_policy", "omega", "solver_tol", "solver_max_iter", "outer_tolerance",
-    "sweep_h", "out_dir",
+    "initial_policy", "outer_tolerance", "sweep_h", "out_dir",
+}
+SOLVER_FLAGS = [["--omega", "1.2"], ["--solver-tol", "1e-8"], ["--solver-max-iter", "10"]]
+CONFIG_KEYS = {
+    "run1d": DIRECT_CONFIG_KEYS,
+    "sweep": DIRECT_CONFIG_KEYS,
+    "run2d": DIRECT_CONFIG_KEYS | {"omega", "solver_tol", "solver_max_iter"},
 }
 
 
@@ -44,7 +51,7 @@ def test_run1d_artifacts(tmp_path):
     assert all(float(row.split(",")[-1]) == 1e-10 for row in lines[1:])
 
     summary = json.loads((out / "run1d_summary.json").read_text())
-    assert set(summary["config"]) == CONFIG_KEYS
+    assert set(summary["config"]) == CONFIG_KEYS["run1d"]
     assert summary["config"]["lambda"] == 1.0
     assert summary["config"]["h"] == 0.2
     assert summary["result"]["iterations_run"] == 5
@@ -207,12 +214,26 @@ def test_sweep_refuses_an_iteration_cap_below_one(cap, tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-def test_meaningless_solver_settings_are_refused(tmp_path, capsys):
+def test_meaningless_solver_settings_are_refused(tmp_path, capsys, monkeypatch):
+    """PIConfig refuses them on run2d, the one command that runs SOR."""
+    refuse_solving(monkeypatch)
+    out = tmp_path / "f"
     for flags in (["--solver-tol", "-1"], ["--solver-tol", "nan"], ["--solver-tol", "inf"],
                   ["--omega", "2.5"], ["--solver-max-iter", "0"]):
-        code = execute_command(["run1d", "--h", "0.2", "--out-dir", str(tmp_path / "f")] + flags)
-        assert code == 1, flags
+        assert execute_command(["run2d", "--h", "0.2", "--out-dir", str(out)] + flags) == 1, flags
         assert capsys.readouterr().err.startswith("error:"), flags
+        assert not out.exists(), flags
+
+
+@pytest.mark.parametrize("command", ["run1d", "sweep"])
+@pytest.mark.parametrize("flags", SOLVER_FLAGS, ids="_".join)
+def test_direct_commands_refuse_solver_flags(command, flags, tmp_path, monkeypatch):
+    """run1d and sweep solve directly, so they take no SOR setting: argparse
+    refuses one with exit 2 and nothing is written."""
+    refuse_solving(monkeypatch)
+    out = tmp_path / "s"
+    assert execute_command([command, "--out-dir", str(out)] + flags) == 2
+    assert not out.exists()
 
 
 def test_run2d_slices(tmp_path):
@@ -237,7 +258,7 @@ def test_run2d_slices(tmp_path):
     assert [float(r[-1]) for r in rows[:2]] == [1e-10, 1e-10]
     assert all(int(r[-2]) >= 1 for r in rows)
     summary = json.loads((out / "run2d_summary.json").read_text())
-    assert set(summary["config"]) == CONFIG_KEYS
+    assert set(summary["config"]) == CONFIG_KEYS["run2d"]
     result = summary["result"]
     # the reference is discrete-exact, so the certified bound covers the true error
     assert 0 < result["final_linf_error"] <= result["final_certified_error"]
@@ -262,8 +283,13 @@ def test_sweep_artifacts(tmp_path):
     assert hs == [0.5, 0.25, 0.125]
     assert errs[0] > errs[1] > errs[2] > 0
     summary = json.loads((out / "sweep_summary.json").read_text())
-    assert set(summary["config"]) == CONFIG_KEYS
+    assert set(summary["config"]) == CONFIG_KEYS["sweep"]
     assert summary["config"]["sweep_h"] == [0.5, 0.25, 0.125]
+    # each mesh has its own h and budget, so the echo invents neither; the
+    # iterations each mesh ran, within the cap of 10, are in the n_iterations column
+    assert summary["config"]["h"] is None and summary["config"]["iterations"] is None
+    counts = [float(r.split(",")[1]) for r in lines[1:]]
+    assert all(n == int(n) and 1 <= n <= 10 for n in counts), counts
     assert summary["result"]["fitted_slope"] > 0.45
     assert summary["result"]["points_used"] == 3
 

@@ -68,7 +68,8 @@ def test_policy_evaluate_zero_problem():
         GridProblem(problem, grid, params), policy, GridField.zeros(grid)
     )
     assert np.max(np.abs(value.values)) == 0.0
-    assert stats.converged
+    # a direct solve: one pass, no update left, the tolerance it was given
+    assert (stats.iterations, stats.final_update_norm, stats.tol) == (1, 0.0, PIConfig.solver_tol)
 
 
 def test_policy_evaluate_frozen_optimal_policy(lq_paper):
@@ -94,7 +95,7 @@ def test_policy_evaluate_sor_residual_certificate(man_paper):
     policy = initial_policy("adversarial2d", setup.grid, setup.problem)
     gp = GridProblem(setup.problem, setup.grid, setup.params)
     value, stats = policy_evaluate(gp, policy, setup.boundary)
-    assert stats.converged
+    assert stats.final_update_norm <= stats.tol == PIConfig.solver_tol
     residual = bellman_residual(setup.problem, setup.params, value, policy)
     bound = setup.params.center_weight * 1e-10
     assert np.max(np.abs(residual.values)) <= bound
@@ -320,7 +321,7 @@ def test_relaxed_run_ties_inner_tolerance_to_outer_step():
     setup = build_benchmark("manufactured2d", h=0.1)
     report = _manufactured_run(setup, 0.18, 60, snapshots=tuple(range(60)))
     floor = PIConfig.solver_tol
-    tols = report.inner_tolerance
+    tols = [s.tol for s in report.solve_stats]
     assert len(tols) == 60 and tols[0] == floor and tols[1] == floor
     v = report.value_snapshots
     for n in range(2, 60):
@@ -335,7 +336,7 @@ def test_greedy_run_keeps_exact_inner_tolerance():
     of greedy iterates needs exact evaluation."""
     setup = build_benchmark("manufactured2d", h=0.1)
     report = _manufactured_run(setup, 1.0, 12)
-    assert report.inner_tolerance == [PIConfig.solver_tol] * 12
+    assert [s.tol for s in report.solve_stats] == [PIConfig.solver_tol] * 12
 
 
 def test_relaxed_run_keeps_certified_accuracy():
@@ -421,7 +422,7 @@ def _expected_ratios(report):
     v = report.value_snapshots
     step = [math.nan] + [float(np.max(np.abs(v[k] - v[k - 1]))) for k in range(1, len(v))]
     expected = []
-    for n, tol in enumerate(report.inner_tolerance):
+    for n, tol in enumerate(s.tol for s in report.solve_stats):
         predicted = n >= 3 and tol > PIConfig.solver_tol and 0.0 < step[n - 1] < step[n - 2]
         expected.append(step[n - 1] / step[n - 2] if predicted else 0.0)
     return expected
@@ -435,7 +436,7 @@ def test_relaxed_run_predicts_warm_starts(monkeypatch):
     ratios = report.warm_start_ratio
     assert ratios == _expected_ratios(report)
     floor = PIConfig.solver_tol
-    assert all(r == 0.0 for r, tol in zip(ratios, report.inner_tolerance) if tol == floor)
+    assert all(r == 0.0 for r, s in zip(ratios, report.solve_stats) if s.tol == floor)
     assert sum(r > 0.0 for r in ratios) >= 10  # the prediction is active
     assert all(0.0 <= r < 1.0 for r in ratios)
     v = report.value_snapshots

@@ -29,6 +29,7 @@ from hjb_pi.checks import (
     random_structured_system,
     thomas_dense_gap,
 )
+from hjb_pi import linsolve
 from hjb_pi.linsolve import REDUCTION_THRESHOLD, RedBlackLayout, system_to_dense
 
 from conftest import make_rng
@@ -78,7 +79,7 @@ def test_homogeneous_system_solves_to_zero():
         system2, omega=PIConfig.omega, tol=PIConfig.solver_tol, max_iter=PIConfig.solver_max_iter
     )
     assert np.max(np.abs(sol)) == 0.0
-    assert stats.iterations == 1 and stats.converged
+    assert stats.iterations == 1 and stats.final_update_norm <= stats.tol == PIConfig.solver_tol
 
 
 def test_single_interior_node_closed_form():
@@ -343,8 +344,9 @@ def test_sor_matches_pointwise_red_black_bit_for_bit():
 
 def test_sor_layout_reuse_is_bit_identical():
     """One layout serves several systems and starts of its shape, also a
-    cold start after a warm one and a solve cut off by its budget, with the
-    bits of fresh solves; the solution can go into a caller's array."""
+    cold start after a warm one and after a solve that raised when its
+    budget cut it off, with the bits of fresh solves; the solution can go
+    into a caller's array."""
     rng = make_rng(418)
     shape = (9, 8)
     systems = [random_structured_system(rng, *shape) for _ in range(3)]
@@ -355,8 +357,17 @@ def test_sor_layout_reuse_is_bit_identical():
             (systems[2], starts[0], 5000)]
     for system, initial, max_iter in runs:
         settings = dict(omega=1.7, tol=1e-10, max_iter=max_iter, initial=initial)
-        fresh, fresh_stats = solve_sor(system, **settings)
         out = np.full(shape, np.nan)
+        if max_iter == 3:
+            # cut off by its budget: the fresh solve's raise, and out untouched
+            with pytest.raises(SolverError, match="after 3 sweeps") as fresh_error:
+                solve_sor(system, **settings)
+            with pytest.raises(SolverError) as error:
+                solve_sor(system, layout=layout, out=out, **settings)
+            assert str(error.value) == str(fresh_error.value)
+            assert np.isnan(out).all()
+            continue
+        fresh, fresh_stats = solve_sor(system, **settings)
         sol, stats = solve_sor(system, layout=layout, out=out, **settings)
         assert sol is out
         assert sol.tobytes() == fresh.tobytes()
@@ -366,6 +377,39 @@ def test_sor_layout_reuse_is_bit_identical():
                   layout=layout)
 
 
+def layout_buffers(layout):
+    """The buffers a layout's sweeps read and write: staging, layers,
+    values, the shared update buffer, and the product term."""
+    term = layout._colours[0][5]
+    return [layout._staging, layout._layers, layout._values, layout._delta, term]
+
+
+def test_sor_layout_buffers_are_cache_line_aligned(monkeypatch):
+    """Every layout buffer starts on a 64-byte boundary, and a layout with
+    every buffer 8 bytes past one solves bit for bit the same."""
+
+    def misaligned_zeros(shape):
+        size = math.prod(shape)
+        raw = np.zeros(size + 8)
+        start = -raw.ctypes.data % 64 // 8 + 1
+        return raw[start : start + size].reshape(shape)
+
+    rng = make_rng(419)
+    for shape in ((1, 1), (2, 3), (9, 8), (8, 9), (39, 39), (79, 79)):
+        system = random_structured_system(rng, *shape)
+        aligned = RedBlackLayout(shape)
+        assert [b.ctypes.data % 64 for b in layout_buffers(aligned)] == [0] * 5, shape
+        with monkeypatch.context() as patch:
+            patch.setattr(linsolve, "_aligned_zeros", misaligned_zeros)
+            reference = RedBlackLayout(shape)
+        assert [b.ctypes.data % 64 for b in layout_buffers(reference)] == [8] * 5, shape
+        settings = dict(omega=1.7, tol=1e-10, max_iter=5000)
+        sol, stats = solve_sor(system, layout=aligned, **settings)
+        expect, expect_stats = solve_sor(system, layout=reference, **settings)
+        assert sol.tobytes() == expect.tobytes(), shape
+        assert stats == expect_stats, shape
+
+
 def test_sor_matches_dense_and_gauss_seidel():
     # omega = 1 is plain Gauss-Seidel and must converge on the same systems.
     for shape in SOR_SHAPES:
@@ -373,7 +417,7 @@ def test_sor_matches_dense_and_gauss_seidel():
         dense = solve_dense_oracle(system)
         for omega in (1.7, 1.0):
             sol, stats = solve_sor(system, omega=omega, tol=1e-10, max_iter=5000)
-            assert stats.converged, (shape, omega)
+            assert stats.final_update_norm <= stats.tol == 1e-10, (shape, omega)
             assert sol.shape == shape
             assert np.max(np.abs(sol - dense)) <= 1e-8, (shape, omega)
 
@@ -386,20 +430,21 @@ def test_sor_leaves_inputs_unchanged():
     before = {name: a.copy() for name, a in system_arrays(system).items()}
     initial_before = initial.copy()
     sol, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=5000, initial=initial)
-    assert stats.converged
+    assert stats.final_update_norm <= stats.tol
     assert np.array_equal(initial, initial_before)
     for name, a in system_arrays(system).items():
         assert np.array_equal(a, before[name]), name
     assert not np.shares_memory(sol, initial)
 
 
-def test_sor_non_convergence_is_reported_not_fatal():
+def test_sor_non_convergence_raises():
+    """A solve that ends its budget above tol raises, with the update norm
+    it stalled at; no caller has to check a flag."""
     rng = make_rng(405)
     system = random_structured_system(rng, 9, 9)
-    sol, stats = solve_sor(system, omega=1.7, tol=1e-14, max_iter=2)
-    assert not stats.converged
-    assert stats.iterations == 2
-    assert np.all(np.isfinite(sol))
+    with pytest.raises(SolverError, match=r"^SOR stalled at update norm \d\.\d{3}e[+-]\d+ "
+                       r"after 2 sweeps \(tolerance 1\.000e-14\)$"):
+        solve_sor(system, omega=1.7, tol=1e-14, max_iter=2)
 
 
 def test_sor_validates_omega():
@@ -417,7 +462,7 @@ def test_sor_validates_omega():
         with pytest.raises(ValueError, match="max_iter"):
             solve_sor(system, omega=1.7, tol=1e-10, max_iter=max_iter)
     _, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=np.int64(5000))
-    assert stats.converged
+    assert stats.final_update_norm <= stats.tol
 
 
 def test_dense_oracle_limits():

@@ -40,22 +40,45 @@ def test_benchmark_viscosity_rules():
 
 def test_stencil_coefficients_examples():
     params = SchemeParams(viscosity=1.0, h=0.1, dim=1, lam=1.0)
-    coeffs = stencil_coefficients(params, np.array([0.5]))
-    assert coeffs.center == pytest.approx(21.0)
-    assert coeffs.plus[0] == pytest.approx(-12.5)
-    assert coeffs.minus[0] == pytest.approx(-7.5)
+    assert params.center_weight == pytest.approx(21.0)
+    plus, minus = stencil_coefficients(params, np.array([0.5]))
+    assert plus[0] == pytest.approx(-12.5)
+    assert minus[0] == pytest.approx(-7.5)
 
-    sym = stencil_coefficients(params, np.zeros(1))
-    assert sym.plus[0] == sym.minus[0] == pytest.approx(-10.0)
+    plus, minus = stencil_coefficients(params, np.zeros(1))
+    assert plus[0] == minus[0] == pytest.approx(-10.0)
 
     # N = |f|/2 sits exactly on the monotonicity boundary
     edge = SchemeParams(viscosity=0.25, h=0.1, dim=1, lam=1.0)
-    coeffs = stencil_coefficients(edge, np.array([0.5]))
-    assert coeffs.minus[0] == pytest.approx(0.0, abs=1e-15)
+    _, minus = stencil_coefficients(edge, np.array([0.5]))
+    assert minus[0] == pytest.approx(0.0, abs=1e-15)
 
     bad = SchemeParams(viscosity=0.2, h=0.1, dim=1, lam=1.0)
     with pytest.raises(MonotonicityError):
         stencil_coefficients(bad, np.array([1.0]))
+
+
+def test_stencil_coefficients_per_axis_layout():
+    """One fresh array per axis and direction, of the nodes' shape, each the
+    same bits as the weights formed on the stacked drift; assembly folds the
+    boundary into them in place, so none may share memory with another,
+    with f, or with an earlier call's."""
+    rng = make_rng(302)
+    params = SchemeParams(viscosity=1.3, h=0.1, dim=2, lam=1.0)
+    f = rng.uniform(-2, 2, size=(5, 4, 2))
+    plus, minus = stencil_coefficients(params, f)
+    half = f / (2.0 * params.h)
+    ratio = params.viscosity / params.h
+    assert len(plus) == len(minus) == 2
+    for k in range(2):
+        assert plus[k].shape == minus[k].shape == (5, 4)
+        assert plus[k].tobytes() == (-ratio - half[..., k]).tobytes()
+        assert minus[k].tobytes() == (-ratio + half[..., k]).tobytes()
+    again = stencil_coefficients(params, f)
+    arrays = list(plus + minus) + [f] + list(again[0] + again[1])
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_stencil_row_sum_identity():
@@ -67,11 +90,12 @@ def test_stencil_row_sum_identity():
         f = rng.uniform(-1, 1, dim)
         n = max(1.0, np.max(np.abs(f)) / 2) * rng.uniform(1.0, 3.0)
         params = SchemeParams(viscosity=n, h=h, dim=dim, lam=lam)
-        coeffs = stencil_coefficients(params, f)
-        row = coeffs.center + np.sum(coeffs.plus) + np.sum(coeffs.minus)
-        assert abs(row - lam) <= 1e-12 * coeffs.center
-        assert np.all(coeffs.plus <= 0) and np.all(coeffs.minus <= 0)
-        assert coeffs.center > 0
+        plus, minus = stencil_coefficients(params, f)
+        assert len(plus) == len(minus) == dim
+        row = params.center_weight + np.sum(plus) + np.sum(minus)
+        assert abs(row - lam) <= 1e-12 * params.center_weight
+        assert np.all(np.array(plus) <= 0) and np.all(np.array(minus) <= 0)
+        assert params.center_weight > 0
 
 
 def test_apply_policy_operator_on_constants():
