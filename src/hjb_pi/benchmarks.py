@@ -49,7 +49,6 @@ BENCHMARK_NAMES = tuple(BENCHMARK_DEFAULTS)
 class BenchmarkSetup:
     """Everything needed to run one benchmark at one resolution."""
 
-    name: str
     problem: ControlProblem
     grid: Grid
     params: SchemeParams
@@ -80,7 +79,6 @@ def _build_lq1d(lam: float, half_width: float, h: float, a_max: float) -> Benchm
     coords = grid.node_coordinates()
     reference = GridField(grid, lq_reference_value(lam, coords[..., 0]))
     return BenchmarkSetup(
-        name="lq1d",
         problem=problem,
         grid=grid,
         params=params,
@@ -107,7 +105,6 @@ def _build_manufactured2d(lam: float, half_width: float, h: float, a_max: float)
     cost = bellman_residual(skeleton, params, reference)
     problem = replace(skeleton, state_cost=make_grid_lookup(cost))
     return BenchmarkSetup(
-        name="manufactured2d",
         problem=problem,
         grid=grid,
         params=params,

@@ -428,17 +428,17 @@ CHECKS: list[tuple[str, Callable[[], tuple[bool, str]], bool]] = [
 ]
 
 
-def run_checks(fast: bool = False, write=print) -> int:
+def run_checks(fast: bool = False) -> int:
     """Run the property suite, print one line per check, return failures."""
     failures = 0
     for name, fn, in_fast in CHECKS:
         if fast and not in_fast:
-            write(f"SKIP {name}")
+            print(f"SKIP {name}")
             continue
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         failures += 0 if ok else 1
-        write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return failures

@@ -4,13 +4,13 @@ Subcommands
 -----------
 run1d   1D quadratic-cost benchmark with greedy policy iteration.
 run2d   2D manufactured benchmark with relaxed policy iteration and red-black SOR.
-sweep   1D mesh sweep with per-h iteration budgets and a fitted error slope.
+sweep   lq1d mesh sweep with per-h iteration budgets and a fitted error slope.
 check   Structural property suite, one PASS/FAIL line per property.
 
-All artifacts are plain UTF-8 CSV and JSON.  Numbers in CSV bodies are
-written with 17 significant digits so re-running a command with the same
-flags reproduces files byte for byte; JSON summaries echo the full run
-configuration and contain no timestamps.
+Each command takes only the flags it can use.  All artifacts are plain
+UTF-8 CSV and JSON.  Numbers in CSV bodies are written with 17 significant
+digits so re-running a command with the same flags reproduces files byte
+for byte; JSON summaries echo the command's flags and no timestamps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import sys
 
 from .analysis import detect_plateau, fit_power_rate, optimal_iteration_count
-from .benchmarks import BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
+from .benchmarks import BENCHMARK_DEFAULTS, BenchmarkSetup, build_benchmark
 from .checks import run_checks
 from .grid import Grid
 from .howard import PIConfig, PIReport, run_policy_iteration
@@ -31,10 +31,10 @@ from .scheme import MonotonicityError, bellman_residual
 
 __all__ = ["execute_command", "main"]
 
-# the benchmark each single-run command solves
-RUN_BENCHMARKS = {"run1d": "lq1d", "run2d": "manufactured2d"}
+# the benchmark each command solves; its defaults are the command's flag defaults
+BENCHMARKS = {"run1d": "lq1d", "run2d": "manufactured2d", "sweep": "lq1d"}
 
-# flags echoed into the JSON summaries under their own names
+# flags echoed into the JSON summaries under their own names, by the commands that take them
 ECHOED_FLAGS = ("half_width", "h", "iterations", "theta", "a_max", "outer_tolerance", "out_dir")
 # the SOR settings: only run2d takes them, run1d and sweep keep PIConfig's
 SOLVER_FLAGS = ("omega", "solver_tol", "solver_max_iter")
@@ -45,19 +45,20 @@ SLICES = {"x0": (0, 0.80), "y0": (1, -0.80)}
 SLICE_ITERATIONS = (0, 5, 15, 30)
 
 
-def _config_echo(args: argparse.Namespace, command: str, benchmark: str) -> dict:
+def _config_echo(args: argparse.Namespace) -> dict:
     """The settings of a run as parsed, echoed verbatim into its JSON summary:
-    the flags the command takes, and no others.
+    the command, its benchmark (BENCHMARKS) and that benchmark's initial
+    policy, and the flags the command takes, and no others.
 
     Nothing is checked here: Grid, ControlProblem, SchemeParams and PIConfig
     refuse a meaningless setting when the run builds them.
     """
+    benchmark = BENCHMARKS[args.subcommand]
     return {
-        "command": command,
+        "command": args.subcommand,
         "benchmark": benchmark,
         "lambda": args.lam,
         "initial_policy": BENCHMARK_DEFAULTS[benchmark]["initial_policy"],
-        "sweep_h": None,
         **{name: getattr(args, name) for name in ECHOED_FLAGS + SOLVER_FLAGS if name in args},
     }
 
@@ -196,9 +197,10 @@ def _slice_rows(
     return header, rows
 
 
-def _cmd_run(args: argparse.Namespace, command: str) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     """run1d or run2d; a 2D run also writes the two slice profiles."""
-    config = _config_echo(args, command, RUN_BENCHMARKS[command])
+    config = _config_echo(args)
+    command = config["command"]
     setup = _build(config, config["h"])
     slices = {}
     if setup.grid.dim == 2:
@@ -230,9 +232,20 @@ def _cmd_run(args: argparse.Namespace, command: str) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, h_values: tuple[float, ...]) -> int:
-    # h and iterations echo as null: each mesh sets its own h and budget
-    config = _config_echo(args, "sweep", args.benchmark)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """The lq1d mesh sweep: each h in --h-list runs its own iteration budget,
+    and the final errors give the fitted order."""
+    if not args.max_iterations >= 1:
+        raise ValueError(f"--max-iterations must be at least 1, got {args.max_iterations}")
+    h_values = tuple(float(tok) for tok in args.h_list.split(",") if tok)
+    # the fitted order needs two or more meshes, finer and finer
+    pairs = zip(h_values, h_values[1:])
+    if len(h_values) < 2 or not all(math.inf > a > b > 0 for a, b in pairs):
+        raise ValueError(
+            "--h-list must name at least two positive, finite, strictly "
+            f"decreasing mesh sizes, got {args.h_list!r}"
+        )
+    config = _config_echo(args)
     config["sweep_h"] = list(h_values)
     if config["outer_tolerance"] is None:
         config["outer_tolerance"] = 1e-12
@@ -274,16 +287,16 @@ def _cmd_sweep(args: argparse.Namespace, h_values: tuple[float, ...]) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, benchmark: str) -> None:
-    defaults = BENCHMARK_DEFAULTS[benchmark]
+def _cmd_check(args: argparse.Namespace) -> int:
+    return 1 if run_checks(fast=args.fast) else 0
+
+
+def _add_common_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    defaults = BENCHMARK_DEFAULTS[BENCHMARKS[command]]
     parser.add_argument("--lambda", dest="lam", type=float, default=defaults["lam"],
                         help="discount rate (default %(default)s)")
     parser.add_argument("--half-width", type=float, default=defaults["half_width"],
                         help="domain half-width L (default %(default)s)")
-    parser.add_argument("--h", type=float, default=defaults["h"],
-                        help="mesh size (default %(default)s)")
-    parser.add_argument("--iterations", type=int, default=defaults["iterations"],
-                        help="outer iteration budget (default %(default)s)")
     parser.add_argument("--theta", type=float, default=defaults["theta"],
                         help="policy relaxation weight in (0,1] (default %(default)s)")
     parser.add_argument("--a-max", type=float, default=defaults["a_max"],
@@ -292,6 +305,14 @@ def _add_common_flags(parser: argparse.ArgumentParser, benchmark: str) -> None:
                         help="optional early-stop tolerance on max |V_n - V_{n-1}|")
     parser.add_argument("--out-dir", default="out",
                         help="directory for CSV/JSON artifacts (default %(default)s)")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    defaults = BENCHMARK_DEFAULTS[BENCHMARKS[command]]
+    parser.add_argument("--h", type=float, default=defaults["h"],
+                        help="mesh size (default %(default)s)")
+    parser.add_argument("--iterations", type=int, default=defaults["iterations"],
+                        help="outer iteration budget (default %(default)s)")
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -313,24 +334,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p1 = sub.add_parser("run1d", help="1D quadratic-cost benchmark, greedy updates")
-    _add_common_flags(p1, "lq1d")
+    _add_common_flags(p1, "run1d")
+    _add_run_flags(p1, "run1d")
+    p1.set_defaults(handler=_cmd_run)
 
     p2 = sub.add_parser("run2d", help="2D manufactured benchmark, relaxed updates")
-    _add_common_flags(p2, "manufactured2d")
+    _add_common_flags(p2, "run2d")
+    _add_run_flags(p2, "run2d")
     _add_solver_flags(p2)
+    p2.set_defaults(handler=_cmd_run)
 
-    ps = sub.add_parser("sweep", help="mesh sweep with fitted error slope (lq1d only)")
-    ps.add_argument("--benchmark", choices=list(BENCHMARK_NAMES), default="lq1d")
-    _add_common_flags(ps, "lq1d")
-    ps.set_defaults(h=None, iterations=None)  # refused: see execute_command
+    ps = sub.add_parser("sweep", help="lq1d mesh sweep with fitted error slope")
+    _add_common_flags(ps, "sweep")
     ps.add_argument("--h-list", default="0.2,0.1,0.05,0.025",
                     help="comma-separated mesh sizes (default %(default)s)")
     ps.add_argument("--max-iterations", type=int, default=2000,
                     help="cap on the per-mesh iteration budget (default %(default)s)")
+    ps.set_defaults(handler=_cmd_sweep)
 
     pc = sub.add_parser("check", help="run the structural property suite")
     pc.add_argument("--fast", action="store_true",
                     help="skip the slow value-iteration cross-check")
+    pc.set_defaults(handler=_cmd_check)
 
     return parser
 
@@ -343,33 +368,7 @@ def execute_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.subcommand in RUN_BENCHMARKS:
-            return _cmd_run(args, args.subcommand)
-        if args.subcommand == "sweep":
-            if args.benchmark == "manufactured2d":
-                raise ValueError(
-                    "sweep cannot fit a convergence order on manufactured2d: its "
-                    "reference solves the discrete equation exactly at every h, so "
-                    "the errors are iteration error alone and the slope would mean nothing"
-                )
-            if args.h is not None or args.iterations is not None:
-                raise ValueError("sweep takes h from --h-list and each budget from "
-                                 "optimal_iteration_count; it does not accept --h or --iterations")
-            if not args.max_iterations >= 1:
-                raise ValueError(f"--max-iterations must be at least 1, got {args.max_iterations}")
-            h_values = tuple(float(tok) for tok in args.h_list.split(",") if tok)
-            # the fitted order needs two or more meshes, finer and finer
-            pairs = zip(h_values, h_values[1:])
-            if len(h_values) < 2 or not all(math.inf > a > b > 0 for a, b in pairs):
-                raise ValueError(
-                    "--h-list must name at least two positive, finite, strictly "
-                    f"decreasing mesh sizes, got {args.h_list!r}"
-                )
-            return _cmd_sweep(args, h_values)
-        if args.subcommand == "check":
-            failures = run_checks(fast=args.fast)
-            return 1 if failures else 0
-        raise ValueError(f"unknown subcommand {args.subcommand!r}")
+        return args.handler(args)
     except (ValueError, MonotonicityError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

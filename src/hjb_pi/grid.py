@@ -142,9 +142,6 @@ class GridField:
     def full(cls, grid: Grid, value: float) -> "GridField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
     def interior(self) -> np.ndarray:
         """View of the interior values (do not mutate)."""
         return self.values[(slice(1, -1),) * self.grid.dim]

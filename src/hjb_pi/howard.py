@@ -94,8 +94,8 @@ class PIConfig:
     relaxation_theta < 1 the evaluations above the floor start SOR from a
     value predicted from the last two outer steps; evaluations at the floor
     and greedy ones start from the previous value field (see the module
-    docstring).  1D runs solve directly: omega and solver_max_iter go
-    unused and solver_tol only labels their records, but all three are checked.
+    docstring).  1D runs solve directly and use none of the three SOR
+    settings omega, solver_tol and solver_max_iter, but all three are checked.
     """
 
     max_outer_iterations: int
@@ -121,8 +121,9 @@ class PIConfig:
                 f"unknown initial policy {self.initial_policy_spec!r}; "
                 f"expected one of {INITIAL_POLICY_SPECS}"
             )
-        if self.outer_tolerance is not None and not self.outer_tolerance > 0:
-            raise ValueError("outer_tolerance must be positive when given")
+        tol = self.outer_tolerance
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"outer_tolerance must be finite and positive when given, got {tol}")
         if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
             raise ValueError(f"solver_tol must be finite and positive, got {self.solver_tol}")
         if not 0.0 < self.omega < 2.0:
@@ -142,8 +143,8 @@ class PIReport:
     sqrt(h^d * sum (V_n - V_{n-1})^2), not a Bellman residual, and
     monotonicity_violation is max (V_n - V_{n-1}).  solve_stats[n] is
     evaluation n's record: its sweep count and, as tol, the update
-    tolerance it was asked to reach (a 1D direct solve is exact whatever
-    it says).
+    tolerance it was asked to reach (0.0 for a 1D direct solve, which is
+    exact).
     warm_start_ratio[n] is the r of evaluation n's predicted warm start
     V_{n-1} + r (V_{n-1} - V_{n-2}), and 0.0 when it started from V_{n-1}
     (or, at n = 0, from the boundary data with a zero interior).
@@ -208,15 +209,16 @@ def policy_evaluate(
 
     1D systems are eliminated directly; 2D systems run SOR warm started
     from `initial` when given, in `layout` (see solve_sor), and write the
-    solution straight into the returned field.  The returned SolveStats
-    records solver_tol as the solve's tolerance.  Raises SolverError (from
-    solve_sor) if SOR does not reach it within the sweep budget.
+    solution straight into the returned field.  A 2D solve's SolveStats
+    records solver_tol as its tolerance, a 1D solve's records 0.0 (it is
+    exact).  Raises SolverError (from solve_sor) if SOR does not reach
+    solver_tol within the sweep budget.
     """
     system = assemble_evaluation_system(gp, policy, boundary)
     values = boundary.values.copy()
     if gp.grid.dim == 1:
         values[1:-1] = solve_tridiagonal(system)
-        stats = SolveStats(iterations=1, final_update_norm=0.0, tol=solver_tol)
+        stats = SolveStats(iterations=1, final_update_norm=0.0, tol=0.0)
     else:
         guess = initial.interior() if initial is not None else None
         _, stats = solve_sor(

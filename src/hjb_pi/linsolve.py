@@ -76,8 +76,8 @@ class EvaluationSystem:
 @dataclass
 class SolveStats:
     """One solve, which met its tolerance: its sweeps (1 for a direct
-    solve), its last update norm (0.0 when direct) and tol, the update
-    tolerance it was asked to reach (in a run, the schedule's value)."""
+    solve), its last update norm and tol, the update tolerance it was asked
+    to reach (in a run, the schedule's value); both are 0.0 when direct."""
 
     iterations: int
     final_update_norm: float

@@ -26,18 +26,21 @@ __all__ = [
     "resolvent_scan",
 ]
 
+# lq1d at its defaults (discount, box half-width, control bound), written out
+# so that the oracle shares no code with the pipeline's benchmark table
+_LQ_LAM, _LQ_HALF_WIDTH, _LQ_A_MAX = 1.0, 3.0, 6.0
+_FIT_HALF_WIDTH = 1.5  # fit_quadratic_coefficient's window
+_SCAN_POINTS, _SCAN_STAGES = 1000, 4  # per staged control scan
+
 
 def lq_value_iteration(
-    lam: float = 1.0,
-    half_width: float = 3.0,
     h: float = 0.005,
     dt: float = 0.02,
-    a_max: float = 6.0,
     n_controls: int = 601,
     tol: float = 2e-11,
     max_steps: int = 20000,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted value iteration for the 1D benchmark, independent scheme.
+    """Discounted value iteration for lq1d at its defaults, independent scheme.
 
     Semi-Lagrangian update with trapezoidal cost quadrature over one step:
 
@@ -48,16 +51,16 @@ def lq_value_iteration(
     a fixed point and returns (x_nodes, V).  Runs on its own fine grid; no
     code shared with the policy-iteration pipeline.
     """
-    x = np.linspace(-half_width, half_width, int(round(2 * half_width / h)) + 1)
-    controls = np.linspace(-a_max, a_max, n_controls)
-    gamma = math.exp(-lam * dt)
+    x = np.linspace(-_LQ_HALF_WIDTH, _LQ_HALF_WIDTH, int(round(2 * _LQ_HALF_WIDTH / h)) + 1)
+    controls = np.linspace(-_LQ_A_MAX, _LQ_A_MAX, n_controls)
+    gamma = math.exp(-_LQ_LAM * dt)
     v = np.zeros_like(x)
 
     # per-control precomputation: arrival points and stage costs
     arrivals = []
     stages = []
     for a in controls:
-        xn = np.clip(x + dt * a, -half_width, half_width)
+        xn = np.clip(x + dt * a, -_LQ_HALF_WIDTH, _LQ_HALF_WIDTH)
         cost_here = 0.5 * x * x + 0.5 * a * a
         cost_there = 0.5 * xn * xn + 0.5 * a * a
         arrivals.append(xn)
@@ -77,13 +80,13 @@ def lq_value_iteration(
     return x, v
 
 
-def fit_quadratic_coefficient(x: np.ndarray, v: np.ndarray, fit_half_width: float = 1.5) -> float:
-    """Coefficient P in V ~ P x^2 / 2, least squares over |x| <= fit_half_width.
+def fit_quadratic_coefficient(x: np.ndarray, v: np.ndarray) -> float:
+    """Coefficient P in V ~ P x^2 / 2, least squares over |x| <= 1.5.
 
     The fit window stays away from the box edge where state clamping
     distorts the oracle's values.
     """
-    mask = np.abs(x) <= fit_half_width
+    mask = np.abs(x) <= _FIT_HALF_WIDTH
     coeffs = np.polyfit(x[mask], v[mask], 2)
     return 2.0 * float(coeffs[0])
 
@@ -148,10 +151,9 @@ def bellman_residual_scan(
     problem: ControlProblem,
     params: SchemeParams,
     field: GridField,
-    n_points: int = 1000,
-    stages: int = 4,
 ) -> np.ndarray:
-    """sup_a L_a u at interior nodes by staged control scan (flat array).
+    """sup_a L_a u at interior nodes by staged control scan (flat array):
+    1000 candidates per stage, 4 stages.
 
     Oracle twin of scheme.bellman_residual that never uses the closed-form
     maximizer.
@@ -169,9 +171,9 @@ def bellman_residual_scan(
         objective,
         problem.a_max,
         field.grid.dim,
-        n_points,
+        _SCAN_POINTS,
         mode="max",
-        stages=stages,
+        stages=_SCAN_STAGES,
         centers=np.zeros((u.size, field.grid.dim)),
     )
     return vals
@@ -181,10 +183,9 @@ def resolvent_scan(
     problem: ControlProblem,
     params: SchemeParams,
     field: GridField,
-    n_points: int = 1000,
-    stages: int = 4,
 ) -> np.ndarray:
-    """inf_a T_a u at interior nodes by staged control scan (flat array)."""
+    """inf_a T_a u at interior nodes by staged control scan (flat array),
+    with the same 1000 candidates per stage and 4 stages."""
     grid = field.grid
     _, _, _, _, b, state = _interior_data(problem, params, field)
     ratio = params.viscosity / grid.h
@@ -206,9 +207,9 @@ def resolvent_scan(
         objective,
         problem.a_max,
         grid.dim,
-        n_points,
+        _SCAN_POINTS,
         mode="min",
-        stages=stages,
+        stages=_SCAN_STAGES,
         centers=np.zeros((state.size, grid.dim)),
     )
     return vals

@@ -55,6 +55,8 @@ __all__ = [
 # cannot be told apart from a margin of 0.
 DOMINANCE_RTOL = 1e-12
 
+_CERTIFY_SEED, _CERTIFY_CHUNK = 20240, 128  # control sample seed, controls per batch
+
 
 class MonotonicityError(ValueError):
     """A stencil weight or assembled off-diagonal has the wrong sign."""
@@ -252,18 +254,17 @@ def certify_monotone_stencil(
     grid: Grid,
     params: SchemeParams,
     n_controls: int = 10000,
-    seed: int = 20240,
-    chunk: int = 128,
 ) -> StencilCertificate:
     """Sampled certification of stencil monotonicity over nodes x controls.
 
-    Draws n_controls controls uniformly from the box (corners always
-    included), forms the stencil at every interior node for each, and checks
-    that all neighbor weights are nonpositive and that center plus neighbor
-    weights reproduce lam to rounding.  Raises MonotonicityError on failure.
+    Draws n_controls controls uniformly from the box (fixed seed, corners
+    always included), forms the stencil at every interior node for each, and
+    checks that all neighbor weights are nonpositive and that center plus
+    neighbor weights reproduce lam to rounding.  Raises MonotonicityError on
+    failure.
     """
     gp = GridProblem(problem, grid, params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CERTIFY_SEED)
     controls = rng.uniform(-problem.a_max, problem.a_max, size=(n_controls, grid.dim))
     corners = np.array(
         np.meshgrid(*[[-problem.a_max, problem.a_max]] * grid.dim, indexing="ij")
@@ -273,8 +274,8 @@ def certify_monotone_stencil(
     b = gp.drift_base.reshape(-1, grid.dim)
     worst = -np.inf
     rowdev = 0.0
-    for start in range(0, controls.shape[0], chunk):
-        a = controls[start : start + chunk]
+    for start in range(0, controls.shape[0], _CERTIFY_CHUNK):
+        a = controls[start : start + _CERTIFY_CHUNK]
         plus, minus = stencil_coefficients(params, b[None, :, :] + a[:, None, :])
         worst = max(worst, *(float(w.max()) for w in plus + minus))
         # Adding the axes in order gives np.sum(..., axis=-1) bit for bit,

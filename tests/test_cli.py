@@ -9,17 +9,18 @@ from hjb_pi.checks import CHECKS
 from hjb_pi.cli import TRAJECTORY_HEADER, execute_command
 
 
-# the summary config of each command echoes exactly the flags it takes;
-# only run2d, which runs SOR, takes the solver flags
-DIRECT_CONFIG_KEYS = {
-    "command", "benchmark", "lambda", "half_width", "h", "iterations", "theta", "a_max",
-    "initial_policy", "outer_tolerance", "sweep_h", "out_dir",
-}
+# the summary config of each command echoes exactly the flags it takes:
+# only run2d, which runs SOR, takes the solver flags, and sweep, which sets
+# h and each budget per mesh, takes no --h or --iterations
 SOLVER_FLAGS = [["--omega", "1.2"], ["--solver-tol", "1e-8"], ["--solver-max-iter", "10"]]
+RUN1D_CONFIG_KEYS = {
+    "command", "benchmark", "lambda", "initial_policy", "half_width", "h", "iterations",
+    "theta", "a_max", "outer_tolerance", "out_dir",
+}
 CONFIG_KEYS = {
-    "run1d": DIRECT_CONFIG_KEYS,
-    "sweep": DIRECT_CONFIG_KEYS,
-    "run2d": DIRECT_CONFIG_KEYS | {"omega", "solver_tol", "solver_max_iter"},
+    "run1d": RUN1D_CONFIG_KEYS,
+    "run2d": RUN1D_CONFIG_KEYS | {"omega", "solver_tol", "solver_max_iter"},
+    "sweep": RUN1D_CONFIG_KEYS - {"h", "iterations"} | {"sweep_h"},
 }
 
 
@@ -45,10 +46,10 @@ def test_run1d_artifacts(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "nan" and first[4] == "nan"
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2", "3", "4"]
-    # a direct solve counts as one sweep; theta = 1 keeps solver_tol throughout
+    # a direct solve counts as one sweep and is exact, so its tolerance is 0
     assert TRAJECTORY_HEADER[-2:] == ["inner_sweeps", "inner_tol"]
     assert all(row.split(",")[-2] == "1" for row in lines[1:])
-    assert all(float(row.split(",")[-1]) == 1e-10 for row in lines[1:])
+    assert all(row.split(",")[-1] == "0" for row in lines[1:])
 
     summary = json.loads((out / "run1d_summary.json").read_text())
     assert set(summary["config"]) == CONFIG_KEYS["run1d"]
@@ -184,6 +185,8 @@ SETTING_REFUSALS = [
     ["--a-max", "0"], ["--a-max", "nan"],
     ["--theta", "0"], ["--theta", "1.5"],
     ["--half-width", "0"],
+    # iteration 0 has no outer step to measure, so inf would stop there
+    ["--outer-tol", "inf"],
 ]
 
 
@@ -191,7 +194,7 @@ SETTING_REFUSALS = [
     "argv",
     [[command] + flags for command in ("run1d", "run2d")
      for flags in SETTING_REFUSALS + [["--iterations", "0"]]]
-    # sweep refuses --iterations itself; it takes every other flag above
+    # sweep takes no --iterations; it takes every other flag above
     + [["sweep"] + flags for flags in SETTING_REFUSALS],
     ids="_".join,
 )
@@ -287,7 +290,7 @@ def test_sweep_artifacts(tmp_path):
     assert summary["config"]["sweep_h"] == [0.5, 0.25, 0.125]
     # each mesh has its own h and budget, so the echo invents neither; the
     # iterations each mesh ran, within the cap of 10, are in the n_iterations column
-    assert summary["config"]["h"] is None and summary["config"]["iterations"] is None
+    assert "h" not in summary["config"] and "iterations" not in summary["config"]
     counts = [float(r.split(",")[1]) for r in lines[1:]]
     assert all(n == int(n) and 1 <= n <= 10 for n in counts), counts
     assert summary["result"]["fitted_slope"] > 0.45
@@ -302,28 +305,20 @@ def test_sweep_rejects_empty_h_list(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sweep_refuses_discrete_exact_benchmark(tmp_path, capsys):
-    """manufactured2d is exact at every h, so a fitted order would be noise."""
+@pytest.mark.parametrize(
+    "flags",
+    [["--benchmark", "manufactured2d"], ["--benchmark", "lq1d"], ["--h", "0.7"],
+     ["--iterations", "3"]],
+    ids="_".join,
+)
+def test_sweep_refuses_flags_it_cannot_use(flags, tmp_path, monkeypatch):
+    """sweep fits an order on lq1d only (manufactured2d is exact at every h,
+    so its slope would be noise), takes h from --h-list and each budget from
+    the iteration count rule: argparse refuses these flags with exit 2."""
+    refuse_solving(monkeypatch)
     out = tmp_path / "e"
-    code = execute_command(
-        ["sweep", "--benchmark", "manufactured2d", "--h-list", "0.4,0.2,0.1",
-         "--out-dir", str(out)]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "exactly at every h" in err
+    assert execute_command(["sweep", "--h-list", "0.5,0.25", "--out-dir", str(out)] + flags) == 2
     assert not out.exists()
-
-
-def test_sweep_refuses_per_run_flags(tmp_path, capsys):
-    """h comes from --h-list and budgets from the iteration count rule."""
-    for flag in (["--h", "0.7"], ["--iterations", "3"]):
-        out = tmp_path / flag[0].strip("-")
-        code = execute_command(["sweep", "--h-list", "0.5,0.25", "--out-dir", str(out)] + flag)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "does not accept --h or --iterations" in err
-        assert not out.exists()
 
 
 def test_check_fast_passes(capsys):

@@ -68,8 +68,8 @@ def test_policy_evaluate_zero_problem():
         GridProblem(problem, grid, params), policy, GridField.zeros(grid)
     )
     assert np.max(np.abs(value.values)) == 0.0
-    # a direct solve: one pass, no update left, the tolerance it was given
-    assert (stats.iterations, stats.final_update_norm, stats.tol) == (1, 0.0, PIConfig.solver_tol)
+    # a direct solve: one pass, no update left, and exact, so its tolerance is 0
+    assert (stats.iterations, stats.final_update_norm, stats.tol) == (1, 0.0, 0.0)
 
 
 def test_policy_evaluate_frozen_optimal_policy(lq_paper):
@@ -489,6 +489,7 @@ def test_pi_config_validation():
         ("omega", math.nan), ("solver_max_iter", 0), ("solver_max_iter", -3),
         ("solver_max_iter", 2.5), ("solver_max_iter", True), ("max_outer_iterations", 2.5),
         ("max_outer_iterations", True), ("max_outer_iterations", "5"),
+        ("outer_tolerance", math.inf), ("outer_tolerance", math.nan), ("outer_tolerance", 0.0),
     ]
     for name, value in rejected:
         with pytest.raises(ValueError, match=name):

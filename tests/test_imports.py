@@ -1,5 +1,6 @@
 """Every imported name in the package and its tests is used or re-exported,
-and every private module-level name in the package is used.
+every private module-level name in the package is used, and every keyword
+default of a package function is set by some call.
 
 No linter is a dependency, so this scans the sources with `ast`.  A name
 counts as used when it appears as a bare name anywhere in the module (an
@@ -77,6 +78,77 @@ def test_no_orphaned_private_names():
     paths = sorted((ROOT / "src" / "hjb_pi").glob("*.py"))
     assert paths
     assert orphaned_private_names({path.name: path.read_text() for path in paths}) == []
+
+
+def unset_keyword_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, of the module-level functions and methods
+    in `package` (module name -> source), that no call in `callers` sets, by
+    keyword or by position.  A call matches a function by its bare or
+    attribute name, a class by its `__init__`; a call that unpacks `*args`
+    or `**kwargs` sets every parameter it could reach.  A default that no
+    call sets is a constant dressed as an option."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        defs = [(fn.name, fn, 0) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for fn in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
+                # a bound call passes self or cls itself
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                name = cls.name if fn.name == "__init__" else fn.name
+                defs.append((name, fn, 0 if static else 1))
+        for name, fn, bound in defs:
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                if not any(
+                    any(k.arg in (param, None) for k in call.keywords)
+                    or index is not None and (
+                        len(call.args) > index
+                        or any(isinstance(a, ast.Starred) for a in call.args))
+                    for call in calls.get(name, [])
+                ):
+                    found.append(f"{module}: {fn.name}({param})")
+    return found
+
+
+def test_scan_flags_unset_keyword_defaults():
+    package = {
+        "m": "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+             "def g(x=0): pass\n"
+             "def h(y=0): pass\n"
+             "class K:\n"
+             "    def __init__(self, p=1, q=2): pass\n"
+             "    def meth(self, r=1, s=2): pass\n"
+             "    @staticmethod\n"
+             "    def stat(t=1): pass\n",
+    }
+    callers = [
+        "f(0, 5, d=6)\ng(*args)\nh(**opts)\nK(7)\nobj.meth(s=1)\nK.stat(2)\n",
+    ]
+    assert unset_keyword_defaults(package, callers) == [
+        "m: f(c)", "m: f(e)", "m: __init__(q)", "m: meth(r)",
+    ]
+
+
+def test_every_keyword_default_is_set_by_some_call():
+    package = sorted((ROOT / "src" / "hjb_pi").glob("*.py"))
+    callers = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert package and len(callers) > len(package)
+    found = unset_keyword_defaults(
+        {path.name: path.read_text() for path in package}, [p.read_text() for p in callers]
+    )
+    assert found == []
 
 
 def test_scan_flags_unused_import():
