@@ -8,8 +8,9 @@ gradient of the new value.  With relaxation theta < 1 the new policy is
 the convex mix (1 - theta) * previous + theta * greedy, clipped to the
 control box; theta = 1 is classical greedy improvement, for which iterates
 decrease pointwise and converge geometrically with factor
-beta = (2*d*N/h) / (lam + 2*d*N/h).  A 2D run sets up one SOR layout
-(linsolve.RedBlackLayout) and hands it to every evaluation through
+beta = (2*d*N/h) / (lam + 2*d*N/h).  A run sets up one solver layout, the
+reduction levels of linsolve.ReductionLayout in 1D or the SOR colours of
+linsolve.RedBlackLayout in 2D, and hands it to every evaluation through
 policy_evaluate; it holds buffers, not results, so reusing it changes no
 bit of any solve.
 
@@ -55,6 +56,7 @@ from .analysis import difference_norms, error_metrics
 from .grid import Grid, GridField, interior_gradient
 from .linsolve import (
     RedBlackLayout,
+    ReductionLayout,
     SolveStats,
     assemble_evaluation_system,
     solve_sor,
@@ -203,21 +205,22 @@ def policy_evaluate(
     solver_tol: float = PIConfig.solver_tol,
     solver_max_iter: int = PIConfig.solver_max_iter,
     initial: GridField | None = None,
-    layout: RedBlackLayout | None = None,
+    layout: RedBlackLayout | ReductionLayout | None = None,
 ) -> tuple[GridField, SolveStats]:
     """Solve L_alpha V = 0 with Dirichlet data from `boundary`.
 
-    1D systems are eliminated directly; 2D systems run SOR warm started
-    from `initial` when given, in `layout` (see solve_sor), and write the
-    solution straight into the returned field.  A 2D solve's SolveStats
-    records solver_tol as its tolerance, a 1D solve's records 0.0 (it is
-    exact).  Raises SolverError (from solve_sor) if SOR does not reach
+    1D systems are eliminated directly in `layout`, a ReductionLayout (see
+    solve_tridiagonal); 2D systems run SOR warm started from `initial` when
+    given, in `layout`, a RedBlackLayout (see solve_sor).  Either solver
+    writes the solution straight into the returned field.  A 2D solve's
+    SolveStats records solver_tol as its tolerance, a 1D solve's records
+    0.0 (it is exact).  Raises SolverError (from solve_sor) if SOR does not reach
     solver_tol within the sweep budget.
     """
     system = assemble_evaluation_system(gp, policy, boundary)
     values = boundary.values.copy()
     if gp.grid.dim == 1:
-        values[1:-1] = solve_tridiagonal(system)
+        solve_tridiagonal(system, layout=layout, out=values[1:-1])
         stats = SolveStats(iterations=1, final_update_norm=0.0, tol=0.0)
     else:
         guess = initial.interior() if initial is not None else None
@@ -263,8 +266,9 @@ def run_policy_iteration(
     mesh-weighted L2 errors against it are recorded.  Solver failure aborts
     with SolverError; otherwise the report's stop_reason states whether the
     budget or the outer tolerance ended the run.  The problem is sampled
-    onto the grid once per call (see GridProblem), and a 2D run builds one
-    SOR layout (see linsolve.RedBlackLayout) for all its evaluations.
+    onto the grid once per call (see GridProblem), and the run builds one
+    solver layout for all its evaluations: a linsolve.ReductionLayout in 1D,
+    a linsolve.RedBlackLayout in 2D.
     """
     gp = GridProblem(problem, grid, params)
     if boundary.grid != grid:
@@ -274,7 +278,8 @@ def run_policy_iteration(
     # keep only the boundary ring as data; the interior is the warm start (zero)
     boundary_field = GridField(grid, np.where(grid.boundary_mask(), boundary.values, 0.0))
     policy = initial_policy(config.initial_policy_spec, grid, problem)
-    layout = RedBlackLayout(grid.interior_shape) if grid.dim == 2 else None
+    shape = grid.interior_shape
+    layout = ReductionLayout(shape[0]) if grid.dim == 1 else RedBlackLayout(shape)
     report = PIReport()
     prev: GridField | None = None
     warm = boundary_field

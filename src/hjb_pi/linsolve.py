@@ -4,16 +4,17 @@ One interior system type, EvaluationSystem, serves both dimensions.
 Assembly folds the Dirichlet neighbor terms into the right-hand side, axis
 by axis, leaving a strictly diagonally dominant system (dominance margin
 lam, inherited from the monotone stencil).  1D systems are tridiagonal.
-They are halved by odd-even (cyclic) reduction, a few whole-array steps per
-level, until at most REDUCTION_THRESHOLD unknowns remain; Thomas
+They are halved by odd-even (cyclic) reduction, fifteen whole-array steps
+per level, until at most REDUCTION_THRESHOLD unknowns remain; Thomas
 elimination solves the rest, a sequential recurrence whose loop runs on
 Python floats taken once from the arrays, because reading numpy arrays
 element by element costs several times the arithmetic.  2D systems are
-solved by SOR with red-black sweeps, vectorized over each colour.  Its
-padded colour layout, RedBlackLayout, is set up once per interior shape and
-serves every solve of a policy-iteration run; its sweep kernel writes each
-colour's updates into one shared buffer, so the stopping test is one
-reduction per sweep.  A dense LU path exists purely as a test oracle.
+solved by SOR with red-black sweeps, vectorized over each colour.  Each
+solver's buffers and views, ReductionLayout and RedBlackLayout, are set up
+once per system shape and serve every solve of a policy-iteration run; the
+SOR sweep kernel writes each colour's updates into one shared buffer, so
+the stopping test is one reduction per sweep.  A dense LU path exists
+purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .scheme import DOMINANCE_RTOL, GridProblem, MonotonicityError, stencil_coef
 __all__ = [
     "EvaluationSystem",
     "RedBlackLayout",
+    "ReductionLayout",
     "SolveStats",
     "SolverError",
     "assemble_evaluation_system",
@@ -45,7 +47,7 @@ DENSE_ORACLE_LIMIT = 2500
 # solve_tridiagonal halves a system by odd-even reduction while it has more
 # unknowns than this, then hands it to the Thomas loop.  One reduction level
 # costs about as much as Thomas on 30-60 rows; on the 599-unknown lq1d
-# systems the solve time is flat from 40 to 128 and measured best near 64.
+# systems the solve time is flat from 38 to 149 (Thomas on 38 or 75 rows).
 REDUCTION_THRESHOLD = 64
 
 
@@ -134,7 +136,72 @@ def assemble_evaluation_system(
     return EvaluationSystem(center=center, plus=plus, minus=minus, rhs=rhs)
 
 
-def solve_tridiagonal(system: EvaluationSystem) -> np.ndarray:
+class ReductionLayout:
+    """The odd-even reduction levels of one 1D system size, with buffers.
+
+    Level k + 1 is the even rows of level k, until at most
+    REDUCTION_THRESHOLD remain.  Rows sit at entries 1..n of arrays with a
+    ghost at each end: 1 on the diagonal, 0 in the couplings (like the first
+    row's lower and the last row's upper), -0.0 in rhs and margin (+0.0 *
+    -0.0 adds exactly nothing, even to a signed zero).  So every even row
+    reduces by the same steps, built once as (ufunc, a, b, out) on fixed 1D
+    views, which numpy runs faster than stacked 2D calls at these sizes.
+    The solution buffer holds level k's unknowns at every 2^k-th entry,
+    -0.0 past the end.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.shape = (n,)
+        sizes = [n]
+        while sizes[-1] > REDUCTION_THRESHOLD:
+            sizes.append((sizes[-1] + 1) // 2)
+        x = np.full(n + (1 << len(sizes) - 1), -0.0)
+        rows = self._padded(n)
+        self._top, self._solution, self._levels = tuple(rows[:, 1 : n + 1]), x[:n], []
+        for k, (n, m) in enumerate(zip(sizes, sizes[1:])):
+            (diag, lower, upper, rhs, margin), new = rows, self._padded(m)
+            new_diag, new_lower, new_upper, new_rhs, new_margin = new[:, 1 : m + 1]
+            alpha, gamma, product = np.empty((3, m))
+            # even row 2e adds alpha_e times odd row 2e - 1 and gamma_e times
+            # odd row 2e + 1, which cancels both its couplings
+            even, below, above = slice(1, 2 * m, 2), slice(0, 2 * m - 1, 2), slice(2, 2 * m + 1, 2)
+            reduce = [(np.divide, lower[even], diag[below], alpha),
+                      (np.divide, upper[even], diag[above], gamma)]
+            for old, sums in ((rhs, new_rhs), (margin, new_margin)):
+                reduce += [(np.multiply, alpha, old[below], product),
+                           (np.add, old[even], product, sums),
+                           (np.multiply, gamma, old[above], product),
+                           (np.add, sums, product, sums)]
+            # the new diagonal from its margin, without the cancellation of
+            # subtracting the eliminated couplings from the old one
+            reduce += [(np.multiply, alpha, lower[below], new_lower),
+                       (np.multiply, gamma, upper[above], new_upper),
+                       (np.add, new_margin, new_lower, new_diag),
+                       (np.add, new_diag, new_upper, new_diag)]
+            # each odd unknown from its row and the even unknowns beside it
+            odd, n_odd, s = slice(2, n + 1, 2), n // 2, 1 << k
+            unknowns, tail = x[s : 2 * s * n_odd : 2 * s], product[:n_odd]
+            back = [(np.multiply, lower[odd], x[: 2 * s * n_odd : 2 * s], unknowns),
+                    (np.add, unknowns, rhs[odd], unknowns),
+                    (np.multiply, upper[odd], x[2 * s : 2 * s * (n_odd + 1) : 2 * s], tail),
+                    (np.add, unknowns, tail, unknowns),
+                    (np.divide, unknowns, diag[odd], unknowns)]
+            self._levels.append((diag[odd], reduce, back))
+            rows = new
+        (diag, lower, upper, rhs, _), n, s = rows, sizes[-1], 1 << len(sizes) - 1
+        self._last = (x[: n * s : s], lower[2 : n + 1], diag[1 : n + 1], upper[1 : n + 1],
+                      rhs[1 : n + 1])
+
+    @staticmethod
+    def _padded(n: int) -> np.ndarray:
+        """Diagonal, lower, upper, rhs and margin of n rows, with ghosts."""
+        rows = np.full((5, n + 2), -0.0)
+        rows[0], rows[1:3] = 1.0, 0.0
+        return rows
+
+
+def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Odd-even reduction, then Thomas elimination of a 1D system; the
     boundary weights minus[0][0] and plus[0][-1] are ignored.
 
@@ -154,69 +221,48 @@ def solve_tridiagonal(system: EvaluationSystem) -> np.ndarray:
     elimination at rounding level.  A system at or below the threshold takes
     zero levels and is solved bit for bit as by Thomas alone.
 
+    The levels run in `layout`, a ReductionLayout of the system's size,
+    built here when not given; reusing one gives the same bits.  The
+    solution goes into `out` when given, else a new array, and is returned.
     Raises SolverError on a zero pivot, checked before any division by it
-    (impossible for diagonally dominant input, kept as a defensive guard).
-    The system is not modified.
+    (impossible for diagonally dominant input, kept as a defensive guard),
+    leaving `out` as it was.  The system is not modified.
     """
-    diag, rhs = system.center, system.rhs
-    # the couplings negated: row i + 1 holds -lower[i] * u_i and row i holds
-    # -upper[i] * u_{i+1} (both nonnegative on an M-matrix)
-    lower, upper = -system.minus[0][1:], -system.plus[0][:-1]
-    # row sums, the dominance margins diag - lower - upper
-    margin = diag.copy()
-    margin[1:] -= lower
-    margin[:-1] -= upper
-    levels = []
-    while diag.shape[0] > REDUCTION_THRESHOLD:
-        n_even, n_odd = (diag.shape[0] + 1) // 2, diag.shape[0] // 2
-        odd_diag = diag[1::2]
-        if np.count_nonzero(odd_diag) < n_odd:
+    layout = ReductionLayout(system.n) if layout is None else layout
+    out = np.empty(system.n) if out is None else out
+    if system.shape != layout.shape:
+        raise ValueError(f"system shape {system.shape}, layout shape {layout.shape}")
+    diag, lower, upper, rhs, margin = layout._top
+    np.copyto(diag, system.center)
+    np.negative(system.minus[0][1:], out=lower[1:])
+    np.negative(system.plus[0][:-1], out=upper[:-1])
+    np.copyto(rhs, system.rhs)
+    np.subtract(diag, lower, out=margin)
+    np.subtract(margin, upper, out=margin)
+    for odd_diag, reduce, _ in layout._levels:
+        if np.count_nonzero(odd_diag) < odd_diag.size:
             raise SolverError("zero pivot in tridiagonal elimination")
-        odd_lower, odd_upper = lower[0::2], upper[1::2]
-        odd_rhs, odd_margin = rhs[1::2], margin[1::2]
-        # even row 2e adds alpha_e times odd row 2e - 1 (e >= 1) and gamma_e
-        # times odd row 2e + 1 (e < n_odd), which cancels both its couplings
-        alpha = lower[1::2] / odd_diag[: n_even - 1]
-        gamma = upper[0::2] / odd_diag
-        rhs = rhs[0::2].copy()
-        rhs[1:] += alpha * odd_rhs[: n_even - 1]
-        rhs[:n_odd] += gamma * odd_rhs
-        margin = margin[0::2].copy()
-        margin[1:] += alpha * odd_margin[: n_even - 1]
-        margin[:n_odd] += gamma * odd_margin
-        lower = alpha * odd_lower[: n_even - 1]
-        upper = gamma[: n_even - 1] * odd_upper
-        # the new diagonal from its margin, without the cancellation of
-        # diag[0::2] - alpha * odd_upper - gamma * odd_lower
-        diag = margin.copy()
-        diag[1:] += lower
-        diag[:-1] += upper
-        levels.append((odd_lower, odd_diag, odd_upper, odd_rhs))
-    # the reduced unknowns sit at every step-th position of the solution
-    step = 1 << len(levels)
-    out = np.empty(system.n)
-    out[::step] = _thomas(lower, diag, upper, rhs)
-    for odd_lower, odd_diag, odd_upper, odd_rhs in reversed(levels):
-        even = out[::step]
-        step >>= 1
-        odd = out[step :: 2 * step]
-        np.multiply(odd_lower, even[: odd.shape[0]], out=odd)
-        odd += odd_rhs
-        odd[: odd_upper.shape[0]] += odd_upper * even[1:]
-        odd /= odd_diag
+        for ufunc, a, b, result in reduce:
+            ufunc(a, b, out=result)
+    last, *system_last = layout._last
+    last[...] = _thomas(*system_last)
+    for *_, back in reversed(layout._levels):
+        for ufunc, a, b, result in back:
+            ufunc(a, b, out=result)
+    np.copyto(out, layout._solution)
     return out
 
 
 def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> list:
     """Thomas elimination with the negated couplings of solve_tridiagonal.
 
-    Each step on the Python floats is the same IEEE-754 double operation, in
-    the same order, as in an element-wise loop over the arrays; negating a
-    coupling and flipping the sign of the operation it enters is exact, so
-    the result is the same bit for bit as elimination on the weights.
+    upper has one entry per row; the last row's is never used.  Each step
+    on the Python floats is the same IEEE-754 double operation, in the same
+    order, as in an element-wise loop over the arrays; negating a coupling
+    and flipping the sign of the operation it enters is exact, so the result
+    is the same bit for bit as elimination on the weights.
     """
     diag, rhs, upper = diag.tolist(), rhs.tolist(), upper.tolist()
-    upper.append(0.0)  # the last row's w is never used
     pivot = diag[0]
     if pivot == 0.0:
         raise SolverError("zero pivot in tridiagonal elimination")
@@ -373,7 +419,7 @@ def solve_sor(
     layout.load(system, omega, initial)
     for iters in range(1, max_iter + 1):
         update = layout.sweep()
-        if not np.isfinite(update):
+        if not math.isfinite(update):
             raise SolverError(f"SOR diverged after {iters} sweeps")
         if update <= tol:
             break

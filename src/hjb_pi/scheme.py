@@ -167,11 +167,15 @@ def stencil_coefficients(
     halves = [f[..., k] / (2.0 * params.h) for k in range(params.dim)]
     plus = tuple(-ratio - half for half in halves)
     minus = tuple(-ratio + half for half in halves)
-    worst = max(float(np.max(w)) for w in plus + minus)
+    # The largest weight, from one reduction: the larger of -ratio - x and
+    # -ratio + x is -ratio + |x|, and rounding is monotone and sign-symmetric,
+    # so this is the largest weight bit for bit.
+    biggest = float(np.max(np.abs(f)))
+    worst = -ratio + biggest / (2.0 * params.h)
     if worst > 1e-12 * max(1.0, ratio):
         raise MonotonicityError(
             f"positive neighbor weight {worst:.3e}: viscosity {params.viscosity} "
-            f"does not dominate |f|/2 = {float(np.max(np.abs(f))) / 2.0:.6g}"
+            f"does not dominate |f|/2 = {biggest / 2.0:.6g}"
         )
     return plus, minus
 

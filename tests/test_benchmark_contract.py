@@ -63,24 +63,27 @@ def test_workload_solve_runs_against_the_library(name):
 
 def test_traced_solve_records_one_solver_span_per_evaluation():
     """The tracer's layer spans fire, not merely resolve: each evaluation of
-    a traced relaxed2d solve makes one linsolve.assemble and one
-    linsolve.sor span inside its howard.evaluate span.  A solver called
+    a traced relaxed2d or lq1d-batch solve makes one linsolve.assemble span
+    and one span of its dimension's solver (linsolve.sor in 2D,
+    linsolve.thomas in 1D) inside its howard.evaluate span.  A solver called
     other than through its howard module attribute would read 0 s."""
     tracer = load_perfbench("tracer")
     workloads = load_perfbench("workloads")
-    workload = workloads.WORKLOADS["relaxed2d"]
-    setup = workload.build(hjb_pi, 1.0)
-    solve_sor = hjb_pi.howard.solve_sor
-    spans = tracer.Tracer()
-    spans.install()
-    try:
-        result = workloads.solve(hjb_pi, workload, setup, iterations=2)
-    finally:
-        spans.uninstall()
-    assert hjb_pi.howard.solve_sor is solve_sor
-    assert spans.absent == [] and len(result.sweeps) == 2
-    evaluations = [i for i, span in enumerate(spans.spans) if span.name == "howard.evaluate"]
-    assert len(evaluations) == 2
-    for name in ("linsolve.assemble", "linsolve.sor"):
-        parents = [span.parent for span in spans.spans if span.name == name]
-        assert parents == evaluations, name
+    for name, solver, span in (("relaxed2d", "solve_sor", "linsolve.sor"),
+                               ("lq1d-batch", "solve_tridiagonal", "linsolve.thomas")):
+        workload = workloads.WORKLOADS[name]
+        setup = workload.build(hjb_pi, 1.0)
+        original = getattr(hjb_pi.howard, solver)
+        spans = tracer.Tracer()
+        spans.install()
+        try:
+            result = workloads.solve(hjb_pi, workload, setup, iterations=2)
+        finally:
+            spans.uninstall()
+        assert getattr(hjb_pi.howard, solver) is original, name
+        assert spans.absent == [] and len(result.sweeps) == 2, name
+        evaluations = [i for i, s in enumerate(spans.spans) if s.name == "howard.evaluate"]
+        assert len(evaluations) == 2, name
+        for layer in ("linsolve.assemble", span):
+            parents = [s.parent for s in spans.spans if s.name == layer]
+            assert parents == evaluations, (name, layer)

@@ -30,7 +30,7 @@ from hjb_pi.checks import (
     thomas_dense_gap,
 )
 from hjb_pi import linsolve
-from hjb_pi.linsolve import REDUCTION_THRESHOLD, RedBlackLayout, system_to_dense
+from hjb_pi.linsolve import REDUCTION_THRESHOLD, RedBlackLayout, ReductionLayout, system_to_dense
 
 from conftest import make_rng
 
@@ -286,6 +286,129 @@ def test_thomas_zero_pivot_is_reported():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="zero pivot"):
                 solve_tridiagonal(system)
+
+
+def pointwise_reduction(system):
+    """Odd-even reduction, then Thomas elimination, one row at a time on
+    Python floats, with the negated couplings lower[i] (row i + 1 on u_i)
+    and upper[i] (row i on u_{i+1}); each row's floating-point operations
+    come in the order solve_tridiagonal documents."""
+    diag, rhs = system.center.tolist(), system.rhs.tolist()
+    lower = [-w for w in system.minus[0].tolist()[1:]]
+    upper = [-w for w in system.plus[0].tolist()[:-1]]
+    margin = []
+    for i, d in enumerate(diag):
+        if i > 0:
+            d -= lower[i - 1]
+        if i < len(diag) - 1:
+            d -= upper[i]
+        margin.append(d)
+    levels = []
+    while len(diag) > REDUCTION_THRESHOLD:
+        n = len(diag)
+        levels.append((lower, diag, upper, rhs))
+        new_rhs, new_margin, new_lower, new_upper = [], [], [], []
+        for e in range(0, n, 2):
+            r, s = rhs[e], margin[e]
+            if e > 0:
+                alpha = lower[e - 1] / diag[e - 1]
+                r += alpha * rhs[e - 1]
+                s += alpha * margin[e - 1]
+                new_lower.append(alpha * lower[e - 2])
+            if e + 1 < n:
+                gamma = upper[e] / diag[e + 1]
+                r += gamma * rhs[e + 1]
+                s += gamma * margin[e + 1]
+                if e + 2 < n:
+                    new_upper.append(gamma * upper[e + 1])
+            new_rhs.append(r)
+            new_margin.append(s)
+        rhs, margin, lower, upper = new_rhs, new_margin, new_lower, new_upper
+        diag = []
+        for e, s in enumerate(margin):
+            if e > 0:
+                s += lower[e - 1]
+            if e < len(margin) - 1:
+                s += upper[e]
+            diag.append(s)
+    # Thomas elimination, then back substitution
+    w, x = [-upper[0] / diag[0] if upper else 0.0], [rhs[0] / diag[0]]
+    for i in range(1, len(diag)):
+        pivot = diag[i] + lower[i - 1] * w[-1]
+        w.append(-upper[i] / pivot if i < len(upper) else 0.0)
+        x.append((rhs[i] + lower[i - 1] * x[-1]) / pivot)
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = x[i] - w[i] * x[i + 1]
+    # each level's odd unknowns from their rows
+    for lower, diag, upper, rhs in reversed(levels):
+        full = [0.0] * len(diag)
+        full[::2] = x
+        for o in range(1, len(diag), 2):
+            v = lower[o - 1] * full[o - 1] + rhs[o]
+            if o + 1 < len(diag):
+                v += upper[o] * full[o + 1]
+            full[o] = v / diag[o]
+        x = full
+    return np.array(x)
+
+
+def test_reduction_matches_pointwise_bit_for_bit():
+    """The whole-array levels do each row's floating-point operations in
+    the pointwise order: the same bits at zero, one and two levels, both
+    parities after each halving, and the benchmark's 599 and 600 unknowns,
+    on random dominant systems, the same with some right-hand sides -0.0,
+    and assembled lq1d systems."""
+    rng = make_rng(420)
+    sizes = (1, 2, 3, 63, 64, 65, 127, 128, 129, 599, 600)
+    for n in sizes:
+        signed_zeros = random_dominant_tridiagonal(rng, n)
+        signed_zeros.rhs[::3] = -0.0
+        for system in (random_dominant_tridiagonal(rng, n), signed_zeros):
+            assert solve_tridiagonal(system).tobytes() == pointwise_reduction(system).tobytes(), n
+    for h in (0.01, 0.03):
+        setup = build_benchmark("lq1d", h=h)
+        a_max = setup.problem.a_max
+        controls = rng.uniform(-a_max, a_max, setup.grid.interior_shape + (1,))
+        system = assemble_evaluation_system(
+            GridProblem(setup.problem, setup.grid, setup.params),
+            PolicyField(setup.grid, controls, a_max), setup.boundary,
+        )
+        assert solve_tridiagonal(system).tobytes() == pointwise_reduction(system).tobytes(), h
+
+
+def test_reduction_layout_reuse_is_bit_identical():
+    """One layout serves several systems of its size with the bits of fresh
+    solves, into the caller's array, leaving the systems unchanged; a zero
+    pivot raises the fresh solve's error, before any division, and leaves
+    `out` as it was; a system of another size is refused."""
+    rng = make_rng(421)
+    n = 2 * REDUCTION_THRESHOLD + 3
+    systems = [random_dominant_tridiagonal(rng, n) for _ in range(3)]
+    singular = random_dominant_tridiagonal(rng, n)
+    singular.center[2 * REDUCTION_THRESHOLD + 1] = 0.0  # an odd row of level 0
+    layout = ReductionLayout(n)
+    for system in systems + [singular] + systems[::-1]:
+        out = np.full(n, np.nan)
+        before = {name: a.copy() for name, a in system_arrays(system).items()}
+        if system is singular:
+            with pytest.raises(SolverError) as fresh_error:
+                solve_tridiagonal(system)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SolverError) as error:
+                    solve_tridiagonal(system, layout=layout, out=out)
+            assert str(error.value) == str(fresh_error.value)
+            assert np.isnan(out).all()
+            continue
+        fresh = solve_tridiagonal(system)
+        sol = solve_tridiagonal(system, layout=layout, out=out)
+        assert sol is out
+        assert sol.tobytes() == fresh.tobytes()
+        for name, a in system_arrays(system).items():
+            assert np.array_equal(a, before[name]), name
+    for size in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="layout shape"):
+            solve_tridiagonal(random_dominant_tridiagonal(rng, size), layout=layout)
 
 
 # Edge shapes of the red-black layout: a single node, single rows and

@@ -81,6 +81,48 @@ def test_stencil_coefficients_per_axis_layout():
             assert not np.shares_memory(a, b)
 
 
+def per_weight_sign_check(params, f):
+    """The largest neighbor weight, one maximum per axis and direction, and
+    the message a sign check built from it gives."""
+    ratio = params.viscosity / params.h
+    halves = [f[..., k] / (2.0 * params.h) for k in range(params.dim)]
+    worst = max(float(np.max(w)) for half in halves for w in (-ratio - half, -ratio + half))
+    message = (
+        f"positive neighbor weight {worst:.3e}: viscosity {params.viscosity} "
+        f"does not dominate |f|/2 = {float(np.max(np.abs(f))) / 2.0:.6g}"
+    )
+    return worst, message
+
+
+def test_stencil_sign_check_matches_per_weight_maximum():
+    """The sign check's one reduction, -ratio + max|f| / (2h), is the
+    largest weight bit for bit: random drifts of mixed signs and scales in
+    1D and 2D, with the viscosity below, at and just around the edge of
+    monotonicity.  The check refuses exactly the non-monotone stencils, with
+    the message the per-weight maximum gives."""
+    rng = make_rng(303)
+    refused = 0
+    for trial in range(400):
+        dim = 1 + trial % 2
+        nodes = (int(rng.integers(1, 9)),) * dim
+        f = rng.uniform(-1, 1, size=nodes + (dim,)) * 10.0 ** rng.uniform(-3, 3)
+        scale = rng.choice([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0])
+        h = rng.uniform(0.01, 0.5)
+        params = SchemeParams(viscosity=float(np.max(np.abs(f))) / 2.0 * scale, h=h, dim=dim,
+                              lam=1.0)
+        worst, message = per_weight_sign_check(params, f)
+        ratio = params.viscosity / h
+        assert worst.hex() == (-ratio + float(np.max(np.abs(f))) / (2.0 * h)).hex()
+        if worst > 1e-12 * max(1.0, ratio):
+            refused += 1
+            with pytest.raises(MonotonicityError) as error:
+                stencil_coefficients(params, f)
+            assert str(error.value) == message
+        else:
+            stencil_coefficients(params, f)
+    assert 0 < refused < 400
+
+
 def test_stencil_row_sum_identity():
     rng = make_rng(301)
     for _ in range(50):
