@@ -73,8 +73,8 @@ def error_metrics(field: GridField, reference: GridField) -> tuple[float, float]
 
 def difference_norms(diff: np.ndarray, grid: Grid) -> tuple[float, float]:
     """The norms of error_metrics for a difference already formed on `grid`."""
-    linf = float(np.max(np.abs(diff)))
-    l2 = float(math.sqrt(grid.h ** grid.dim * float(np.sum(diff * diff))))
+    linf = float(np.abs(diff).max())
+    l2 = float(math.sqrt(grid.h ** grid.dim * float((diff * diff).sum())))
     return linf, l2
 
 

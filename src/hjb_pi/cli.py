@@ -76,9 +76,11 @@ def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Strict JSON: a non-finite number raises ValueError before the file
+    is opened, so no NaN or Infinity token is ever written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _trajectory_rows(report: PIReport) -> list[list[float]]:
@@ -126,7 +128,8 @@ def _summary_payload(config: dict, setup: BenchmarkSetup, report: PIReport) -> d
             "stop_reason": report.stop_reason,
             "final_linf_error": report.linf_error_to_reference[-1],
             "final_l2_error": report.l2_error_to_reference[-1],
-            "final_residual_l2": report.residual_l2[-1],
+            # the step norm needs two iterates: null after a one-iteration run
+            "final_residual_l2": report.residual_l2[-1] if report.iterations_run > 1 else None,
             "final_linf_norm": report.linf_norm[-1],
             # ||F_h[V]||_inf / lam bounds ||V - V^h||_inf without a reference
             "final_certified_error": float(abs(residual.values).max()) / setup.params.lam,
@@ -247,8 +250,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     config = _config_echo(args)
     config["sweep_h"] = list(h_values)
-    if config["outer_tolerance"] is None:
-        config["outer_tolerance"] = 1e-12
     cap = args.max_iterations
     # build every mesh first, so a bad one is refused before any solve
     setups = [_build(config, h) for h in h_values]
@@ -288,10 +289,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    return 1 if run_checks(fast=args.fast) else 0
+    """Every property of checks.CHECKS; exit status 1 if any fails."""
+    return 1 if run_checks() else 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, command: str) -> None:
+def _add_common_flags(
+    parser: argparse.ArgumentParser, command: str, outer_tolerance: float | None = None
+) -> None:
     defaults = BENCHMARK_DEFAULTS[BENCHMARKS[command]]
     parser.add_argument("--lambda", dest="lam", type=float, default=defaults["lam"],
                         help="discount rate (default %(default)s)")
@@ -301,8 +305,10 @@ def _add_common_flags(parser: argparse.ArgumentParser, command: str) -> None:
                         help="policy relaxation weight in (0,1] (default %(default)s)")
     parser.add_argument("--a-max", type=float, default=defaults["a_max"],
                         help="control box half-width (default %(default)s)")
-    parser.add_argument("--outer-tol", dest="outer_tolerance", type=float, default=None,
-                        help="optional early-stop tolerance on max |V_n - V_{n-1}|")
+    parser.add_argument("--outer-tol", dest="outer_tolerance", type=float,
+                        default=outer_tolerance,
+                        help="early-stop tolerance on max |V_n - V_{n-1}|; None runs "
+                        "the whole budget (default %(default)s)")
     parser.add_argument("--out-dir", default="out",
                         help="directory for CSV/JSON artifacts (default %(default)s)")
 
@@ -345,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p2.set_defaults(handler=_cmd_run)
 
     ps = sub.add_parser("sweep", help="lq1d mesh sweep with fitted error slope")
-    _add_common_flags(ps, "sweep")
+    _add_common_flags(ps, "sweep", outer_tolerance=1e-12)
     ps.add_argument("--h-list", default="0.2,0.1,0.05,0.025",
                     help="comma-separated mesh sizes (default %(default)s)")
     ps.add_argument("--max-iterations", type=int, default=2000,
@@ -353,8 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(handler=_cmd_sweep)
 
     pc = sub.add_parser("check", help="run the structural property suite")
-    pc.add_argument("--fast", action="store_true",
-                    help="skip the slow value-iteration cross-check")
     pc.set_defaults(handler=_cmd_check)
 
     return parser

@@ -302,7 +302,7 @@ def run_policy_iteration(
         )
         report.warm_start_ratio.append(ratio)
         report.solve_stats.append(stats)
-        report.linf_norm.append(float(np.max(np.abs(value.values))))
+        report.linf_norm.append(float(np.abs(value.values).max()))
         linf, l2 = (math.nan, math.nan) if reference is None else error_metrics(value, reference)
         report.linf_error_to_reference.append(linf)
         report.l2_error_to_reference.append(l2)
@@ -316,7 +316,7 @@ def run_policy_iteration(
             step = value.values - prev.values
             update, step_l2 = difference_norms(step, grid)
             report.residual_l2.append(step_l2)
-            report.monotonicity_violation.append(float(np.max(step)))
+            report.monotonicity_violation.append(float(step.max()))
         if n in config.snapshot_iterations:
             report.value_snapshots[n] = value.values.copy()
         if config.outer_tolerance is not None and update <= config.outer_tolerance:

@@ -1,10 +1,21 @@
 """Independent reference computations used to verify the main pipeline.
 
-Nothing here shares code with the scheme: the value-iteration oracle solves
-the 1D benchmark by semi-Lagrangian dynamic programming on its own grid,
-and the control-scan oracles locate Hamiltonian extrema by derivative-free
-staged sampling.  Agreement between these and the closed-form paths is what
-the verification suite checks.
+What each oracle shares with the pipeline:
+
+* lq_value_iteration solves lq1d by semi-Lagrangian dynamic programming on
+  its own grid, with lq1d's defaults written out below; it shares no code
+  with the package.  fit_quadratic_coefficient and scan_extremum are plain
+  numpy as well.
+* bellman_residual_scan and resolvent_scan find the extremum over the
+  controls by a derivative-free staged scan, in place of the closed-form
+  greedy control and of scheme.stencil_coefficients.  They read the
+  problem's state cost, drift base and control bound, and SchemeParams'
+  lam, viscosity and (resolvent only) center weight.  They take the
+  centered differences from grid: interior_gradient and interior_laplacian
+  for the residual, the shifted neighbour values for the resolvent.
+
+Agreement between these and the closed-form paths is what the verification
+suite checks.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ __all__ = [
 _LQ_LAM, _LQ_HALF_WIDTH, _LQ_A_MAX = 1.0, 3.0, 6.0
 _FIT_HALF_WIDTH = 1.5  # fit_quadratic_coefficient's window
 _SCAN_POINTS, _SCAN_STAGES = 1000, 4  # per staged control scan
+# lq_value_iteration: sweeps with the controls held fixed between full scans
+_EVALUATION_SWEEPS = 50
 
 
 def lq_value_iteration(
@@ -47,37 +60,42 @@ def lq_value_iteration(
         V(x) <- min_a [ dt/2 * (c(x, a) + e^{-lam dt} c(x + dt a, a))
                         + e^{-lam dt} V(x + dt a) ],
 
-    linear interpolation in space, states clamped to the box.  Iterates to
-    a fixed point and returns (x_nodes, V).  Runs on its own fine grid; no
-    code shared with the policy-iteration pipeline.
+    linear interpolation in space, states clamped to the box.  Returns
+    (x_nodes, V) on its own fine grid.
+
+    Modified policy iteration (Puterman & Shin, Management Science 1978):
+    each full scan applies the update above over every control at once,
+    then the minimizing controls are held fixed for _EVALUATION_SWEEPS
+    sweeps of the update with those controls alone.  The oracle returns
+    the result of the first full scan that changes V by at most tol, so
+    its distance to the fixed point is below tol / (1 - e^{-lam dt}), as
+    for plain value iteration.  max_steps counts full scans; RuntimeError
+    if none of them reaches tol.
     """
     x = np.linspace(-_LQ_HALF_WIDTH, _LQ_HALF_WIDTH, int(round(2 * _LQ_HALF_WIDTH / h)) + 1)
-    controls = np.linspace(-_LQ_A_MAX, _LQ_A_MAX, n_controls)
+    a = np.linspace(-_LQ_A_MAX, _LQ_A_MAX, n_controls)[:, None]
     gamma = math.exp(-_LQ_LAM * dt)
     v = np.zeros_like(x)
+    nodes = np.arange(x.size)
 
-    # per-control precomputation: arrival points and stage costs
-    arrivals = []
-    stages = []
-    for a in controls:
-        xn = np.clip(x + dt * a, -_LQ_HALF_WIDTH, _LQ_HALF_WIDTH)
-        cost_here = 0.5 * x * x + 0.5 * a * a
-        cost_there = 0.5 * xn * xn + 0.5 * a * a
-        arrivals.append(xn)
-        stages.append(0.5 * dt * (cost_here + gamma * cost_there))
+    # (control, node) arrays: arrival points and stage costs
+    arrivals = np.clip(x + dt * a, -_LQ_HALF_WIDTH, _LQ_HALF_WIDTH)
+    cost_here = 0.5 * x * x + 0.5 * a * a
+    cost_there = 0.5 * arrivals * arrivals + 0.5 * a * a
+    stages = 0.5 * dt * (cost_here + gamma * cost_there)
 
     for _ in range(max_steps):
-        best = np.full_like(x, np.inf)
-        for xn, stage in zip(arrivals, stages):
-            cand = stage + gamma * np.interp(xn, x, v)
-            np.minimum(best, cand, out=best)
-        delta = float(np.max(np.abs(best - v)))
+        cand = stages + gamma * np.interp(arrivals, x, v)
+        pick = cand.argmin(axis=0)
+        best = cand[pick, nodes]
+        delta = float(np.abs(best - v).max())
         v = best
         if delta <= tol:
-            break
-    else:
-        raise RuntimeError(f"value iteration did not reach {tol} in {max_steps} steps")
-    return x, v
+            return x, v
+        arrival, stage = arrivals[pick, nodes], stages[pick, nodes]
+        for _ in range(_EVALUATION_SWEEPS):
+            v = stage + gamma * np.interp(arrival, x, v)
+    raise RuntimeError(f"value iteration did not reach {tol} in {max_steps} full scans")
 
 
 def fit_quadratic_coefficient(x: np.ndarray, v: np.ndarray) -> float:

@@ -32,6 +32,8 @@ def test_argparse_failures_exit_2():
     assert execute_command([]) == 2
     assert execute_command(["run1d", "--no-such-flag"]) == 2
     assert execute_command(["frobnicate"]) == 2
+    # check has one path, so there is nothing to skip
+    assert execute_command(["check", "--fast"]) == 2
 
 
 def test_run1d_artifacts(tmp_path):
@@ -77,6 +79,27 @@ def test_run2d_reruns_in_one_process_are_byte_identical(tmp_path):
     assert names == ["run2d_slice_x0.csv", "run2d_slice_y0.csv", "run2d_trajectory.csv"]
     for name in names:
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("command", [["run1d"], ["run2d", "--h", "0.1"]], ids="_".join)
+def test_one_iteration_summary_is_strict_json(command, tmp_path):
+    """One iterate has no step norm: the summary says null, never NaN."""
+    out = tmp_path / "one"
+    assert execute_command(command + ["--iterations", "1", "--out-dir", str(out)]) == 0
+    text = (out / f"{command[0]}_summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["result"]["final_residual_l2"] is None
+
+
+def test_summaries_refuse_non_finite_numbers(tmp_path):
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(path), {"x": math.nan})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("lam", ["1e8", "1e300"])
@@ -297,6 +320,12 @@ def test_sweep_artifacts(tmp_path):
     assert summary["result"]["points_used"] == 3
 
 
+def test_sweep_help_shows_its_outer_tolerance(capsys):
+    assert execute_command(["sweep", "--help"]) == 0
+    # argparse wraps the help to the terminal width
+    assert "(default 1e-12)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_sweep_rejects_empty_h_list(tmp_path, capsys):
     code = execute_command(
         ["sweep", "--h-list", ",", "--out-dir", str(tmp_path / "d")]
@@ -321,11 +350,9 @@ def test_sweep_refuses_flags_it_cannot_use(flags, tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_check_fast_passes(capsys):
-    assert execute_command(["check", "--fast"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "SKIP" in out
-    assert not any(line.startswith("FAIL") for line in out.splitlines())
-    printed = [line.split()[1].rstrip(":") for line in out.splitlines()]
-    assert printed == [name for name, _, _ in CHECKS]
-
+def test_check_runs_every_property(capsys):
+    assert execute_command(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines)
+    printed = [line.split()[1].rstrip(":") for line in lines]
+    assert printed == [name for name, _ in CHECKS]

@@ -1,10 +1,15 @@
 """The reference computations must be right before they can referee anything."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hjb_pi import GridField
 from hjb_pi.oracles import (
+    _LQ_A_MAX,
+    _LQ_HALF_WIDTH,
+    _LQ_LAM,
     bellman_residual_scan,
     fit_quadratic_coefficient,
     lq_value_iteration,
@@ -60,14 +65,70 @@ def test_scan_extremum_batched_centers():
     assert np.all(np.abs(vals) < 1e-12)
 
 
+# a cheap oracle setting: h, dt, number of controls
+_COARSE = dict(h=0.02, dt=0.04, n_controls=201)
+
+
+def _scan_terms(x, dt, n_controls):
+    """Per control of lq_value_iteration: (arrival points, stage cost)."""
+    gamma = math.exp(-_LQ_LAM * dt)
+    terms = []
+    for a in np.linspace(-_LQ_A_MAX, _LQ_A_MAX, n_controls):
+        xn = np.clip(x + dt * a, -_LQ_HALF_WIDTH, _LQ_HALF_WIDTH)
+        cost_here = 0.5 * x * x + 0.5 * a * a
+        cost_there = 0.5 * xn * xn + 0.5 * a * a
+        terms.append((xn, 0.5 * dt * (cost_here + gamma * cost_there)))
+    return gamma, terms
+
+
+def _full_scan(x, v, gamma, terms):
+    """One semi-Lagrangian Bellman scan of lq_value_iteration's update,
+    written pointwise: one np.interp per control and a running minimum."""
+    best = np.full_like(x, np.inf)
+    for xn, stage in terms:
+        np.minimum(best, stage + gamma * np.interp(xn, x, v), out=best)
+    return best
+
+
+def _plain_value_iteration(x, dt, n_controls, tol):
+    """Full scans from V = 0 until one changes V by at most tol."""
+    gamma, terms = _scan_terms(x, dt, n_controls)
+    v = np.zeros_like(x)
+    while True:
+        best = _full_scan(x, v, gamma, terms)
+        delta = float(np.abs(best - v).max())
+        v = best
+        if delta <= tol:
+            return v
+
+
 def test_value_iteration_reports_non_convergence():
     with pytest.raises(RuntimeError):
         lq_value_iteration(h=0.5, dt=0.1, n_controls=9, tol=1e-14, max_steps=2)
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-7])
+def test_value_iteration_result_passes_a_full_scan(tol):
+    """The returned field is a fixed point to tol: one more full scan moves
+    it by at most tol, whatever the evaluation sweeps did before."""
+    x, v = lq_value_iteration(**_COARSE, tol=tol)
+    gamma, terms = _scan_terms(x, _COARSE["dt"], _COARSE["n_controls"])
+    change = np.abs(_full_scan(x, v, gamma, terms) - v).max()
+    assert change <= tol
+
+
+def test_value_iteration_matches_plain_value_iteration():
+    """Both stop within tol / (1 - e^{-lam dt}) of the same fixed point."""
+    tol = 1e-7
+    x, v = lq_value_iteration(**_COARSE, tol=tol)
+    plain = _plain_value_iteration(x, _COARSE["dt"], _COARSE["n_controls"], tol)
+    bound = tol / (1.0 - math.exp(-_LQ_LAM * _COARSE["dt"]))
+    assert np.abs(v - plain).max() <= bound
+
+
 def test_value_iteration_coarse_recovers_coefficient():
     """Even a cheap run lands near the closed-form quadratic coefficient."""
-    x, v = lq_value_iteration(h=0.02, dt=0.04, n_controls=201, tol=1e-7)
+    x, v = lq_value_iteration(**_COARSE, tol=1e-7)
     fitted = fit_quadratic_coefficient(x, v)
     exact = 0.6180339887498949
     assert abs(fitted - exact) <= 0.05 * exact
