@@ -115,11 +115,12 @@ class GridField:
     """Scalar values attached to every node of a grid.
 
     Values are stored row-major over the axes and must be finite everywhere;
-    construction rejects NaN and Inf.  Treat instances as immutable: operators
-    return new fields instead of mutating their inputs.
+    construction rejects NaN and Inf, and keeps the largest magnitude it
+    checks as max_abs, the max-norm of the field.  Treat instances as
+    immutable: operators return new fields instead of mutating their inputs.
     """
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "values", "max_abs")
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.ascontiguousarray(values, dtype=float)
@@ -129,10 +130,12 @@ class GridField:
             )
         # one reduction: the largest magnitude is nan or inf exactly when
         # some value is
-        if not math.isfinite(float(np.abs(values).max())):
+        max_abs = float(np.abs(values).max())
+        if not math.isfinite(max_abs):
             raise ValueError("field values must be finite at every node")
         self.grid = grid
         self.values = values
+        self.max_abs = max_abs
 
     @classmethod
     def zeros(cls, grid: Grid) -> "GridField":
@@ -159,14 +162,16 @@ def _shifted(values: np.ndarray, axis: int, offset: int, dim: int) -> np.ndarray
     return values[tuple(sl)]
 
 
-def interior_gradient(field: GridField) -> np.ndarray:
-    """Centered gradient at all interior nodes, shape interior_shape + (dim,)."""
+def interior_gradient(field: GridField, out: np.ndarray | None = None) -> np.ndarray:
+    """Centered gradient at all interior nodes, shape interior_shape + (dim,),
+    written into `out` when given, else into a new array."""
     grid = field.grid
     v = field.values
-    out = np.empty(grid.interior_shape + (grid.dim,))
+    if out is None:
+        out = np.empty(grid.interior_shape + (grid.dim,))
     for k in range(grid.dim):
         comp = out[..., k]
-        np.subtract(_shifted(v, k, +1, grid.dim), _shifted(v, k, -1, grid.dim), out=comp)
+        np.subtract(_shifted(v, k, +1, grid.dim), _shifted(v, k, -1, grid.dim), comp)
         comp /= 2.0 * grid.h
     return out
 

@@ -11,8 +11,11 @@ decrease pointwise and converge geometrically with factor
 beta = (2*d*N/h) / (lam + 2*d*N/h).  A run sets up one solver layout, the
 reduction levels of linsolve.ReductionLayout in 1D or the SOR colours of
 linsolve.RedBlackLayout in 2D, and hands it to every evaluation through
-policy_evaluate; it holds buffers, not results, so reusing it changes no
-bit of any solve.
+policy_evaluate.  Next to it the run builds one linsolve.EvaluationWorkspace,
+which every assembly overwrites with its system and drift, and, when
+theta < 1, one array that improvement overwrites with the greedy controls.
+These hold buffers, not results, so reusing them changes no bit of any
+solve: every value field and policy a run hands on is its own array.
 
 With theta < 1 the run is inexact Howard: evaluations 0 and 1 stop at
 solver_tol, and evaluation n >= 2 at
@@ -55,6 +58,7 @@ import numpy as np
 from .analysis import difference_norms, error_metrics
 from .grid import Grid, GridField, interior_gradient
 from .linsolve import (
+    EvaluationWorkspace,
     RedBlackLayout,
     ReductionLayout,
     SolveStats,
@@ -206,18 +210,21 @@ def policy_evaluate(
     solver_max_iter: int = PIConfig.solver_max_iter,
     initial: GridField | None = None,
     layout: RedBlackLayout | ReductionLayout | None = None,
+    workspace: EvaluationWorkspace | None = None,
 ) -> tuple[GridField, SolveStats]:
     """Solve L_alpha V = 0 with Dirichlet data from `boundary`.
 
-    1D systems are eliminated directly in `layout`, a ReductionLayout (see
-    solve_tridiagonal); 2D systems run SOR warm started from `initial` when
-    given, in `layout`, a RedBlackLayout (see solve_sor).  Either solver
-    writes the solution straight into the returned field.  A 2D solve's
-    SolveStats records solver_tol as its tolerance, a 1D solve's records
-    0.0 (it is exact).  Raises SolverError (from solve_sor) if SOR does not reach
-    solver_tol within the sweep budget.
+    The system is assembled into `workspace` when given (see
+    assemble_evaluation_system).  1D systems are eliminated directly in
+    `layout`, a ReductionLayout (see solve_tridiagonal); 2D systems run SOR
+    warm started from `initial` when given, in `layout`, a RedBlackLayout
+    (see solve_sor).  Either solver writes the solution straight into the
+    returned field, which is new.  A 2D solve's SolveStats records
+    solver_tol as its tolerance, a 1D solve's records 0.0 (it is exact).
+    Raises SolverError (from solve_sor) if SOR does not reach solver_tol
+    within the sweep budget.
     """
-    system = assemble_evaluation_system(gp, policy, boundary)
+    system = assemble_evaluation_system(gp, policy, boundary, out=workspace)
     values = boundary.values.copy()
     if gp.grid.dim == 1:
         solve_tridiagonal(system, layout=layout, out=values[1:-1])
@@ -236,18 +243,27 @@ def policy_improve(
     value: GridField,
     prev_policy: PolicyField,
     theta: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> PolicyField:
     """Greedy improvement from the centered gradient, relaxed by theta.
 
-    At theta = 1 the greedy controls are returned as they are: the convex
-    mix would reproduce them, already in the box, bit for bit."""
+    The gradient is negated and clipped in place into the greedy controls.
+    At theta = 1 they are returned as they are: the convex mix would
+    reproduce them, already in the box, bit for bit.  With theta < 1 they
+    go into `out`, an array of the controls' shape that the next call
+    overwrites, when given, else into a new array; the mix is new either
+    way, so the returned policy shares no array with `out` or prev_policy.
+    """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    greedy = greedy_policy(problem, interior_gradient(value))
+    greedy = interior_gradient(value, None if theta == 1.0 else out)
+    greedy_policy(problem, greedy, out=greedy)
     if theta == 1.0:
         return PolicyField(value.grid, greedy, problem.a_max)
-    mixed = (1.0 - theta) * prev_policy.controls + theta * greedy
-    mixed = np.clip(mixed, -problem.a_max, problem.a_max)
+    mixed = np.multiply(prev_policy.controls, 1.0 - theta)
+    greedy *= theta
+    mixed += greedy
+    np.clip(mixed, -problem.a_max, problem.a_max, out=mixed)
     return PolicyField(value.grid, mixed, problem.a_max)
 
 
@@ -268,7 +284,8 @@ def run_policy_iteration(
     budget or the outer tolerance ended the run.  The problem is sampled
     onto the grid once per call (see GridProblem), and the run builds one
     solver layout for all its evaluations: a linsolve.ReductionLayout in 1D,
-    a linsolve.RedBlackLayout in 2D.
+    a linsolve.RedBlackLayout in 2D, and the buffers of assembly and
+    improvement next to it (see the module docstring).
     """
     gp = GridProblem(problem, grid, params)
     if boundary.grid != grid:
@@ -280,6 +297,10 @@ def run_policy_iteration(
     policy = initial_policy(config.initial_policy_spec, grid, problem)
     shape = grid.interior_shape
     layout = ReductionLayout(shape[0]) if grid.dim == 1 else RedBlackLayout(shape)
+    # the arrays of assembly and of relaxed improvement, rewritten every
+    # iteration; greedy improvement writes its controls into the new policy
+    workspace = EvaluationWorkspace(gp)
+    greedy = np.empty(shape + (grid.dim,)) if config.relaxation_theta < 1.0 else None
     report = PIReport()
     prev: GridField | None = None
     warm = boundary_field
@@ -299,10 +320,11 @@ def run_policy_iteration(
             solver_max_iter=config.solver_max_iter,
             initial=warm,
             layout=layout,
+            workspace=workspace,
         )
         report.warm_start_ratio.append(ratio)
         report.solve_stats.append(stats)
-        report.linf_norm.append(float(np.abs(value.values).max()))
+        report.linf_norm.append(value.max_abs)
         linf, l2 = (math.nan, math.nan) if reference is None else error_metrics(value, reference)
         report.linf_error_to_reference.append(linf)
         report.l2_error_to_reference.append(l2)
@@ -325,7 +347,7 @@ def run_policy_iteration(
             )
             break
         if n + 1 < config.max_outer_iterations:
-            policy = policy_improve(problem, value, policy, config.relaxation_theta)
+            policy = policy_improve(problem, value, policy, config.relaxation_theta, out=greedy)
         if config.relaxation_theta < 1.0 and prev is not None:
             inner_tol = max(config.solver_tol, INEXACT_TOL_FACTOR * update)
         warm = value

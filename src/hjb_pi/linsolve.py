@@ -3,18 +3,20 @@
 One interior system type, EvaluationSystem, serves both dimensions.
 Assembly folds the Dirichlet neighbor terms into the right-hand side, axis
 by axis, leaving a strictly diagonally dominant system (dominance margin
-lam, inherited from the monotone stencil).  1D systems are tridiagonal.
-They are halved by odd-even (cyclic) reduction, fifteen whole-array steps
-per level, until at most REDUCTION_THRESHOLD unknowns remain; Thomas
-elimination solves the rest, a sequential recurrence whose loop runs on
-Python floats taken once from the arrays, because reading numpy arrays
-element by element costs several times the arithmetic.  2D systems are
-solved by SOR with red-black sweeps, vectorized over each colour.  Each
-solver's buffers and views, ReductionLayout and RedBlackLayout, are set up
-once per system shape and serve every solve of a policy-iteration run; the
-SOR sweep kernel writes each colour's updates into one shared buffer, so
-the stopping test is one reduction per sweep.  A dense LU path exists
-purely as a test oracle.
+lam, inherited from the monotone stencil).  It writes into an
+EvaluationWorkspace, which a policy-iteration run builds once like the
+solver layouts below, or into new arrays without one.  1D systems are
+tridiagonal.  They are halved by odd-even (cyclic) reduction, fifteen
+whole-array steps per level, until at most REDUCTION_THRESHOLD unknowns
+remain; Thomas elimination solves the rest, a sequential recurrence whose
+loop runs on Python floats taken once from the arrays, because reading
+numpy arrays element by element costs several times the arithmetic.  2D
+systems are solved by SOR with red-black sweeps, vectorized over each
+colour.  Each solver's buffers and views, ReductionLayout and
+RedBlackLayout, are set up once per system shape and serve every solve of
+a policy-iteration run; the SOR sweep kernel writes each colour's updates
+into one shared buffer, so the stopping test is one reduction per sweep.
+A dense LU path exists purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .scheme import DOMINANCE_RTOL, GridProblem, MonotonicityError, stencil_coef
 
 __all__ = [
     "EvaluationSystem",
+    "EvaluationWorkspace",
     "RedBlackLayout",
     "ReductionLayout",
     "SolveStats",
@@ -100,25 +103,57 @@ _FACES = {
 }
 
 
+class EvaluationWorkspace:
+    """The arrays that assembling one evaluation system writes, for one
+    GridProblem: the system itself, whose center is written here once (each
+    row's is the center weight), and the policy's drift f.  A run builds
+    one and hands it to each assembly, which overwrites all of them but the
+    center, so a system taken from a workspace is valid until the next
+    assembly into it."""
+
+    def __init__(self, gp: GridProblem) -> None:
+        shape, dim = gp.grid.interior_shape, gp.grid.dim
+        self.center_weight = gp.params.center_weight
+        self.system = EvaluationSystem(
+            center=np.full(shape, self.center_weight),
+            plus=tuple(np.empty(shape) for _ in range(dim)),
+            minus=tuple(np.empty(shape) for _ in range(dim)),
+            rhs=np.empty(shape),
+        )
+        self.drift = np.empty(shape + (dim,))
+
+
 def assemble_evaluation_system(
-    gp: GridProblem, policy: PolicyField, boundary: GridField
+    gp: GridProblem,
+    policy: PolicyField,
+    boundary: GridField,
+    out: EvaluationWorkspace | None = None,
 ) -> EvaluationSystem:
     """Assemble L_alpha u = 0 over interior unknowns with Dirichlet data.
 
     Axis by axis, the low face (through minus) and then the high face
     (through plus) fold their boundary terms into rhs and their weights to
     0.  The stencil's sign check runs on every weight, and dominance margin
-    lam is asserted row by row.
+    lam is asserted row by row.  The system is written into `out`, an
+    EvaluationWorkspace of the same GridProblem, and is overwritten by the
+    next assembly into it; without `out` every array is new.
     """
     grid, lam = gp.grid, gp.params.lam
     if boundary.grid != grid:
         raise ValueError("boundary field lives on a different grid")
-    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, policy.controls)
-    # fresh arrays per axis and direction, folded in place below
-    plus, minus = stencil_coefficients(gp.params, f)
     center_weight = gp.params.center_weight
+    if out is None:
+        out = EvaluationWorkspace(gp)
+    elif out.center_weight != center_weight or out.system.shape != grid.interior_shape:
+        raise ValueError("workspace built for another grid problem")
+    system = out.system
+    plus, minus, rhs = system.plus, system.minus, system.rhs
+    # c goes straight into rhs, where the boundary terms fold in below
+    _, f = policy_cost_and_drift(
+        gp.state_cost, gp.drift_base, policy.controls, out=(rhs, out.drift)
+    )
+    stencil_coefficients(gp.params, f, out=(plus, minus))
     bvals = boundary.values
-    rhs = c  # a fresh array, not shared
     for k, (low, low_nodes, high, high_nodes) in enumerate(_FACES[grid.dim]):
         rhs[low] -= minus[k][low] * bvals[low_nodes]
         minus[k][low] = 0.0
@@ -132,8 +167,7 @@ def assemble_evaluation_system(
     margin = center_weight - float(offsum.max())
     if margin < lam - DOMINANCE_RTOL * center_weight:
         raise MonotonicityError(f"diagonal dominance margin {margin:.6g} fell below {lam}")
-    center = np.full(grid.interior_shape, center_weight)
-    return EvaluationSystem(center=center, plus=plus, minus=minus, rhs=rhs)
+    return system
 
 
 class ReductionLayout:
@@ -234,21 +268,21 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
         raise ValueError(f"system shape {system.shape}, layout shape {layout.shape}")
     diag, lower, upper, rhs, margin = layout._top
     np.copyto(diag, system.center)
-    np.negative(system.minus[0][1:], out=lower[1:])
-    np.negative(system.plus[0][:-1], out=upper[:-1])
+    np.negative(system.minus[0][1:], lower[1:])
+    np.negative(system.plus[0][:-1], upper[:-1])
     np.copyto(rhs, system.rhs)
-    np.subtract(diag, lower, out=margin)
-    np.subtract(margin, upper, out=margin)
+    np.subtract(diag, lower, margin)
+    np.subtract(margin, upper, margin)
     for odd_diag, reduce, _ in layout._levels:
         if np.count_nonzero(odd_diag) < odd_diag.size:
             raise SolverError("zero pivot in tridiagonal elimination")
         for ufunc, a, b, result in reduce:
-            ufunc(a, b, out=result)
+            ufunc(a, b, result)
     last, *system_last = layout._last
     last[...] = _thomas(*system_last)
     for *_, back in reversed(layout._levels):
         for ufunc, a, b, result in back:
-            ufunc(a, b, out=result)
+            ufunc(a, b, result)
     np.copyto(out, layout._solution)
     return out
 
@@ -368,13 +402,13 @@ class RedBlackLayout:
         omega = self._omega
         for node, neighbours, weights, rhs, delta, term in self._colours:
             # delta = omega * (rhs - offdiag . u) / center - omega * u
-            np.multiply(node, omega, out=delta)
+            np.multiply(node, omega, delta)
             for a, v in zip(weights, neighbours):
-                np.multiply(a, v, out=term)
+                np.multiply(a, v, term)
                 delta += term
-            np.subtract(rhs, delta, out=delta)
+            np.subtract(rhs, delta, delta)
             node += delta
-        return np.abs(self._delta, out=self._delta).max()
+        return np.abs(self._delta, self._delta).max()
 
     def unload(self, out: np.ndarray) -> None:
         """Write the current values of the unknowns into `out`."""

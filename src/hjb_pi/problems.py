@@ -93,15 +93,18 @@ class PolicyField:
         return cls(grid, np.zeros(grid.interior_shape + (grid.dim,)), a_max)
 
 
-def greedy_policy(problem: ControlProblem, p: np.ndarray) -> np.ndarray:
+def greedy_policy(
+    problem: ControlProblem, p: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact minimizer of c(x, a) + f(x, a) . p over the control box.
 
     The objective is state_cost(x) + |a|^2/2 + (b(x) + a) . p, separable and
     strictly convex in each control component, so the minimizer is
-    clip(-p, -a_max, a_max) whatever x is.
+    clip(-p, -a_max, a_max) whatever x is.  It is written into `out` when
+    given, which may be p itself, else into a new array.
     """
     p = np.asarray(p, dtype=float)
-    return np.clip(-p, -problem.a_max, problem.a_max)
+    return np.clip(np.negative(p, out), -problem.a_max, problem.a_max, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +217,21 @@ def make_grid_lookup(source: GridField) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def policy_cost_and_drift(
-    state_cost: np.ndarray, drift_base: np.ndarray, a: np.ndarray
+    state_cost: np.ndarray,
+    drift_base: np.ndarray,
+    a: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(c(x, a), f(x, a)) from the state cost and drift sampled at the
     points x (see scheme.GridProblem) and controls a of shape (..., dim),
-    whose leading axes broadcast against the samples'."""
+    whose leading axes broadcast against the samples'.  They are written
+    into `out`, a (c, f) pair of arrays of the broadcast shapes, else into
+    new arrays."""
+    c, f = (None, None) if out is None else out
     # Adding the axes' squares in order gives np.sum(a * a, axis=-1) bit for
     # bit, without numpy's slow reduction over a last axis of length dim.
-    squares = a[..., 0] * a[..., 0]
+    squares = np.multiply(a[..., 0], a[..., 0], c)
     for k in range(1, a.shape[-1]):
-        squares = squares + a[..., k] * a[..., k]
-    return state_cost + 0.5 * squares, drift_base + a
+        squares += a[..., k] * a[..., k]
+    squares *= 0.5
+    return np.add(state_cost, squares, c), np.add(drift_base, a, f)

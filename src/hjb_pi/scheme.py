@@ -153,24 +153,32 @@ class StencilCertificate:
 
 
 def stencil_coefficients(
-    params: SchemeParams, f: np.ndarray
+    params: SchemeParams,
+    f: np.ndarray,
+    out: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None,
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Neighbor weights (plus, minus) for drift values f of shape (..., dim):
     per axis i, plus[i] = -N/h - f_i/(2h) on u(x + h e_i) and minus[i] =
-    -N/h + f_i/(2h) on u(x - h e_i), fresh arrays of shape f.shape[:-1].
+    -N/h + f_i/(2h) on u(x - h e_i), arrays of shape f.shape[:-1], written
+    into `out`, a (plus, minus) pair of such arrays per axis, else new.
     Raises MonotonicityError if one is positive beyond rounding, i.e. if the
     viscosity does not dominate |f_i|/2 somewhere."""
     f = np.asarray(f, dtype=float)
     if f.shape[-1:] != (params.dim,):
         raise ValueError(f"f has shape {f.shape}, expected (..., {params.dim})")
     ratio = params.viscosity / params.h
-    halves = [f[..., k] / (2.0 * params.h) for k in range(params.dim)]
-    plus = tuple(-ratio - half for half in halves)
-    minus = tuple(-ratio + half for half in halves)
+    if out is None:
+        out = tuple(tuple(np.empty(f.shape[:-1]) for _ in range(params.dim)) for _ in range(2))
+    plus, minus = out
+    for k in range(params.dim):
+        # f_i / (2h) goes through plus[i], which is overwritten last
+        half = np.divide(f[..., k], 2.0 * params.h, plus[k])
+        np.add(-ratio, half, minus[k])
+        np.subtract(-ratio, half, plus[k])
     # The largest weight, from one reduction: the larger of -ratio - x and
     # -ratio + x is -ratio + |x|, and rounding is monotone and sign-symmetric,
     # so this is the largest weight bit for bit.
-    biggest = float(np.max(np.abs(f)))
+    biggest = float(np.abs(f).max())
     worst = -ratio + biggest / (2.0 * params.h)
     if worst > 1e-12 * max(1.0, ratio):
         raise MonotonicityError(

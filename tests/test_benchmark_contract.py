@@ -65,10 +65,13 @@ def test_traced_solve_records_one_solver_span_per_evaluation():
     """The tracer's layer spans fire, not merely resolve: each evaluation of
     a traced relaxed2d or lq1d-batch solve makes one linsolve.assemble span
     and one span of its dimension's solver (linsolve.sor in 2D,
-    linsolve.thomas in 1D) inside its howard.evaluate span.  A solver called
-    other than through its howard module attribute would read 0 s."""
+    linsolve.thomas in 1D) inside its howard.evaluate span; each assembly
+    makes one problems.cost_drift span, and each iteration but the last one
+    howard.improve span inside the howard.run span.  A layer called other
+    than through the module attribute the tracer wraps would read 0 s."""
     tracer = load_perfbench("tracer")
     workloads = load_perfbench("workloads")
+    iterations = 3
     for name, solver, span in (("relaxed2d", "solve_sor", "linsolve.sor"),
                                ("lq1d-batch", "solve_tridiagonal", "linsolve.thomas")):
         workload = workloads.WORKLOADS[name]
@@ -77,13 +80,19 @@ def test_traced_solve_records_one_solver_span_per_evaluation():
         spans = tracer.Tracer()
         spans.install()
         try:
-            result = workloads.solve(hjb_pi, workload, setup, iterations=2)
+            result = workloads.solve(hjb_pi, workload, setup, iterations=iterations)
         finally:
             spans.uninstall()
         assert getattr(hjb_pi.howard, solver) is original, name
-        assert spans.absent == [] and len(result.sweeps) == 2, name
+        assert spans.absent == [] and len(result.sweeps) == iterations, name
         evaluations = [i for i, s in enumerate(spans.spans) if s.name == "howard.evaluate"]
-        assert len(evaluations) == 2, name
+        assert len(evaluations) == iterations, name
         for layer in ("linsolve.assemble", span):
             parents = [s.parent for s in spans.spans if s.name == layer]
             assert parents == evaluations, (name, layer)
+        assemblies = [i for i, s in enumerate(spans.spans) if s.name == "linsolve.assemble"]
+        parents = [s.parent for s in spans.spans if s.name == "problems.cost_drift"]
+        assert parents == assemblies, name
+        runs = [i for i, s in enumerate(spans.spans) if s.name == "howard.run"]
+        parents = [s.parent for s in spans.spans if s.name == "howard.improve"]
+        assert len(runs) == 1 and parents == runs * (iterations - 1), name

@@ -12,6 +12,7 @@ from hjb_pi import (
     PolicyField,
     SchemeParams,
     SolverError,
+    assemble_evaluation_system,
     bellman_residual,
     build_benchmark,
     build_grid,
@@ -23,6 +24,8 @@ from hjb_pi import (
     policy_improve,
     resolvent_map,
     run_policy_iteration,
+    solve_sor,
+    solve_tridiagonal,
 )
 from hjb_pi import howard
 from hjb_pi.checks import greedy_run_extremes
@@ -496,3 +499,122 @@ def test_pi_config_validation():
             PIConfig(**{"max_outer_iterations": 5, name: value})
     PIConfig(max_outer_iterations=5, solver_tol=1e-300, omega=1.999, solver_max_iter=1)
     PIConfig(max_outer_iterations=np.int64(5), solver_max_iter=np.int64(1))
+
+
+def _allocating_run(setup, theta, iterations, spec):
+    """run_policy_iteration rebuilt from the allocating calls: every
+    iteration assembles a new system, solves it without a solver layout and
+    improves into new arrays.  Returns the evaluated policies, the value
+    fields and the sweep counts."""
+    grid, problem = setup.grid, setup.problem
+    gp = GridProblem(problem, grid, setup.params)
+    boundary = GridField(grid, np.where(grid.boundary_mask(), setup.boundary.values, 0.0))
+    policy = initial_policy(spec, grid, problem)
+    policies, values, sweeps = [], [], []
+    warm, prev, prev_update, tol = boundary, None, math.inf, PIConfig.solver_tol
+    for n in range(iterations):
+        system = assemble_evaluation_system(gp, policy, boundary)
+        v = boundary.values.copy()
+        if grid.dim == 1:
+            solve_tridiagonal(system, out=v[1:-1])
+            sweeps.append(1)
+        else:
+            _, stats = solve_sor(system, omega=PIConfig.omega, tol=tol,
+                                 max_iter=PIConfig.solver_max_iter, initial=warm.interior(),
+                                 out=v[1:-1, 1:-1])
+            sweeps.append(stats.iterations)
+        value = GridField(grid, v)
+        policies.append(policy.controls)
+        values.append(value.values)
+        update = math.inf if prev is None else float(np.abs(value.values - prev.values).max())
+        if n + 1 < iterations:
+            policy = policy_improve(problem, value, policy, theta)
+        if theta < 1.0 and prev is not None:
+            tol = max(PIConfig.solver_tol, howard.INEXACT_TOL_FACTOR * update)
+        warm = value
+        if grid.dim > 1 and tol > PIConfig.solver_tol and 0.0 < update < prev_update < math.inf:
+            warm = GridField(grid, value.values + update / prev_update * (value.values - prev.values))
+        prev, prev_update = value, update
+    return policies, values, sweeps
+
+
+def _recording_run(monkeypatch, setup, theta, iterations, spec, snapshots=()):
+    """A run of run_policy_iteration that records, at each call, the policy
+    handed to policy_evaluate with a copy of its controls, and the previous
+    policy handed to policy_improve with a copy of its controls."""
+    evaluate, improve = howard.policy_evaluate, howard.policy_improve
+    evaluated, improved = [], []
+
+    def recording_evaluate(gp, policy, *args, **kwargs):
+        evaluated.append((policy, policy.controls.copy()))
+        return evaluate(gp, policy, *args, **kwargs)
+
+    def recording_improve(problem, value, prev_policy, *args, **kwargs):
+        improved.append((prev_policy, prev_policy.controls.copy()))
+        return improve(problem, value, prev_policy, *args, **kwargs)
+
+    monkeypatch.setattr(howard, "policy_evaluate", recording_evaluate)
+    monkeypatch.setattr(howard, "policy_improve", recording_improve)
+    report = run_policy_iteration(
+        setup.problem, setup.grid, setup.params,
+        PIConfig(max_outer_iterations=iterations, relaxation_theta=theta,
+                 initial_policy_spec=spec, snapshot_iterations=snapshots),
+        boundary=setup.boundary,
+    )
+    monkeypatch.undo()
+    return report, evaluated, improved
+
+
+WORKSPACE_RUNS = [
+    ("lq1d", {}, 1.0, 20, "zero"),
+    ("lq1d", {}, 0.5, 20, "zero"),
+    ("manufactured2d", {"h": 0.1}, 0.18, 60, "adversarial2d"),
+    ("manufactured2d", {"h": 0.1}, 1.0, 12, "adversarial2d"),
+]
+
+
+@pytest.mark.parametrize("name, kwargs, theta, iterations, spec", WORKSPACE_RUNS)
+def test_workspace_run_matches_the_allocating_calls(monkeypatch, name, kwargs, theta,
+                                                    iterations, spec):
+    """A run writes assembly and improvement into per-run buffers and solves
+    in one solver layout; rebuilt from the allocating calls, it gives the
+    same policies, value fields and sweep counts, bit for bit.  Both sides
+    run in this process, so the comparison does not depend on the CPU."""
+    setup = build_benchmark(name, **kwargs)
+    report, evaluated, _ = _recording_run(monkeypatch, setup, theta, iterations, spec,
+                                          snapshots=tuple(range(iterations)))
+    policies, values, sweeps = _allocating_run(setup, theta, iterations, spec)
+    assert report.iterations_run == iterations
+    assert [s.iterations for s in report.solve_stats] == sweeps
+    for n in range(iterations):
+        assert evaluated[n][1].tobytes() == policies[n].tobytes(), n
+        assert report.value_snapshots[n].tobytes() == values[n].tobytes(), n
+    assert report.final_policy.controls.tobytes() == policies[-1].tobytes()
+    assert report.final_value.values.tobytes() == values[-1].tobytes()
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_buffer_reuse_keeps_what_the_report_holds(monkeypatch, theta):
+    """No per-run buffer is part of a result: a snapshot equals the final
+    value of a run that ends there, evaluating the final policy gives back
+    the final value, and every policy keeps the controls it was evaluated
+    with, so a relaxed mix starts from the policy that was evaluated."""
+    setup = build_benchmark("lq1d")
+    report, evaluated, improved = _recording_run(monkeypatch, setup, theta, 12, "zero",
+                                                 snapshots=(5,))
+    short = run_policy_iteration(
+        setup.problem, setup.grid, setup.params,
+        PIConfig(max_outer_iterations=6, relaxation_theta=theta), boundary=setup.boundary,
+    )
+    assert report.value_snapshots[5].tobytes() == short.final_value.values.tobytes()
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
+    value, _ = policy_evaluate(gp, report.final_policy, setup.boundary)
+    assert value.values.tobytes() == report.final_value.values.tobytes()
+    assert len(evaluated) == 12 and len(improved) == 11
+    for n, (policy, controls) in enumerate(evaluated):
+        assert policy.controls.tobytes() == controls.tobytes(), n
+    # improvement n mixes from the policy of evaluation n, unchanged since
+    for n, (prev_policy, controls) in enumerate(improved):
+        assert prev_policy is evaluated[n][0], n
+        assert controls.tobytes() == evaluated[n][1].tobytes(), n
+    assert report.final_policy is evaluated[-1][0]
