@@ -130,7 +130,7 @@ class GridField:
             )
         # one reduction: the largest magnitude is nan or inf exactly when
         # some value is
-        max_abs = float(np.abs(values).max())
+        max_abs = float(np.maximum.reduce(np.abs(values), None))
         if not math.isfinite(max_abs):
             raise ValueError("field values must be finite at every node")
         self.grid = grid
@@ -150,28 +150,28 @@ class GridField:
         return self.values[(slice(1, -1),) * self.grid.dim]
 
 
+# Per dimension and (axis, offset), the index of the interior window shifted
+# by offset (+1 or -1) along axis, which does not depend on the grid's size.
+_WINDOWS = {dim: {(axis, offset): tuple(slice(1 + offset, offset - 1 or None) if k == axis
+                                        else slice(1, -1) for k in range(dim))
+                  for axis in range(dim) for offset in (1, -1)} for dim in (1, 2)}
+
+
 def _shifted(values: np.ndarray, axis: int, offset: int, dim: int) -> np.ndarray:
     """Interior-shaped window of `values` shifted by `offset` along `axis`."""
-    sl = []
-    for k in range(dim):
-        if k == axis:
-            # stop index is >= 1 for any valid grid (>= 3 nodes per axis)
-            sl.append(slice(1 + offset, values.shape[k] - 1 + offset))
-        else:
-            sl.append(slice(1, -1))
-    return values[tuple(sl)]
+    return values[_WINDOWS[dim][axis, offset]]
 
 
 def interior_gradient(field: GridField, out: np.ndarray | None = None) -> np.ndarray:
     """Centered gradient at all interior nodes, shape interior_shape + (dim,),
     written into `out` when given, else into a new array."""
-    grid = field.grid
-    v = field.values
+    grid, v = field.grid, field.values
     if out is None:
         out = np.empty(grid.interior_shape + (grid.dim,))
+    windows = _WINDOWS[grid.dim]
     for k in range(grid.dim):
         comp = out[..., k]
-        np.subtract(_shifted(v, k, +1, grid.dim), _shifted(v, k, -1, grid.dim), comp)
+        np.subtract(v[windows[k, 1]], v[windows[k, -1]], comp)
         comp /= 2.0 * grid.h
     return out
 

@@ -196,7 +196,7 @@ def initial_policy(spec: str, grid: Grid, problem: ControlProblem) -> PolicyFiel
             [0.3 * np.sin(2.0 * x + 1.0) * np.cos(y), 0.3 * np.cos(x) * np.sin(2.0 * y - 0.5)],
             axis=-1,
         )
-        controls = np.clip(-a_star + perturb, -problem.a_max, problem.a_max)
+        controls = (-a_star + perturb).clip(-problem.a_max, problem.a_max)
         return PolicyField(grid, controls, problem.a_max)
     raise ValueError(f"unknown initial policy spec {spec!r}")
 
@@ -263,8 +263,7 @@ def policy_improve(
     mixed = np.multiply(prev_policy.controls, 1.0 - theta)
     greedy *= theta
     mixed += greedy
-    np.clip(mixed, -problem.a_max, problem.a_max, out=mixed)
-    return PolicyField(value.grid, mixed, problem.a_max)
+    return PolicyField(value.grid, mixed.clip(-problem.a_max, problem.a_max, mixed), problem.a_max)
 
 
 def run_policy_iteration(
@@ -338,7 +337,7 @@ def run_policy_iteration(
             step = value.values - prev.values
             update, step_l2 = difference_norms(step, grid)
             report.residual_l2.append(step_l2)
-            report.monotonicity_violation.append(float(step.max()))
+            report.monotonicity_violation.append(float(np.maximum.reduce(step, None)))
         if n in config.snapshot_iterations:
             report.value_snapshots[n] = value.values.copy()
         if config.outer_tolerance is not None and update <= config.outer_tolerance:

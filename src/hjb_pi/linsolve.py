@@ -6,17 +6,17 @@ by axis, leaving a strictly diagonally dominant system (dominance margin
 lam, inherited from the monotone stencil).  It writes into an
 EvaluationWorkspace, which a policy-iteration run builds once like the
 solver layouts below, or into new arrays without one.  1D systems are
-tridiagonal.  They are halved by odd-even (cyclic) reduction, fifteen
-whole-array steps per level, until at most REDUCTION_THRESHOLD unknowns
-remain; Thomas elimination solves the rest, a sequential recurrence whose
-loop runs on Python floats taken once from the arrays, because reading
-numpy arrays element by element costs several times the arithmetic.  2D
-systems are solved by SOR with red-black sweeps, vectorized over each
-colour.  Each solver's buffers and views, ReductionLayout and
-RedBlackLayout, are set up once per system shape and serve every solve of
-a policy-iteration run; the SOR sweep kernel writes each colour's updates
-into one shared buffer, so the stopping test is one reduction per sweep.
-A dense LU path exists purely as a test oracle.
+tridiagonal.  They are halved by odd-even (cyclic) reduction, a pivot check,
+14 whole-array steps and later 5 back-substitution steps per level, until at
+most REDUCTION_THRESHOLD unknowns remain; Thomas elimination solves the
+rest, a sequential recurrence whose loop runs on Python floats taken once
+from the arrays, because reading numpy arrays element by element costs
+several times the arithmetic.  2D systems are solved by SOR with red-black
+sweeps, vectorized over each colour.  Each solver's buffers and views,
+ReductionLayout and RedBlackLayout, are set up once per system shape and
+serve every solve of a policy-iteration run; the SOR sweep kernel writes
+each colour's updates into one shared buffer, so the stopping test is one
+reduction per sweep.  A dense LU path exists purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def assemble_evaluation_system(
     next assembly into it; without `out` every array is new.
     """
     grid, lam = gp.grid, gp.params.lam
-    if boundary.grid != grid:
+    if boundary.grid is not grid and boundary.grid != grid:
         raise ValueError("boundary field lives on a different grid")
     center_weight = gp.params.center_weight
     if out is None:
@@ -164,7 +164,7 @@ def assemble_evaluation_system(
     offsum = np.abs(plus[0]) + np.abs(minus[0])
     for k in range(1, grid.dim):
         offsum += np.abs(plus[k]) + np.abs(minus[k])
-    margin = center_weight - float(offsum.max())
+    margin = center_weight - float(np.maximum.reduce(offsum, None))
     if margin < lam - DOMINANCE_RTOL * center_weight:
         raise MonotonicityError(f"diagonal dominance margin {margin:.6g} fell below {lam}")
     return system
@@ -179,9 +179,10 @@ class ReductionLayout:
     row's lower and the last row's upper), -0.0 in rhs and margin (+0.0 *
     -0.0 adds exactly nothing, even to a signed zero).  So every even row
     reduces by the same steps, built once as (ufunc, a, b, out) on fixed 1D
-    views, which numpy runs faster than stacked 2D calls at these sizes.
-    The solution buffer holds level k's unknowns at every 2^k-th entry,
-    -0.0 past the end.
+    views, which numpy runs faster than stacked 2D calls at these sizes:
+    per level, reduction steps behind a check of its pivots, then one list
+    of every level's back substitution, in solve order.  The solution
+    buffer holds level k's unknowns at every 2^k-th entry, -0.0 past the end.
     """
 
     def __init__(self, n: int) -> None:
@@ -191,7 +192,8 @@ class ReductionLayout:
             sizes.append((sizes[-1] + 1) // 2)
         x = np.full(n + (1 << len(sizes) - 1), -0.0)
         rows = self._padded(n)
-        self._top, self._solution, self._levels = tuple(rows[:, 1 : n + 1]), x[:n], []
+        self._top, self._solution = tuple(rows[:, 1 : n + 1]), x[:n]
+        self._levels, self._back = [], []
         for k, (n, m) in enumerate(zip(sizes, sizes[1:])):
             (diag, lower, upper, rhs, margin), new = rows, self._padded(m)
             new_diag, new_lower, new_upper, new_rhs, new_margin = new[:, 1 : m + 1]
@@ -220,11 +222,12 @@ class ReductionLayout:
                     (np.multiply, upper[odd], x[2 * s : 2 * s * (n_odd + 1) : 2 * s], tail),
                     (np.add, unknowns, tail, unknowns),
                     (np.divide, unknowns, diag[odd], unknowns)]
-            self._levels.append((diag[odd], reduce, back))
+            self._levels.append((diag[odd], n_odd, reduce))
+            self._back[:0] = back
             rows = new
         (diag, lower, upper, rhs, _), n, s = rows, sizes[-1], 1 << len(sizes) - 1
-        self._last = (x[: n * s : s], lower[2 : n + 1], diag[1 : n + 1], upper[1 : n + 1],
-                      rhs[1 : n + 1])
+        self._last, self._lower, self._diag = x[: n * s : s], lower[2 : n + 1], diag[1 : n + 1]
+        self._upper, self._rhs = upper[1 : n + 1], rhs[1 : n + 1]
 
     @staticmethod
     def _padded(n: int) -> np.ndarray:
@@ -244,8 +247,8 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
     a tridiagonal system in the even unknowns of half the size (Buzbee,
     Golub & Nielson, SIAM J. Numer. Anal. 1970).  Thomas elimination solves
     the last system, and each level's odd unknowns then follow from their
-    own row, one whole-array step per level.  Reduction keeps strict
-    diagonal dominance and is backward stable on such systems (Heller, SIAM
+    own row, a whole level at once.  Reduction keeps strict diagonal
+    dominance and is backward stable on such systems (Heller, SIAM
     J. Numer. Anal. 1976).  The row sums, the dominance margins, combine
     like the right-hand side, and each reduced diagonal is rebuilt as its
     margin plus its negated couplings: on an M-matrix a sum of nonnegative
@@ -273,16 +276,14 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
     np.copyto(rhs, system.rhs)
     np.subtract(diag, lower, margin)
     np.subtract(margin, upper, margin)
-    for odd_diag, reduce, _ in layout._levels:
-        if np.count_nonzero(odd_diag) < odd_diag.size:
+    for odd_diag, n_odd, reduce in layout._levels:
+        if np.count_nonzero(odd_diag) < n_odd:
             raise SolverError("zero pivot in tridiagonal elimination")
         for ufunc, a, b, result in reduce:
             ufunc(a, b, result)
-    last, *system_last = layout._last
-    last[...] = _thomas(*system_last)
-    for *_, back in reversed(layout._levels):
-        for ufunc, a, b, result in back:
-            ufunc(a, b, result)
+    layout._last[:] = _thomas(layout._lower, layout._diag, layout._upper, layout._rhs)
+    for ufunc, a, b, result in layout._back:
+        ufunc(a, b, result)
     np.copyto(out, layout._solution)
     return out
 
@@ -408,7 +409,7 @@ class RedBlackLayout:
                 delta += term
             np.subtract(rhs, delta, delta)
             node += delta
-        return np.abs(self._delta, self._delta).max()
+        return np.maximum.reduce(np.abs(self._delta, self._delta), None)
 
     def unload(self, out: np.ndarray) -> None:
         """Write the current values of the unknowns into `out`."""

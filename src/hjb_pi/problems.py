@@ -82,7 +82,7 @@ class PolicyField:
             raise ValueError(f"controls shape {controls.shape}, expected {expected}")
         # one reduction: the largest magnitude is nan or inf exactly when
         # some control is
-        peak = float(np.abs(controls).max())
+        peak = float(np.maximum.reduce(np.abs(controls), None))
         if not math.isfinite(peak):
             raise ValueError("policy controls must be finite")
         if peak > self.a_max * (1.0 + 1e-12):
@@ -103,8 +103,8 @@ def greedy_policy(
     clip(-p, -a_max, a_max) whatever x is.  It is written into `out` when
     given, which may be p itself, else into a new array.
     """
-    p = np.asarray(p, dtype=float)
-    return np.clip(np.negative(p, out), -problem.a_max, problem.a_max, out=out)
+    neg = np.negative(np.asarray(p, dtype=float), out)
+    return neg.clip(-problem.a_max, problem.a_max, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +206,10 @@ def make_grid_lookup(source: GridField) -> Callable[[np.ndarray], np.ndarray]:
     def lookup(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         idx = np.rint((x + grid.half_width) / grid.h).astype(int)
-        if np.any(idx < 0) or np.any(idx >= grid.nodes_per_axis):
+        if np.logical_or.reduce((idx < 0) | (idx >= grid.nodes_per_axis), None):
             raise ValueError("coordinate outside the grid")
         rebuilt = -grid.half_width + idx * grid.h
-        if np.max(np.abs(rebuilt - x)) > 1e-9:
+        if np.maximum.reduce(np.abs(rebuilt - x), None) > 1e-9:
             raise ValueError("coordinate is not a grid node")
         return values[tuple(np.moveaxis(idx, -1, 0))]
 

@@ -178,7 +178,7 @@ def stencil_coefficients(
     # The largest weight, from one reduction: the larger of -ratio - x and
     # -ratio + x is -ratio + |x|, and rounding is monotone and sign-symmetric,
     # so this is the largest weight bit for bit.
-    biggest = float(np.abs(f).max())
+    biggest = float(np.maximum.reduce(np.abs(f), None))
     worst = -ratio + biggest / (2.0 * params.h)
     if worst > 1e-12 * max(1.0, ratio):
         raise MonotonicityError(

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -618,3 +620,41 @@ def test_buffer_reuse_keeps_what_the_report_holds(monkeypatch, theta):
         assert prev_policy is evaluated[n][0], n
         assert controls.tobytes() == evaluated[n][1].tobytes(), n
     assert report.final_policy is evaluated[-1][0]
+
+
+@pytest.mark.parametrize("name, kwargs, theta", [
+    ("lq1d", {"h": 0.01}, 1.0),
+    ("manufactured2d", {"h": 0.1}, 0.18),
+])
+def test_run_reaches_numpy_kernels_without_python_wrappers(name, kwargs, theta):
+    """While run_policy_iteration is on the stack, no numpy function from
+    fromnumeric.py runs, nor one from _methods.py other than _clip (which
+    ndarray.clip calls) and its helpers: every reduction and clip of a run
+    calls its ufunc directly.  Files are matched by name, which numpy 1.x
+    and 2.x share."""
+    setup = build_benchmark(name, **kwargs)
+    config = PIConfig(max_outer_iterations=5, relaxation_theta=theta,
+                      initial_policy_spec=BENCHMARK_DEFAULTS[name]["initial_policy"])
+    run_code, wrappers = howard.run_policy_iteration.__code__, []
+
+    def profile(frame, event, arg):
+        base = os.path.basename(frame.f_code.co_filename)
+        if event != "call" or base not in ("fromnumeric.py", "_methods.py"):
+            return
+        caller = frame
+        while caller is not None and caller.f_code is not run_code:
+            if (caller.f_code.co_name == "_clip"
+                    and os.path.basename(caller.f_code.co_filename) == "_methods.py"):
+                return
+            caller = caller.f_back
+        if caller is not None:
+            wrappers.append(f"{base}:{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        report = run_policy_iteration(setup.problem, setup.grid, setup.params, config,
+                                      boundary=setup.boundary, reference=setup.reference)
+    finally:
+        sys.setprofile(None)
+    assert report.iterations_run == 5
+    assert wrappers == []

@@ -19,6 +19,7 @@ from hjb_pi import (
     bellman_residual,
     build_benchmark,
     build_grid,
+    error_metrics,
     solve_dense_oracle,
     solve_sor,
     solve_tridiagonal,
@@ -160,6 +161,24 @@ def test_assembly_rejects_non_monotone_stencil():
             assemble_evaluation_system(
                 GridProblem(problem, grid, low), policy, GridField.zeros(grid)
             )
+
+
+def test_assembly_and_error_metrics_refuse_fields_on_another_grid():
+    """A field on an equal grid built separately is accepted; one on a grid
+    of the same shape with another spacing and width is refused, by
+    assembly (the boundary) and by error_metrics."""
+    grid = build_grid(1.0, 0.25, dim=1)
+    params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
+    gp = GridProblem(constant_cost_problem(1.0), grid, params)
+    policy = PolicyField.zeros(grid, 1.0)
+    equal, other = build_grid(1.0, 0.25, dim=1), build_grid(2.0, 0.5, dim=1)
+    assert equal == grid and equal is not grid and other.shape == grid.shape
+    assemble_evaluation_system(gp, policy, GridField.zeros(equal))
+    assert error_metrics(GridField.zeros(grid), GridField.zeros(equal)) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="different grid"):
+        assemble_evaluation_system(gp, policy, GridField.zeros(other))
+    with pytest.raises(ValueError, match="different grid"):
+        error_metrics(GridField.zeros(grid), GridField.zeros(other))
 
 
 def test_thomas_examples():
