@@ -14,9 +14,11 @@ from the arrays, because reading numpy arrays element by element costs
 several times the arithmetic.  2D systems are solved by SOR with red-black
 sweeps, vectorized over each colour.  Each solver's buffers and views,
 ReductionLayout and RedBlackLayout, are set up once per system shape and
-serve every solve of a policy-iteration run; the SOR sweep kernel writes
-each colour's updates into one shared buffer, so the stopping test is one
-reduction per sweep.  A dense LU path exists purely as a test oracle.
+serve every solve of a policy-iteration run.  A SOR sweep is one flat list
+of numpy calls built with its layout, on fixed views and with omega in a 0-d
+array; both colours' updates go into one shared buffer, so the stopping
+test is one reduction per sweep.  A dense LU path exists purely as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ class EvaluationWorkspace:
             rhs=np.empty(shape),
         )
         self.drift = np.empty(shape + (dim,))
+        # the dominance check's row sums of absolute weights, and two terms;
+        # a tuple, because unpacking a 3-row array makes three views per call
+        self.offsums = tuple(np.empty(shape) for _ in range(3))
 
 
 def assemble_evaluation_system(
@@ -161,9 +166,10 @@ def assemble_evaluation_system(
         plus[k][high] = 0.0
     # Rounded subtraction is monotone, so this is the smallest row margin
     # exactly as the element-wise difference would give it.
-    offsum = np.abs(plus[0]) + np.abs(minus[0])
+    offsum, a, b = out.offsums
+    np.add(np.abs(plus[0], a), np.abs(minus[0], b), offsum)
     for k in range(1, grid.dim):
-        offsum += np.abs(plus[k]) + np.abs(minus[k])
+        offsum += np.add(np.abs(plus[k], a), np.abs(minus[k], b), a)
     margin = center_weight - float(np.maximum.reduce(offsum, None))
     if margin < lam - DOMINANCE_RTOL * center_weight:
         raise MonotonicityError(f"diagonal dominance margin {margin:.6g} fell below {lam}")
@@ -270,10 +276,10 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
     if system.shape != layout.shape:
         raise ValueError(f"system shape {system.shape}, layout shape {layout.shape}")
     diag, lower, upper, rhs, margin = layout._top
-    np.copyto(diag, system.center)
+    diag[...] = system.center
     np.negative(system.minus[0][1:], lower[1:])
     np.negative(system.plus[0][:-1], upper[:-1])
-    np.copyto(rhs, system.rhs)
+    rhs[...] = system.rhs
     np.subtract(diag, lower, margin)
     np.subtract(margin, upper, margin)
     for odd_diag, n_odd, reduce in layout._levels:
@@ -284,7 +290,7 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
     layout._last[:] = _thomas(layout._lower, layout._diag, layout._upper, layout._rhs)
     for ufunc, a, b, result in layout._back:
         ufunc(a, b, result)
-    np.copyto(out, layout._solution)
+    out[...] = layout._solution
     return out
 
 
@@ -340,11 +346,13 @@ class RedBlackLayout:
 
     Everything that depends on the shape alone is built once, here: the
     padded staging array, the colour-split buffers of the four weights, the
-    rhs and the values, and each colour's views into them.  A layout serves
-    any number of solves of its shape, one at a time: `load` writes a system
-    and a start into the buffers, `sweep` runs one sweep, and `unload`
-    writes the solution out.  Nothing carries over from one solve to the
-    next, so a run builds one layout and hands it to every solve.
+    rhs and the values, and one sweep as a list of (ufunc, a, b, out) steps
+    on views into them, 11 per colour, which read omega from a 0-d array.
+    A layout serves any number of solves of its shape, one at a time:
+    `load` writes omega, a system and a start into the buffers, `sweep` runs
+    the steps, and `unload` writes the solution out.  Nothing carries over
+    from one solve to the next, so a run builds one layout and hands it to
+    every solve.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -368,14 +376,21 @@ class RedBlackLayout:
         self._delta = _aligned_zeros((sum(sizes),))
         deltas = self._delta[: sizes[0]], self._delta[sizes[0] :]
         term = _aligned_zeros((max(sizes),))
-        self._colours = []
+        # omega as a 0-d array, written by load: numpy takes it faster than
+        # a Python float
+        self._omega = np.zeros(())
+        # one sweep as (ufunc, a, b, out) steps; per colour,
+        # delta = omega * (rhs - offdiag . u) / center - omega * u
+        self._steps = []
         for c, (lo, hi) in enumerate(bounds):
-            shifts = [(2 * c + d - 1) // 2 for d in (width, -width, 1, -1)]
-            neighbours = [self._values[1 - c, lo + k : hi + k] for k in shifts]
+            node, delta, product = self._values[c, lo:hi], deltas[c], term[: sizes[c]]
             *weights, rhs = (layer[c, lo:hi] for layer in self._layers)
-            self._colours.append(
-                (self._values[c, lo:hi], neighbours, weights, rhs, deltas[c], term[: sizes[c]])
-            )
+            self._steps.append((np.multiply, node, self._omega, delta))
+            for a, d in zip(weights, (width, -width, 1, -1)):
+                k = (2 * c + d - 1) // 2
+                self._steps += [(np.multiply, a, self._values[1 - c, lo + k : hi + k], product),
+                                (np.add, delta, product, delta)]
+            self._steps += [(np.subtract, rhs, delta, delta), (np.add, node, delta, node)]
 
     def load(self, system: EvaluationSystem, omega: float, initial: np.ndarray | None) -> None:
         """Write the system, scaled by omega / center, and the start (0 when
@@ -386,35 +401,30 @@ class RedBlackLayout:
             initial = np.asarray(initial, dtype=float)
             if initial.shape != self.shape:
                 raise ValueError(f"initial guess shape {initial.shape}, expected {self.shape}")
-        self._omega = omega
+        self._omega[()] = omega
         inner, split = self._inner, self._split
         scale = np.divide(omega, system.center, out=self._scale)
         (east, north), (west, south) = system.plus, system.minus
         for layer, a in zip(self._layers, (east, west, north, south, system.rhs)):
             np.multiply(scale, a, out=inner)
-            np.copyto(layer, split)
+            layer[...] = split
         inner[...] = 0.0 if initial is None else initial
-        np.copyto(self._values, split)
+        self._values[...] = split
 
     def sweep(self) -> float:
         """One sweep, at the omega of the last load: every node of one
         colour from the other colour's values, then every node of the other
         colour.  Returns the largest absolute update."""
-        omega = self._omega
-        for node, neighbours, weights, rhs, delta, term in self._colours:
-            # delta = omega * (rhs - offdiag . u) / center - omega * u
-            np.multiply(node, omega, delta)
-            for a, v in zip(weights, neighbours):
-                np.multiply(a, v, term)
-                delta += term
-            np.subtract(rhs, delta, delta)
-            node += delta
+        for ufunc, a, b, out in self._steps:
+            ufunc(a, b, out)
         return np.maximum.reduce(np.abs(self._delta, self._delta), None)
 
     def unload(self, out: np.ndarray) -> None:
-        """Write the current values of the unknowns into `out`."""
-        m0, m1 = self.shape
-        out[...] = self._values.T.reshape(self._staging.shape)[1 : m0 + 1, 1 : m1 + 1]
+        """Write the current values of the unknowns into `out`, through the
+        staging array; after finite sweeps their padding is 0, so its ring
+        stays 0."""
+        self._split[...] = self._values
+        out[...] = self._inner
 
 
 def solve_sor(
@@ -452,9 +462,10 @@ def solve_sor(
     if layout is None:
         layout = RedBlackLayout(system.shape)
     layout.load(system, omega, initial)
+    sweep, isfinite = layout.sweep, math.isfinite
     for iters in range(1, max_iter + 1):
-        update = layout.sweep()
-        if not math.isfinite(update):
+        update = sweep()
+        if not isfinite(update):
             raise SolverError(f"SOR diverged after {iters} sweeps")
         if update <= tol:
             break

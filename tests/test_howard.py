@@ -629,17 +629,23 @@ def test_buffer_reuse_keeps_what_the_report_holds(monkeypatch, theta):
 def test_run_reaches_numpy_kernels_without_python_wrappers(name, kwargs, theta):
     """While run_policy_iteration is on the stack, no numpy function from
     fromnumeric.py runs, nor one from _methods.py other than _clip (which
-    ndarray.clip calls) and its helpers: every reduction and clip of a run
-    calls its ufunc directly.  Files are matched by name, which numpy 1.x
-    and 2.x share."""
+    ndarray.clip calls) and its helpers, nor the copyto dispatcher of
+    multiarray.py from outside numpy: every reduction and clip of a run
+    calls its ufunc directly, and every copy is a slice assignment.  Files
+    are matched by name, which numpy 1.x and 2.x share.  In multiarray.py
+    only copyto is, because the run's setup calls the np.where dispatcher
+    there, and numpy's own np.full and np.ones call copyto."""
     setup = build_benchmark(name, **kwargs)
     config = PIConfig(max_outer_iterations=5, relaxation_theta=theta,
                       initial_policy_spec=BENCHMARK_DEFAULTS[name]["initial_policy"])
     run_code, wrappers = howard.run_policy_iteration.__code__, []
+    numpy_dir = os.path.dirname(np.__file__)
 
     def profile(frame, event, arg):
         base = os.path.basename(frame.f_code.co_filename)
-        if event != "call" or base not in ("fromnumeric.py", "_methods.py"):
+        copy = ((base, frame.f_code.co_name) == ("multiarray.py", "copyto")
+                and not frame.f_back.f_code.co_filename.startswith(numpy_dir + os.sep))
+        if event != "call" or not (base in ("fromnumeric.py", "_methods.py") or copy):
             return
         caller = frame
         while caller is not None and caller.f_code is not run_code:

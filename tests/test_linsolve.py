@@ -163,6 +163,36 @@ def test_assembly_rejects_non_monotone_stencil():
             )
 
 
+def test_assembly_refuses_a_system_whose_dominance_margin_falls_below_lam(monkeypatch):
+    """Neighbor weights 0.1% too large keep their signs but take the margin
+    of the rows with every neighbor inside below lam; assembly refuses that
+    with the margin over both axes, with and without a workspace."""
+    stencil = linsolve.stencil_coefficients
+
+    def scaled_stencil(params, f, out=None):
+        plus, minus = stencil(params, f, out=out)
+        for w in plus + minus:
+            w *= 1.001
+        return plus, minus
+
+    for name, h in (("lq1d", 0.2), ("manufactured2d", 0.25)):
+        setup = build_benchmark(name, h=h)
+        gp = GridProblem(setup.problem, setup.grid, setup.params)
+        policy = PolicyField.zeros(setup.grid, setup.problem.a_max)
+        system = assemble_evaluation_system(gp, policy, setup.boundary)
+        offsum = sum(np.abs(1.001 * w) for w in system.plus + system.minus)
+        margin = setup.params.center_weight - float(np.max(offsum))
+        lam = setup.params.lam
+        assert margin < lam - 1e-3, name
+        message = f"diagonal dominance margin {margin:.6g} fell below {lam}"
+        with monkeypatch.context() as patch:
+            patch.setattr(linsolve, "stencil_coefficients", scaled_stencil)
+            for out in (None, linsolve.EvaluationWorkspace(gp)):
+                with pytest.raises(MonotonicityError) as error:
+                    assemble_evaluation_system(gp, policy, setup.boundary, out=out)
+                assert str(error.value) == message, name
+
+
 def test_assembly_and_error_metrics_refuse_fields_on_another_grid():
     """A field on an equal grid built separately is accepted; one on a grid
     of the same shape with another spacing and width is refused, by
@@ -519,10 +549,38 @@ def test_sor_layout_reuse_is_bit_identical():
                   layout=layout)
 
 
+def test_sor_layout_follows_omega_across_loads():
+    """One layout solves at omega 1.7, 1.0, 1.3 and 1.7 again, also right
+    after a solve at another omega that raised, with the bits, sweeps and
+    update norm of a fresh layout and of the pointwise sweeps."""
+    rng = make_rng(420)
+    shape = (9, 8)
+    system = random_structured_system(rng, *shape)
+    start = rng.uniform(-1, 1, size=shape)
+    layout = RedBlackLayout(shape)
+    runs = [(1.7, None, 5000), (1.0, start, 5000), (1.0, None, 3), (1.3, start, 5000),
+            (1.3, start, 3), (1.7, start, 5000), (1.7, None, 5000)]
+    for omega, initial, max_iter in runs:
+        settings = dict(omega=omega, tol=1e-10, max_iter=max_iter, initial=initial)
+        if max_iter == 3:
+            with pytest.raises(SolverError, match="after 3 sweeps") as fresh_error:
+                solve_sor(system, **settings)
+            with pytest.raises(SolverError) as error:
+                solve_sor(system, layout=layout, **settings)
+            assert str(error.value) == str(fresh_error.value), omega
+            continue
+        fresh, fresh_stats = solve_sor(system, **settings)
+        sol, stats = solve_sor(system, layout=layout, **settings)
+        expect, sweeps, update = pointwise_red_black_sor(system, omega, 1e-10, max_iter, initial)
+        assert sol.tobytes() == fresh.tobytes() == expect.tobytes(), omega
+        assert stats == fresh_stats, omega
+        assert (stats.iterations, stats.final_update_norm) == (sweeps, update), omega
+
+
 def layout_buffers(layout):
     """The buffers a layout's sweeps read and write: staging, layers,
     values, the shared update buffer, and the product term."""
-    term = layout._colours[0][5]
+    term = layout._steps[1][3]  # the first neighbour product's output
     return [layout._staging, layout._layers, layout._values, layout._delta, term]
 
 
