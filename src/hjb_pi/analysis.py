@@ -21,6 +21,7 @@ __all__ = [
     "RateFit",
     "ErrorDecomposition",
     "difference_norms",
+    "extend_block_norms",
     "error_metrics",
     "fit_geometric_rate",
     "fit_power_rate",
@@ -76,6 +77,31 @@ def difference_norms(diff: np.ndarray, grid: Grid) -> tuple[float, float]:
     linf = float(np.maximum.reduce(np.abs(diff), None))
     l2 = math.sqrt(grid.h ** grid.dim * float(np.add.reduce(diff * diff, None)))
     return linf, l2
+
+
+def extend_block_norms(norms: tuple[list[float], ...], block: list[np.ndarray], grid: Grid,
+                       reference: GridField | None) -> list[np.ndarray]:
+    """Extend `norms`, howard.PIReport's lists (linf_error_to_reference,
+    l2_error_to_reference, residual_l2, monotonicity_violation), by the
+    iterates in `block`, one row-wise reduction per norm, and return the last
+    iterate for the next block.  A block's first iterate is such a carried
+    one, which only serves as V_{n-1}, unless `norms` are empty.  Each norm
+    has the bits of error_metrics or difference_norms; NaN without reference.
+    """
+    stack, carried, weight = np.array(block), bool(norms[2]), grid.h ** grid.dim
+    rows = stack[1:] if carried else stack
+    step = stack[1:] - stack[:-1]
+    errors = ([math.nan] * len(rows),) * 2
+    if reference is not None:
+        diff = rows - reference.values
+        errors = (np.maximum.reduce(np.abs(diff), 1).tolist(),
+                  np.sqrt(weight * np.add.reduce(diff * diff, 1)).tolist())
+    first = [] if carried else [math.nan]
+    steps = (first + np.sqrt(weight * np.add.reduce(step * step, 1)).tolist(),
+             first + np.maximum.reduce(step, 1).tolist())
+    for target, values in zip(norms, errors + steps):
+        target += values
+    return block[-1:]
 
 
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:

@@ -17,6 +17,13 @@ theta < 1, one array that improvement overwrites with the greedy controls.
 These hold buffers, not results, so reusing them changes no bit of any
 solve: every value field and policy a run hands on is its own array.
 
+A 1D run forms its trajectory norms once per block of NORM_BLOCK iterates,
+reducing their stack row by row and carrying a block's last iterate into
+the next (analysis.extend_block_norms): per iterate, on 601 nodes, those
+numpy calls were mostly overhead.  Only max|V_n - V_{n-1}| is formed per
+iteration, for an outer tolerance.  2D norms stay per iteration: bound by
+arithmetic at 1681 to 6561 nodes, they were measured slower in blocks.
+
 With theta < 1 the run is inexact Howard: evaluations 0 and 1 stop at
 solver_tol, and evaluation n >= 2 at
 max(solver_tol, INEXACT_TOL_FACTOR * max|V_{n-1} - V_{n-2}|), an inner
@@ -55,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import difference_norms, error_metrics
+from .analysis import difference_norms, error_metrics, extend_block_norms
 from .grid import Grid, GridField, interior_gradient
 from .linsolve import (
     EvaluationWorkspace,
@@ -82,6 +89,9 @@ INITIAL_POLICY_SPECS = ("zero", "adversarial2d")
 
 # Inner tolerance per unit of the previous outer step when theta < 1.
 INEXACT_TOL_FACTOR = 0.01
+
+# Iterates per block of a 1D run's trajectory norms (see the module docstring).
+NORM_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,8 @@ class PIReport:
     V_{n-1} + r (V_{n-1} - V_{n-2}), and 0.0 when it started from V_{n-1}
     (or, at n = 0, from the boundary data with a zero interior).
     Errors against the reference are NaN when no reference was supplied.
+    The lists are complete when run_policy_iteration returns; a 1D run fills
+    the four norm lists a block at a time (see the module docstring).
     """
 
     linf_error_to_reference: list[float] = field(default_factory=list)
@@ -281,10 +293,8 @@ def run_policy_iteration(
     mesh-weighted L2 errors against it are recorded.  Solver failure aborts
     with SolverError; otherwise the report's stop_reason states whether the
     budget or the outer tolerance ended the run.  The problem is sampled
-    onto the grid once per call (see GridProblem), and the run builds one
-    solver layout for all its evaluations: a linsolve.ReductionLayout in 1D,
-    a linsolve.RedBlackLayout in 2D, and the buffers of assembly and
-    improvement next to it (see the module docstring).
+    onto the grid once per call (see GridProblem); the module docstring
+    describes the run's solver layout, buffers and 1D norm blocks.
     """
     gp = GridProblem(problem, grid, params)
     if boundary.grid != grid:
@@ -308,6 +318,10 @@ def run_policy_iteration(
     inner_tol = config.solver_tol
     ratio = 0.0
     prev_update = math.inf
+    # 1D: the iterates whose norms wait for their block, after a carried one
+    blocked, block = grid.dim == 1, []
+    norms = (report.linf_error_to_reference, report.l2_error_to_reference,
+             report.residual_l2, report.monotonicity_violation)
 
     for n in range(config.max_outer_iterations):
         value, stats = policy_evaluate(
@@ -324,20 +338,28 @@ def run_policy_iteration(
         report.warm_start_ratio.append(ratio)
         report.solve_stats.append(stats)
         report.linf_norm.append(value.max_abs)
-        linf, l2 = (math.nan, math.nan) if reference is None else error_metrics(value, reference)
-        report.linf_error_to_reference.append(linf)
-        report.l2_error_to_reference.append(l2)
-        if prev is None:
-            report.residual_l2.append(math.nan)
-            report.monotonicity_violation.append(math.nan)
-            update = math.inf
+        if blocked:
+            block.append(value.values)
+            if len(block) >= NORM_BLOCK:
+                block = extend_block_norms(norms, block, grid, reference)
+            # the step's max-norm, formed only for the outer tolerance
+            update = (math.inf if config.outer_tolerance is None or prev is None
+                      else float(np.maximum.reduce(np.abs(value.values - prev.values), None)))
         else:
-            # V_n - V_{n-1}, formed once for the step norms, the
-            # monotonicity check and the predicted warm start
-            step = value.values - prev.values
-            update, step_l2 = difference_norms(step, grid)
-            report.residual_l2.append(step_l2)
-            report.monotonicity_violation.append(float(np.maximum.reduce(step, None)))
+            linf, l2 = (math.nan, math.nan) if reference is None else error_metrics(value, reference)
+            report.linf_error_to_reference.append(linf)
+            report.l2_error_to_reference.append(l2)
+            if prev is None:
+                report.residual_l2.append(math.nan)
+                report.monotonicity_violation.append(math.nan)
+                update = math.inf
+            else:
+                # V_n - V_{n-1}, formed once for the step norms, the
+                # monotonicity check and the predicted warm start
+                step = value.values - prev.values
+                update, step_l2 = difference_norms(step, grid)
+                report.residual_l2.append(step_l2)
+                report.monotonicity_violation.append(float(np.maximum.reduce(step, None)))
         if n in config.snapshot_iterations:
             report.value_snapshots[n] = value.values.copy()
         if config.outer_tolerance is not None and update <= config.outer_tolerance:
@@ -359,6 +381,8 @@ def run_policy_iteration(
         prev = value
         prev_update = update
 
+    if blocked:
+        extend_block_norms(norms, block, grid, reference)
     report.stop_reason = stop_reason or (
         f"completed the budget of {config.max_outer_iterations} iterations"
     )

@@ -30,6 +30,7 @@ from hjb_pi import (
     solve_tridiagonal,
 )
 from hjb_pi import howard
+from hjb_pi.analysis import difference_norms
 from hjb_pi.checks import greedy_run_extremes
 from hjb_pi.grid import interior_gradient
 from hjb_pi.problems import lq1d_problem
@@ -400,6 +401,81 @@ def test_step_norms_match_the_snapshots(theta, iterations):
     for n in range(1, iterations):
         assert report.residual_l2[n] == error_metrics(v[n], v[n - 1])[1], n
         assert report.monotonicity_violation[n] == float(np.max(v[n].values - v[n - 1].values)), n
+
+
+def _float_bits(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+def _lq1d_run(setup, iterations, theta=1.0, tolerance=None, reference=None, snapshots=()):
+    config = PIConfig(max_outer_iterations=iterations, relaxation_theta=theta,
+                      outer_tolerance=tolerance, snapshot_iterations=snapshots)
+    return run_policy_iteration(setup.problem, setup.grid, setup.params, config,
+                                boundary=setup.boundary, reference=reference)
+
+
+NORM_LISTS = ("linf_error_to_reference", "l2_error_to_reference", "residual_l2",
+              "monotonicity_violation")
+
+
+@pytest.mark.parametrize("with_reference", [True, False])
+@pytest.mark.parametrize("tolerance", [None, 1e-12])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize(
+    "iterations",
+    [1, howard.NORM_BLOCK - 1, howard.NORM_BLOCK, howard.NORM_BLOCK + 1, 50],
+)
+def test_1d_block_norms_match_the_per_iterate_helpers(iterations, theta, tolerance,
+                                                      with_reference):
+    """A 1D run forms its trajectory norms once per block of iterates; each
+    of the four lists equals, bit for bit, error_metrics and
+    difference_norms applied to every iterate's snapshot, across block
+    boundaries, at an outer-tolerance stop and without a reference.  The
+    run stops at the first step whose max-norm is at most the tolerance."""
+    setup = build_benchmark("lq1d", h=0.2)
+    report = _lq1d_run(setup, iterations, theta, tolerance,
+                       setup.reference if with_reference else None,
+                       snapshots=tuple(range(iterations)))
+    runs = report.iterations_run
+    assert runs == len(report.value_snapshots) == len(report.linf_norm)
+    values = [report.value_snapshots[n] for n in range(runs)]
+    assert values[-1].tobytes() == report.final_value.values.tobytes()
+    steps = [v - u for u, v in zip(values, values[1:])]
+    errors = [error_metrics(GridField(setup.grid, v), setup.reference) if with_reference
+              else (math.nan, math.nan) for v in values]
+    step_norms = [difference_norms(step, setup.grid) for step in steps]
+    expected = (
+        [linf for linf, _ in errors],
+        [l2 for _, l2 in errors],
+        [math.nan] + [l2 for _, l2 in step_norms],
+        [math.nan] + [float(np.maximum.reduce(step, None)) for step in steps],
+    )
+    for name, want in zip(NORM_LISTS, expected):
+        assert _float_bits(getattr(report, name)) == _float_bits(want), name
+    stops = [linf <= tolerance for linf, _ in step_norms] if tolerance is not None else []
+    if True in stops:
+        assert stops.index(True) == runs - 2
+        assert report.stop_reason.endswith(f"reached at iteration {runs - 1}")
+    else:
+        assert runs == iterations
+        assert report.stop_reason.startswith("completed the budget")
+
+
+def test_1d_run_memory_does_not_grow_with_the_budget():
+    """A 1D run keeps a bounded block of iterates for its norms, not a
+    buffer sized by its budget: with a budget of 10**9 iterations and an
+    outer tolerance, lq1d stops with the same report as with a budget of
+    200."""
+    setup = build_benchmark("lq1d", h=0.2)
+    huge = _lq1d_run(setup, 10**9, tolerance=1e-12, reference=setup.reference)
+    small = _lq1d_run(setup, 200, tolerance=1e-12, reference=setup.reference)
+    assert small.stop_reason.startswith("outer tolerance")
+    assert huge.stop_reason == small.stop_reason
+    for name in NORM_LISTS + ("linf_norm", "warm_start_ratio"):
+        assert _float_bits(getattr(huge, name)) == _float_bits(getattr(small, name)), name
+    assert huge.solve_stats == small.solve_stats
+    assert huge.final_value.values.tobytes() == small.final_value.values.tobytes()
+    assert huge.final_policy.controls.tobytes() == small.final_policy.controls.tobytes()
 
 
 def _recorded_run(monkeypatch, theta, iterations):

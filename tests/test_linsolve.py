@@ -20,6 +20,7 @@ from hjb_pi import (
     build_benchmark,
     build_grid,
     error_metrics,
+    initial_policy,
     solve_dense_oracle,
     solve_sor,
     solve_tridiagonal,
@@ -645,6 +646,26 @@ def test_sor_non_convergence_raises():
     with pytest.raises(SolverError, match=r"^SOR stalled at update norm \d\.\d{3}e[+-]\d+ "
                        r"after 2 sweeps \(tolerance 1\.000e-14\)$"):
         solve_sor(system, omega=1.7, tol=1e-14, max_iter=2)
+
+
+def test_sor_reports_a_divergence_at_once():
+    """run2d's first evaluation system (h = 0.05, adversarial policy)
+    diverges under omega = 1.99.  SOR says so within 50 sweeps, before any
+    value overflows, with both update norms; it does not run its whole
+    budget and then report a stall."""
+    setup = build_benchmark("manufactured2d", h=0.05)
+    policy = initial_policy("adversarial2d", setup.grid, setup.problem)
+    system = assemble_evaluation_system(
+        GridProblem(setup.problem, setup.grid, setup.params), policy, setup.boundary
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=r"^SOR diverged after \d+ sweeps: update norm "
+                           r"\d\.\d{3}e\+\d+, at least 1000 times the least update norm "
+                           r"\d\.\d{3}e[+-]\d+ of this solve$") as error:
+            solve_sor(system, omega=1.99, tol=PIConfig.solver_tol,
+                      max_iter=PIConfig.solver_max_iter)
+    assert int(str(error.value).split()[3]) <= 50
 
 
 def test_sor_validates_omega():
