@@ -9,10 +9,12 @@ tridiagonal solve (1D: odd-even reduction, then Thomas) or red-black SOR
 update, optionally relaxed.
 
 Layer map, bottom to top: grid -> analysis, problems -> scheme ->
-linsolve -> howard -> benchmarks -> cli.  analysis (error norms and fits)
-needs only grid, so howard records its norms with it.  problems writes the
-control model once: policy_cost_and_drift forms (c, f) and greedy_policy
-the clip of -grad_h u.  scheme owns
+linsolve -> howard -> benchmarks -> cli.  grid also holds Record, the
+base of the value types, which are plain classes rather than dataclasses
+so that importing the package generates no code.  analysis (error norms
+and fits) needs only grid, so howard records its norms with it.  problems
+writes the control model once: policy_cost_and_drift forms (c, f) and
+greedy_policy the clip of -grad_h u.  scheme owns
 GridProblem, the problem sampled once onto a grid; stencil_coefficients,
 the one stencil routine that assembly, the resolvent and certification
 share; and bellman_residual, the one operator routine: L_alpha u for a

@@ -10,12 +10,11 @@ n ~ (d*N) / (lam*h) * log(1/h) used by mesh sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridField
+from .grid import Grid, GridField, Record
 
 __all__ = [
     "RateFit",
@@ -34,8 +33,7 @@ __all__ = [
 NOISE_FLOOR = 100.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(Record):
     """Least-squares line through transformed data points.
 
     slope/intercept describe log(y) against n (geometric fits) or log(y)
@@ -43,18 +41,19 @@ class RateFit:
     points_used counts the points that survived the noise floor.
     """
 
-    slope: float
-    intercept: float
-    r_squared: float
-    points_used: int
+    _fields = ("slope", "intercept", "r_squared", "points_used")
+
+    def __init__(self, slope: float, intercept: float, r_squared: float, points_used: int) -> None:
+        super().__init__(slope, intercept, r_squared, points_used)
 
 
-@dataclass(frozen=True)
-class ErrorDecomposition:
+class ErrorDecomposition(Record):
     """Two-term error budget: geometric iteration term plus mesh term."""
 
-    iteration_term: float
-    discretization_term: float
+    _fields = ("iteration_term", "discretization_term")
+
+    def __init__(self, iteration_term: float, discretization_term: float) -> None:
+        super().__init__(iteration_term, discretization_term)
 
     @property
     def total(self) -> float:

@@ -15,11 +15,9 @@ in play are iteration and discretization errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .grid import Grid, GridField, build_grid
+from .grid import Grid, GridField, Record, build_grid
 from .problems import (
     ControlProblem,
     lq1d_problem,
@@ -45,15 +43,14 @@ BENCHMARK_DEFAULTS = {
 BENCHMARK_NAMES = tuple(BENCHMARK_DEFAULTS)
 
 
-@dataclass(frozen=True)
-class BenchmarkSetup:
+class BenchmarkSetup(Record):
     """Everything needed to run one benchmark at one resolution."""
 
-    problem: ControlProblem
-    grid: Grid
-    params: SchemeParams
-    reference: GridField
-    boundary: GridField
+    _fields = ("problem", "grid", "params", "reference", "boundary")
+
+    def __init__(self, problem: ControlProblem, grid: Grid, params: SchemeParams,
+                 reference: GridField, boundary: GridField) -> None:
+        super().__init__(problem, grid, params, reference, boundary)
 
 
 def build_benchmark(
@@ -103,7 +100,8 @@ def _build_manufactured2d(lam: float, half_width: float, h: float, a_max: float)
     # F_h[reference] of the zero-cost problem, taken as the state cost,
     # cancels F_h[reference] whether or not the greedy clip binds
     cost = bellman_residual(skeleton, params, reference)
-    problem = replace(skeleton, state_cost=make_grid_lookup(cost))
+    problem = ControlProblem(lam=lam, drift_base=_drift_on_coords,
+                             state_cost=make_grid_lookup(cost), a_max=a_max, dim=2)
     return BenchmarkSetup(
         problem=problem,
         grid=grid,

@@ -23,7 +23,6 @@ import sys
 
 from .analysis import detect_plateau, fit_power_rate, optimal_iteration_count
 from .benchmarks import BENCHMARK_DEFAULTS, BenchmarkSetup, build_benchmark
-from .checks import run_checks
 from .grid import Grid
 from .howard import PIConfig, PIReport, run_policy_iteration
 from .linsolve import SolverError
@@ -289,7 +288,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Every property of checks.CHECKS; exit status 1 if any fails."""
+    """Every property of checks.CHECKS; exit status 1 if any fails.  Only
+    this command imports the property suite and its oracles."""
+    from .checks import run_checks
+
     return 1 if run_checks() else 0
 
 

@@ -58,12 +58,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import difference_norms, error_metrics, extend_block_norms
-from .grid import Grid, GridField, interior_gradient
+from .grid import Grid, GridField, Record, interior_gradient
 from .linsolve import (
     EvaluationWorkspace,
     RedBlackLayout,
@@ -94,14 +93,14 @@ INEXACT_TOL_FACTOR = 0.01
 NORM_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class PIConfig:
+class PIConfig(Record):
     """Outer-loop configuration.
 
     outer_tolerance of None disables early stopping: exactly
     max_outer_iterations evaluations are performed.  snapshot_iterations
-    lists 0-based iteration indices whose value fields should be retained
-    in the report (the final field is always available).
+    is a tuple of 0-based iteration indices whose value fields should be
+    retained in the report (the final field is always available); an index
+    at or beyond the budget keeps nothing.
 
     solver_tol is the SOR update tolerance of every evaluation when
     relaxation_theta = 1, and the floor of the inexact schedule when
@@ -114,16 +113,20 @@ class PIConfig:
     settings omega, solver_tol and solver_max_iter, but all three are checked.
     """
 
-    max_outer_iterations: int
-    relaxation_theta: float = 1.0
-    initial_policy_spec: str = "zero"
-    outer_tolerance: float | None = None
-    omega: float = 1.7
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 5000
-    snapshot_iterations: tuple[int, ...] = ()
+    _fields = ("max_outer_iterations", "relaxation_theta", "initial_policy_spec",
+               "outer_tolerance", "omega", "solver_tol", "solver_max_iter", "snapshot_iterations")
+    # the SOR defaults, also read from the class by the command line and the checks
+    omega = 1.7
+    solver_tol = 1e-10
+    solver_max_iter = 5000
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_outer_iterations: int, relaxation_theta: float = 1.0,
+                 initial_policy_spec: str = "zero", outer_tolerance: float | None = None,
+                 omega: float = omega, solver_tol: float = solver_tol,
+                 solver_max_iter: int = solver_max_iter,
+                 snapshot_iterations: tuple[int, ...] = ()) -> None:
+        super().__init__(max_outer_iterations, relaxation_theta, initial_policy_spec,
+                         outer_tolerance, omega, solver_tol, solver_max_iter, snapshot_iterations)
         for name in ("max_outer_iterations", "solver_max_iter"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -146,9 +149,12 @@ class PIConfig:
             raise ValueError(f"omega must lie in (0, 2), got {self.omega}")
         if not self.solver_max_iter >= 1:
             raise ValueError(f"solver_max_iter must be at least 1, got {self.solver_max_iter}")
+        snaps = self.snapshot_iterations
+        if not isinstance(snaps, tuple) or any(
+                isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0 for n in snaps):
+            raise ValueError(f"snapshot_iterations must be a tuple of integers >= 0, got {snaps!r}")
 
 
-@dataclass
 class PIReport:
     """Per-iteration trajectories plus the final iterate.
 
@@ -169,17 +175,18 @@ class PIReport:
     the four norm lists a block at a time (see the module docstring).
     """
 
-    linf_error_to_reference: list[float] = field(default_factory=list)
-    l2_error_to_reference: list[float] = field(default_factory=list)
-    residual_l2: list[float] = field(default_factory=list)
-    monotonicity_violation: list[float] = field(default_factory=list)
-    linf_norm: list[float] = field(default_factory=list)
-    warm_start_ratio: list[float] = field(default_factory=list)
-    solve_stats: list[SolveStats] = field(default_factory=list)
-    value_snapshots: dict[int, np.ndarray] = field(default_factory=dict)
-    final_value: GridField | None = None
-    final_policy: PolicyField | None = None
-    stop_reason: str = ""
+    def __init__(self) -> None:
+        self.linf_error_to_reference: list[float] = []
+        self.l2_error_to_reference: list[float] = []
+        self.residual_l2: list[float] = []
+        self.monotonicity_violation: list[float] = []
+        self.linf_norm: list[float] = []
+        self.warm_start_ratio: list[float] = []
+        self.solve_stats: list[SolveStats] = []
+        self.value_snapshots: dict[int, np.ndarray] = {}
+        self.final_value: GridField | None = None
+        self.final_policy: PolicyField | None = None
+        self.stop_reason = ""
 
     @property
     def iterations_run(self) -> int:

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField
+from .grid import GridField, Record
 from .problems import PolicyField, policy_cost_and_drift
 from .scheme import DOMINANCE_RTOL, GridProblem, MonotonicityError, stencil_coefficients
 
@@ -64,16 +63,17 @@ class SolverError(RuntimeError):
     """A linear solve failed (zero pivot or non-convergence)."""
 
 
-@dataclass
 class EvaluationSystem:
     """Rows center*u + sum_k (plus[k]*u(x + h e_k) + minus[k]*u(x - h e_k))
     = rhs, every array of the interior shape; weights that would reference
     a boundary node are 0 with their contribution in rhs."""
 
-    center: np.ndarray
-    plus: tuple[np.ndarray, ...]
-    minus: tuple[np.ndarray, ...]
-    rhs: np.ndarray
+    def __init__(self, center: np.ndarray, plus: tuple[np.ndarray, ...],
+                 minus: tuple[np.ndarray, ...], rhs: np.ndarray) -> None:
+        self.center = center
+        self.plus = plus
+        self.minus = minus
+        self.rhs = rhs
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,15 +84,17 @@ class EvaluationSystem:
         return self.center.size
 
 
-@dataclass
-class SolveStats:
+class SolveStats(Record):
     """One solve, which met its tolerance: its sweeps (1 for a direct
     solve), its last update norm and tol, the update tolerance it was asked
-    to reach (in a run, the schedule's value); both are 0.0 when direct."""
+    to reach (in a run, the schedule's value); both are 0.0 when direct.
+    Unlike the frozen records it may be assigned to, so it has no hash."""
 
-    iterations: int
-    final_update_norm: float
-    tol: float
+    _fields = ("iterations", "final_update_norm", "tol")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, iterations: int, final_update_norm: float, tol: float) -> None:
+        self.iterations, self.final_update_norm, self.tol = iterations, final_update_norm, tol
 
 
 # Per dimension and axis: the index of the interior rows on the low face, of

@@ -21,12 +21,11 @@ Ingredients of the two built-in benchmarks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, GridField
+from .grid import Grid, GridField, Record
 
 __all__ = [
     "ControlProblem",
@@ -43,21 +42,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ControlProblem:
+class ControlProblem(Record):
     """Discounted exit-free control problem on a truncated box.
 
     drift_base and state_cost are vectorized callables taking coordinates of
     shape (..., dim); drift_base returns (..., dim), state_cost returns (...).
     """
 
-    lam: float
-    drift_base: Callable[[np.ndarray], np.ndarray]
-    state_cost: Callable[[np.ndarray], np.ndarray]
-    a_max: float
-    dim: int
+    _fields = ("lam", "drift_base", "state_cost", "a_max", "dim")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, lam: float, drift_base: Callable[[np.ndarray], np.ndarray],
+                 state_cost: Callable[[np.ndarray], np.ndarray], a_max: float, dim: int) -> None:
+        super().__init__(lam, drift_base, state_cost, a_max, dim)
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError(f"discount rate must be positive, got {self.lam}")
         if not (self.a_max > 0 and math.isfinite(self.a_max)):
@@ -66,17 +63,17 @@ class ControlProblem:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
 
 
-@dataclass(frozen=True, eq=False)
-class PolicyField:
+class PolicyField(Record):
     """One control vector per interior node, shape interior_shape + (dim,)."""
 
-    grid: Grid
-    controls: np.ndarray
-    a_max: float
+    _fields = ("grid", "controls", "a_max")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        controls = np.ascontiguousarray(self.controls, dtype=float)
+    def __init__(self, grid: Grid, controls: np.ndarray, a_max: float) -> None:
+        controls = np.ascontiguousarray(controls, dtype=float)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "a_max", a_max)
         expected = self.grid.interior_shape + (self.grid.dim,)
         if controls.shape != expected:
             raise ValueError(f"controls shape {controls.shape}, expected {expected}")

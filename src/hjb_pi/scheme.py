@@ -31,12 +31,11 @@ the center weight is SchemeParams.center_weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, GridField, interior_gradient, interior_laplacian, _shifted
+from .grid import Grid, GridField, Record, interior_gradient, interior_laplacian, _shifted
 from .problems import ControlProblem, PolicyField, greedy_policy, policy_cost_and_drift
 
 __all__ = [
@@ -62,8 +61,7 @@ class MonotonicityError(ValueError):
     """A stencil weight or assembled off-diagonal has the wrong sign."""
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record):
     """Discretization parameters: viscosity coefficient N, spacing h, dim, lam.
 
     Refuses a lam at or below DOMINANCE_RTOL times the center weight
@@ -71,12 +69,10 @@ class SchemeParams:
     center weight, and no solve could be certified.
     """
 
-    viscosity: float
-    h: float
-    dim: int
-    lam: float
+    _fields = ("viscosity", "h", "dim", "lam")
 
-    def __post_init__(self) -> None:
+    def __init__(self, viscosity: float, h: float, dim: int, lam: float) -> None:
+        super().__init__(viscosity, h, dim, lam)
         for name in ("viscosity", "h", "lam"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
@@ -101,8 +97,7 @@ class SchemeParams:
         return r / (self.lam + r)
 
 
-@dataclass(frozen=True, eq=False)
-class GridProblem:
+class GridProblem(Record):
     """A control problem on one grid with one set of scheme parameters.
 
     Construction checks that the three agree on dim, h and lam.  The state
@@ -112,11 +107,11 @@ class GridProblem:
     samples nothing.
     """
 
-    problem: ControlProblem
-    grid: Grid
-    params: SchemeParams
+    _fields = ("problem", "grid", "params")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, problem: ControlProblem, grid: Grid, params: SchemeParams) -> None:
+        super().__init__(problem, grid, params)
         if not self.params.dim == self.grid.dim == self.problem.dim:
             raise ValueError("params, grid, and problem dimensions disagree")
         if self.params.h != self.grid.h:
@@ -142,14 +137,16 @@ class GridProblem:
         return self._sample(self.problem.drift_base)
 
 
-@dataclass(frozen=True)
-class StencilCertificate:
+class StencilCertificate(Record):
     """Result of a sampled monotonicity certification."""
 
-    max_neighbor_coefficient: float
-    max_row_sum_deviation: float
-    nodes_checked: int
-    controls_checked: int
+    _fields = ("max_neighbor_coefficient", "max_row_sum_deviation", "nodes_checked",
+               "controls_checked")
+
+    def __init__(self, max_neighbor_coefficient: float, max_row_sum_deviation: float,
+                 nodes_checked: int, controls_checked: int) -> None:
+        super().__init__(max_neighbor_coefficient, max_row_sum_deviation, nodes_checked,
+                         controls_checked)
 
 
 def stencil_coefficients(

@@ -579,6 +579,23 @@ def test_pi_config_validation():
     PIConfig(max_outer_iterations=np.int64(5), solver_max_iter=np.int64(1))
 
 
+def test_pi_config_refuses_snapshot_indices_that_never_match(lq_coarse):
+    # an int, a negative index, a float and a string never equal an
+    # iteration index; the int would otherwise fail only inside the run
+    for snapshots in (3, (-1,), (1.5,), ("a",)):
+        with pytest.raises(ValueError, match="snapshot_iterations"):
+            PIConfig(max_outer_iterations=4, snapshot_iterations=snapshots)
+    # indices at or beyond the budget stay allowed: greedy2d's benchmark
+    # settings ask for 15 and 30 in a 12-iteration run
+    setup = lq_coarse
+    report = run_policy_iteration(
+        setup.problem, setup.grid, setup.params,
+        PIConfig(max_outer_iterations=12, snapshot_iterations=(0, 5, 15, 30)),
+        boundary=setup.boundary,
+    )
+    assert report.iterations_run == 12 and sorted(report.value_snapshots) == [0, 5]
+
+
 def _allocating_run(setup, theta, iterations, spec):
     """run_policy_iteration rebuilt from the allocating calls: every
     iteration assembles a new system, solves it without a solver layout and

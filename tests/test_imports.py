@@ -8,6 +8,9 @@ attribute access like `np.zeros` uses `np`) or is listed in `__all__`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -165,3 +168,26 @@ def test_no_unused_imports():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded after running `code` in a fresh interpreter that
+    imports hjb_pi from where this process does (src/ or an installed copy)."""
+    import hjb_pi
+
+    env = dict(os.environ, PYTHONPATH=str(Path(hjb_pi.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_fresh_interpreter_imports_the_package_without_dataclasses():
+    # numpy first, so a dataclass import on its side would not count
+    assert "numpy" in _modules_after("import numpy")
+    assert "dataclasses" not in _modules_after("import numpy\nimport hjb_pi")
+
+
+def test_fresh_interpreter_imports_the_cli_without_the_property_suite():
+    loaded = _modules_after("import hjb_pi.cli")
+    assert "hjb_pi.cli" in loaded
+    assert not {"hjb_pi.checks", "hjb_pi.oracles"} & loaded
