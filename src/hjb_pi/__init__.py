@@ -15,15 +15,17 @@ so that importing the package generates no code.  analysis (error norms
 and fits) needs only grid, so howard records its norms with it.  problems
 writes the control model once: policy_cost_and_drift forms (c, f) and
 greedy_policy the clip of -grad_h u.  scheme owns
-GridProblem, the problem sampled once onto a grid; stencil_coefficients,
-the one stencil routine that assembly, the resolvent and certification
-share; and bellman_residual, the one operator routine: L_alpha u for a
+GridProblem, the problem sampled once onto a grid; write_stencil, the one
+stencil routine, which assembly calls with its bound operands and
+stencil_coefficients (for the resolvent and certification) with any drift;
+and bellman_residual, the one operator routine: L_alpha u for a
 policy, and F_h[u] = L_{a*(u)} u at the greedy control without one.
 SchemeParams carries the derived center weight and contraction factor
 beta, and refuses a discount lost in the rounding of the center weight.
 linsolve has one interior system type for both dimensions,
 EvaluationSystem: a center, one plus and one minus weight per axis, and a
-right-hand side with the Dirichlet ring folded in.  benchmarks owns
+right-hand side with the Dirichlet ring folded in, and one place that
+assembles it, EvaluationWorkspace.  benchmarks owns
 BENCHMARK_DEFAULTS, the one table of benchmark defaults; its builders set
 each benchmark's viscosity N and build the 2D cost with bellman_residual.
 oracles holds independent reimplementations used only to cross-check the

@@ -8,12 +8,13 @@ gradient of the new value.  With relaxation theta < 1 the new policy is
 the convex mix (1 - theta) * previous + theta * greedy, clipped to the
 control box; theta = 1 is classical greedy improvement, for which iterates
 decrease pointwise and converge geometrically with factor
-beta = (2*d*N/h) / (lam + 2*d*N/h).  A run sets up one solver layout, the
-reduction levels of linsolve.ReductionLayout in 1D or the SOR colours of
-linsolve.RedBlackLayout in 2D, and hands it to every evaluation through
-policy_evaluate.  Next to it the run builds one linsolve.EvaluationWorkspace,
-which every assembly overwrites with its system and drift, and, when
-theta < 1, one array that improvement overwrites with the greedy controls.
+beta = (2*d*N/h) / (lam + 2*d*N/h).  A run builds one
+linsolve.EvaluationWorkspace, bound to its GridProblem and boundary data,
+which every assembly overwrites with its system and drift, and one solver
+layout: in 1D the workspace's own ReductionLayout, whose rows it assembles
+into, in 2D the SOR colours of a linsolve.RedBlackLayout.  It hands both to
+every evaluation through policy_evaluate, and, when theta < 1, builds one
+array that improvement overwrites with the greedy controls.
 These hold buffers, not results, so reusing them changes no bit of any
 solve: every value field and policy a run hands on is its own array.
 
@@ -233,9 +234,10 @@ def policy_evaluate(
 ) -> tuple[GridField, SolveStats]:
     """Solve L_alpha V = 0 with Dirichlet data from `boundary`.
 
-    The system is assembled into `workspace` when given (see
+    The system is assembled by `workspace` when given (see
     assemble_evaluation_system).  1D systems are eliminated directly in
-    `layout`, a ReductionLayout (see solve_tridiagonal); 2D systems run SOR
+    `layout`, a ReductionLayout (see solve_tridiagonal; in a run, the
+    workspace's, which holds its system); 2D systems run SOR
     warm started from `initial` when given, in `layout`, a RedBlackLayout
     (see solve_sor).  Either solver writes the solution straight into the
     returned field, which is new.  A 2D solve's SolveStats records
@@ -312,10 +314,10 @@ def run_policy_iteration(
     boundary_field = GridField(grid, np.where(grid.boundary_mask(), boundary.values, 0.0))
     policy = initial_policy(config.initial_policy_spec, grid, problem)
     shape = grid.interior_shape
-    layout = ReductionLayout(shape[0]) if grid.dim == 1 else RedBlackLayout(shape)
     # the arrays of assembly and of relaxed improvement, rewritten every
     # iteration; greedy improvement writes its controls into the new policy
-    workspace = EvaluationWorkspace(gp)
+    workspace = EvaluationWorkspace(gp, boundary_field)
+    layout = workspace.layout if grid.dim == 1 else RedBlackLayout(shape)
     greedy = np.empty(shape + (grid.dim,)) if config.relaxation_theta < 1.0 else None
     report = PIReport()
     prev: GridField | None = None

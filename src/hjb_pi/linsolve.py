@@ -3,22 +3,23 @@
 One interior system type, EvaluationSystem, serves both dimensions.
 Assembly folds the Dirichlet neighbor terms into the right-hand side, axis
 by axis, leaving a strictly diagonally dominant system (dominance margin
-lam, inherited from the monotone stencil).  It writes into an
-EvaluationWorkspace, which a policy-iteration run builds once like the
-solver layouts below, or into new arrays without one.  1D systems are
-tridiagonal.  They are halved by odd-even (cyclic) reduction, a pivot check,
-14 whole-array steps and later 5 back-substitution steps per level, until at
-most REDUCTION_THRESHOLD unknowns remain; Thomas elimination solves the
-rest, a sequential recurrence whose loop runs on Python floats taken once
-from the arrays, because reading numpy arrays element by element costs
-several times the arithmetic.  2D systems are solved by SOR with red-black
-sweeps, vectorized over each colour.  Each solver's buffers and views,
-ReductionLayout and RedBlackLayout, are set up once per system shape and
-serve every solve of a policy-iteration run.  A SOR sweep is one flat list
-of numpy calls built with its layout, on fixed views and with omega in a 0-d
-array; both colours' updates go into one shared buffer, so the stopping
-test is one reduction per sweep.  A dense LU path exists purely as a test
-oracle.
+lam, inherited from the monotone stencil), in an EvaluationWorkspace, which
+keeps every operand no policy changes.  1D systems are tridiagonal.  They
+are halved by odd-even (cyclic) reduction, a pivot check, 14 whole-array
+steps (16 on the first level, which also forms the margins) and later 5
+back-substitution steps per level, until at most REDUCTION_THRESHOLD
+unknowns remain; Thomas elimination solves the rest, a sequential recurrence
+whose loop runs on Python floats taken once from the arrays, because reading
+numpy arrays element by element costs several times the arithmetic.  A 1D
+workspace assembles into its ReductionLayout's top rows, which the first
+level reads with the couplings' own signs, so its solve copies nothing in.
+2D systems are solved by SOR with red-black sweeps, vectorized over each
+colour.  Each solver's buffers and views, ReductionLayout and
+RedBlackLayout, are set up once per system shape and serve every solve of a
+policy-iteration run.  A SOR sweep is one flat list of numpy calls built
+with its layout, on fixed views and with omega in a 0-d array; both colours'
+updates go into one shared buffer, so the stopping test is one reduction per
+sweep.  A dense LU path exists purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .grid import GridField, Record
 from .problems import PolicyField, policy_cost_and_drift
-from .scheme import DOMINANCE_RTOL, GridProblem, MonotonicityError, stencil_coefficients
+from .scheme import DOMINANCE_RTOL, GridProblem, MonotonicityError, write_stencil
 
 __all__ = [
     "EvaluationSystem",
@@ -112,26 +113,76 @@ _FACES = {
 
 
 class EvaluationWorkspace:
-    """The arrays that assembling one evaluation system writes, for one
-    GridProblem: the system itself, whose center is written here once (each
-    row's is the center weight), and the policy's drift f.  A run builds
-    one and hands it to each assembly, which overwrites all of them but the
-    center, so a system taken from a workspace is valid until the next
-    assembly into it."""
+    """The one place an evaluation system is assembled, for one GridProblem
+    and its Dirichlet data (a run builds one; without it, each call does).
 
-    def __init__(self, gp: GridProblem) -> None:
-        shape, dim = gp.grid.interior_shape, gp.grid.dim
-        self.center_weight = gp.params.center_weight
-        self.system = EvaluationSystem(
-            center=np.full(shape, self.center_weight),
-            plus=tuple(np.empty(shape) for _ in range(dim)),
-            minus=tuple(np.empty(shape) for _ in range(dim)),
-            rhs=np.empty(shape),
-        )
-        self.drift = np.empty(shape + (dim,))
-        # the dominance check's row sums of absolute weights, and two terms;
-        # a tuple, because unpacking a 3-row array makes three views per call
-        self.offsums = tuple(np.empty(shape) for _ in range(3))
+    It keeps what no policy changes: the sampled cost and drift, -N/h and
+    2h, each axis's drift and weight views, each face's rows and boundary
+    values, the dominance check's buffers, and the system's center, written
+    once.  In 1D it builds the run's ReductionLayout and, when that has a
+    level, assembles into its rows, with -0.0 for the folded weights.  A
+    system taken from it is valid until the next assembly.  It serves only
+    the GridProblem whose samples it holds, and rebinds to a new boundary.
+    """
+
+    def __init__(self, gp: GridProblem, boundary: GridField) -> None:
+        params, shape, dim = gp.params, gp.grid.interior_shape, gp.grid.dim
+        self.gp, self.cost, self.drift_base = gp, gp.state_cost, gp.drift_base
+        self.layout = ReductionLayout(shape[0]) if dim == 1 else None
+        if self.layout is not None and self.layout._levels:
+            diag, lower, upper, rhs, _ = self.layout._top
+            system = self.layout.system = EvaluationSystem(diag, (upper,), (lower,), rhs)
+            self._zero = -0.0  # the exact negation of the negated form's zero couplings
+        else:
+            weights = [tuple(np.empty(shape) for _ in range(dim)) for _ in range(2)]
+            system, self._zero = EvaluationSystem(np.empty(shape), *weights, np.empty(shape)), 0.0
+        self.system, self.center_weight = system, params.center_weight
+        system.center[...] = self.center_weight
+        drift = np.empty(shape + (dim,))
+        self._cost_drift = (system.rhs, drift)
+        axes = tuple(zip((drift[..., k] for k in range(dim)), system.plus, system.minus))
+        self._stencil = (drift, axes, -(params.viscosity / params.h), 2.0 * params.h,
+                         params.viscosity, np.empty(drift.shape))
+        self._floor = params.lam - DOMINANCE_RTOL * self.center_weight
+        # the dominance check's row sums of absolute weights, and two terms
+        self._offsums = tuple(np.empty(shape) for _ in range(3))
+        self.bind(boundary)
+
+    def bind(self, boundary: GridField) -> None:
+        """Read the Dirichlet data from `boundary` from now on; in 1D its two
+        values are read here, once (a GridField is not to be mutated)."""
+        self.boundary, bvals, system = boundary, boundary.values, self.system
+        # axis by axis, the low face (through minus), then the high face
+        # (through plus): the index of its rows, their weights, and the
+        # boundary values they couple to
+        self._faces = []
+        for k, (low, low_nodes, high, high_nodes) in enumerate(_FACES[len(system.shape)]):
+            self._faces += [(system.minus[k], low, bvals[low_nodes]),
+                            (system.plus[k], high, bvals[high_nodes])]
+
+    def assemble(self, controls: np.ndarray) -> EvaluationSystem:
+        """Assemble the system of the policy with these controls; see
+        assemble_evaluation_system."""
+        system = self.system
+        # c goes straight into rhs, where the boundary terms fold in below
+        policy_cost_and_drift(self.cost, self.drift_base, controls, out=self._cost_drift)
+        write_stencil(*self._stencil)
+        rhs, zero = system.rhs, self._zero
+        for weights, rows, values in self._faces:
+            rhs[rows] -= weights[rows] * values
+            weights[rows] = zero
+        # Rounded subtraction is monotone, so this is the smallest row margin
+        # exactly as the element-wise difference would give it.
+        offsum, a, b = self._offsums
+        plus, minus = system.plus, system.minus
+        np.add(np.abs(plus[0], a), np.abs(minus[0], b), offsum)
+        for k in range(1, len(plus)):
+            offsum += np.add(np.abs(plus[k], a), np.abs(minus[k], b), a)
+        margin = self.center_weight - float(np.maximum.reduce(offsum, None))
+        if not margin >= self._floor:  # also nan
+            raise MonotonicityError(
+                f"diagonal dominance margin {margin:.6g} fell below {self.gp.params.lam}")
+        return system
 
 
 def assemble_evaluation_system(
@@ -145,41 +196,22 @@ def assemble_evaluation_system(
     Axis by axis, the low face (through minus) and then the high face
     (through plus) fold their boundary terms into rhs and their weights to
     0.  The stencil's sign check runs on every weight, and dominance margin
-    lam is asserted row by row.  The system is written into `out`, an
-    EvaluationWorkspace of the same GridProblem, and is overwritten by the
-    next assembly into it; without `out` every array is new.
+    lam is asserted row by row; a NaN weight fails both.  The system is
+    assembled by `out`, an EvaluationWorkspace of this GridProblem (another
+    one's is refused), which is rebound first if it was bound to another
+    boundary field; the system is overwritten by the next assembly into
+    `out`.  Without `out` a new workspace assembles it.
     """
-    grid, lam = gp.grid, gp.params.lam
+    grid = gp.grid
     if boundary.grid is not grid and boundary.grid != grid:
         raise ValueError("boundary field lives on a different grid")
-    center_weight = gp.params.center_weight
     if out is None:
-        out = EvaluationWorkspace(gp)
-    elif out.center_weight != center_weight or out.system.shape != grid.interior_shape:
+        out = EvaluationWorkspace(gp, boundary)
+    elif out.gp is not gp:
         raise ValueError("workspace built for another grid problem")
-    system = out.system
-    plus, minus, rhs = system.plus, system.minus, system.rhs
-    # c goes straight into rhs, where the boundary terms fold in below
-    _, f = policy_cost_and_drift(
-        gp.state_cost, gp.drift_base, policy.controls, out=(rhs, out.drift)
-    )
-    stencil_coefficients(gp.params, f, out=(plus, minus))
-    bvals = boundary.values
-    for k, (low, low_nodes, high, high_nodes) in enumerate(_FACES[grid.dim]):
-        rhs[low] -= minus[k][low] * bvals[low_nodes]
-        minus[k][low] = 0.0
-        rhs[high] -= plus[k][high] * bvals[high_nodes]
-        plus[k][high] = 0.0
-    # Rounded subtraction is monotone, so this is the smallest row margin
-    # exactly as the element-wise difference would give it.
-    offsum, a, b = out.offsums
-    np.add(np.abs(plus[0], a), np.abs(minus[0], b), offsum)
-    for k in range(1, grid.dim):
-        offsum += np.add(np.abs(plus[k], a), np.abs(minus[k], b), a)
-    margin = center_weight - float(np.maximum.reduce(offsum, None))
-    if margin < lam - DOMINANCE_RTOL * center_weight:
-        raise MonotonicityError(f"diagonal dominance margin {margin:.6g} fell below {lam}")
-    return system
+    elif out.boundary is not boundary:
+        out.bind(boundary)
+    return out.assemble(policy.controls)
 
 
 class ReductionLayout:
@@ -195,31 +227,48 @@ class ReductionLayout:
     per level, reduction steps behind a check of its pivots, then one list
     of every level's back substitution, in solve order.  The solution
     buffer holds level k's unknowns at every 2^k-th entry, -0.0 past the end.
+
+    The first level reads the couplings as the system holds them (minus,
+    plus), the later levels and Thomas negated (lower, upper): each
+    first-level step is the negated form's with the sign folded in, a
+    subtraction where that form adds, and its zero couplings (the ghosts',
+    the first row's lower, the last row's upper) are -0.0, the negation of
+    that form's +0.0, so every step gives the same bits, signed zeros
+    included.  An EvaluationWorkspace sets `system` to the top rows and
+    assembles into them; a layout without one (None) copies in each system
+    it solves, negating the couplings when it has no level.
     """
 
     def __init__(self, n: int) -> None:
-        self.shape = (n,)
+        self.shape, self.system = (n,), None
         sizes = [n]
         while sizes[-1] > REDUCTION_THRESHOLD:
             sizes.append((sizes[-1] + 1) // 2)
         x = np.full(n + (1 << len(sizes) - 1), -0.0)
         rows = self._padded(n)
+        if len(sizes) > 1:
+            rows[1:3] = -0.0  # the first level's signed zero couplings
         self._top, self._solution = tuple(rows[:, 1 : n + 1]), x[:n]
-        self._levels, self._back = [], []
+        self._levels, self._back, top = [], [], self._top
         for k, (n, m) in enumerate(zip(sizes, sizes[1:])):
             (diag, lower, upper, rhs, margin), new = rows, self._padded(m)
             new_diag, new_lower, new_upper, new_rhs, new_margin = new[:, 1 : m + 1]
             alpha, gamma, product = np.empty((3, m))
+            # how a product of a coupling enters a sum at this level
+            fold = np.subtract if k == 0 else np.add
+            # the first level forms the margins, diag + minus + plus
+            reduce = [] if k else [(np.add, top[0], top[1], top[4]),
+                                   (np.add, top[4], top[2], top[4])]
             # even row 2e adds alpha_e times odd row 2e - 1 and gamma_e times
             # odd row 2e + 1, which cancels both its couplings
             even, below, above = slice(1, 2 * m, 2), slice(0, 2 * m - 1, 2), slice(2, 2 * m + 1, 2)
-            reduce = [(np.divide, lower[even], diag[below], alpha),
-                      (np.divide, upper[even], diag[above], gamma)]
+            reduce += [(np.divide, lower[even], diag[below], alpha),
+                       (np.divide, upper[even], diag[above], gamma)]
             for old, sums in ((rhs, new_rhs), (margin, new_margin)):
                 reduce += [(np.multiply, alpha, old[below], product),
-                           (np.add, old[even], product, sums),
+                           (fold, old[even], product, sums),
                            (np.multiply, gamma, old[above], product),
-                           (np.add, sums, product, sums)]
+                           (fold, sums, product, sums)]
             # the new diagonal from its margin, without the cancellation of
             # subtracting the eliminated couplings from the old one
             reduce += [(np.multiply, alpha, lower[below], new_lower),
@@ -230,9 +279,9 @@ class ReductionLayout:
             odd, n_odd, s = slice(2, n + 1, 2), n // 2, 1 << k
             unknowns, tail = x[s : 2 * s * n_odd : 2 * s], product[:n_odd]
             back = [(np.multiply, lower[odd], x[: 2 * s * n_odd : 2 * s], unknowns),
-                    (np.add, unknowns, rhs[odd], unknowns),
+                    (fold, rhs[odd], unknowns, unknowns),
                     (np.multiply, upper[odd], x[2 * s : 2 * s * (n_odd + 1) : 2 * s], tail),
-                    (np.add, unknowns, tail, unknowns),
+                    (fold, unknowns, tail, unknowns),
                     (np.divide, unknowns, diag[odd], unknowns)]
             self._levels.append((diag[odd], n_odd, reduce))
             self._back[:0] = back
@@ -272,22 +321,30 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
 
     The levels run in `layout`, a ReductionLayout of the system's size,
     built here when not given; reusing one gives the same bits.  The
-    solution goes into `out` when given, else a new array, and is returned.
-    Raises SolverError on a zero pivot, checked before any division by it
-    (impossible for diagonally dominant input, kept as a defensive guard),
-    leaving `out` as it was.  The system is not modified.
+    layout's own system (an EvaluationWorkspace's) is solved where it lies;
+    any other is copied into the layout's rows first, which a layout that
+    holds a system refuses with ValueError.  The solution goes into `out`
+    when given, else a new array, and is returned.  Raises SolverError on a
+    zero pivot, checked before any division by it (impossible for
+    diagonally dominant input, kept as a defensive guard), leaving `out` as
+    it was.  The system is not modified.
     """
     layout = ReductionLayout(system.n) if layout is None else layout
     out = np.empty(system.n) if out is None else out
     if system.shape != layout.shape:
         raise ValueError(f"system shape {system.shape}, layout shape {layout.shape}")
-    diag, lower, upper, rhs, margin = layout._top
-    diag[...] = system.center
-    np.negative(system.minus[0][1:], lower[1:])
-    np.negative(system.plus[0][:-1], upper[:-1])
-    rhs[...] = system.rhs
-    np.subtract(diag, lower, margin)
-    np.subtract(margin, upper, margin)
+    if system is not layout.system:
+        if layout.system is not None:
+            raise ValueError("the layout holds its workspace's system; solve others in another")
+        diag, lower, upper, rhs, _ = layout._top
+        diag[...] = system.center
+        rhs[...] = system.rhs
+        if layout._levels:
+            lower[1:] = system.minus[0][1:]
+            upper[:-1] = system.plus[0][:-1]
+        else:  # Thomas reads the couplings negated
+            np.negative(system.minus[0][1:], lower[1:])
+            np.negative(system.plus[0][:-1], upper[:-1])
     for odd_diag, n_odd, reduce in layout._levels:
         if np.count_nonzero(odd_diag) < n_odd:
             raise SolverError("zero pivot in tridiagonal elimination")
@@ -467,6 +524,9 @@ def solve_sor(
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if layout is None:
+        if len(system.shape) != 2:
+            raise ValueError(f"solve_sor needs a 2D system, of shape (m0, m1); got shape "
+                             f"{system.shape}")
         layout = RedBlackLayout(system.shape)
     layout.load(system, omega, initial)
     sweep, least = layout.sweep, math.inf

@@ -22,10 +22,12 @@ contraction with factor beta = (2*d*N/h) / (lam + 2*d*N/h)
 
 A GridProblem is the discrete problem: a control problem, its grid and its
 scheme parameters, checked for consistency, with the state cost and drift
-sampled once on the interior nodes.  stencil_coefficients is the one place
-the neighbor weights above are formed and their signs checked; it returns
-them per axis, (plus, minus), the layout the evaluation system holds, and
-the center weight is SchemeParams.center_weight.
+sampled once on the interior nodes, which must be finite.  write_stencil
+is the one place the neighbor weights above are formed and their signs
+checked, from operands its caller prepares: stencil_coefficients for any
+drift, and an evaluation workspace once per run.  The weights come per
+axis, (plus, minus), the layout the evaluation system holds, and the
+center weight is SchemeParams.center_weight.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "StencilCertificate",
     "MonotonicityError",
     "stencil_coefficients",
+    "write_stencil",
     "bellman_residual",
     "resolvent_map",
     "certify_monotone_stencil",
@@ -104,7 +107,8 @@ class GridProblem(Record):
     cost and drift are sampled on the interior nodes at first use and kept
     read-only, so a run calls the problem's callables once however many
     policies it evaluates, and a GridProblem built only for the checks
-    samples nothing.
+    samples nothing.  A sample with a NaN or infinite entry raises
+    ValueError naming it, before any system is assembled from it.
     """
 
     _fields = ("problem", "grid", "params")
@@ -121,20 +125,23 @@ class GridProblem(Record):
                 f"params.lam={self.params.lam} does not match problem.lam={self.problem.lam}"
             )
 
-    def _sample(self, fn) -> np.ndarray:
+    def _sample(self, name: str) -> np.ndarray:
+        fn = getattr(self.problem, name)
         values = np.array(fn(self.grid.interior_coordinates()), dtype=float)
+        if not np.logical_and.reduce(np.isfinite(values), None):
+            raise ValueError(f"{name} must be finite at every interior node")
         values.flags.writeable = False  # shared by every later call
         return values
 
     @cached_property
     def state_cost(self) -> np.ndarray:
         """state_cost at the interior nodes, shape grid.interior_shape."""
-        return self._sample(self.problem.state_cost)
+        return self._sample("state_cost")
 
     @cached_property
     def drift_base(self) -> np.ndarray:
         """drift_base at the interior nodes, shape grid.interior_shape + (dim,)."""
-        return self._sample(self.problem.drift_base)
+        return self._sample("drift_base")
 
 
 class StencilCertificate(Record):
@@ -150,39 +157,44 @@ class StencilCertificate(Record):
 
 
 def stencil_coefficients(
-    params: SchemeParams,
-    f: np.ndarray,
-    out: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None,
+    params: SchemeParams, f: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Neighbor weights (plus, minus) for drift values f of shape (..., dim):
     per axis i, plus[i] = -N/h - f_i/(2h) on u(x + h e_i) and minus[i] =
-    -N/h + f_i/(2h) on u(x - h e_i), arrays of shape f.shape[:-1], written
-    into `out`, a (plus, minus) pair of such arrays per axis, else new.
-    Raises MonotonicityError if one is positive beyond rounding, i.e. if the
-    viscosity does not dominate |f_i|/2 somewhere."""
+    -N/h + f_i/(2h) on u(x - h e_i), new arrays of shape f.shape[:-1].
+    Raises MonotonicityError (from write_stencil) if one is positive beyond
+    rounding or not a number, i.e. if the viscosity does not dominate
+    |f_i|/2 somewhere."""
     f = np.asarray(f, dtype=float)
     if f.shape[-1:] != (params.dim,):
         raise ValueError(f"f has shape {f.shape}, expected (..., {params.dim})")
-    ratio = params.viscosity / params.h
-    if out is None:
-        out = tuple(tuple(np.empty(f.shape[:-1]) for _ in range(params.dim)) for _ in range(2))
-    plus, minus = out
-    for k in range(params.dim):
-        # f_i / (2h) goes through plus[i], which is overwritten last
-        half = np.divide(f[..., k], 2.0 * params.h, plus[k])
-        np.add(-ratio, half, minus[k])
-        np.subtract(-ratio, half, plus[k])
+    plus, minus = (tuple(np.empty(f.shape[:-1]) for _ in range(params.dim)) for _ in range(2))
+    axes = tuple(zip((f[..., k] for k in range(params.dim)), plus, minus))
+    write_stencil(f, axes, -(params.viscosity / params.h), 2.0 * params.h, params.viscosity, None)
+    return plus, minus
+
+
+def write_stencil(f: np.ndarray, axes: tuple, neg_ratio: float, two_h: float,
+                  viscosity: float, scratch: np.ndarray | None) -> None:
+    """The weights of stencil_coefficients into axes, one (f_i, plus_i,
+    minus_i) per axis, from neg_ratio = -N/h and two_h = 2h; scratch, if
+    given, takes |f|.  Raises MonotonicityError if a weight is positive
+    beyond rounding or not a number (a NaN drift)."""
+    for f_i, plus_i, minus_i in axes:
+        # f_i / (2h) goes through plus_i, which is overwritten last
+        half = np.divide(f_i, two_h, plus_i)
+        np.add(neg_ratio, half, minus_i)
+        np.subtract(neg_ratio, half, plus_i)
     # The largest weight, from one reduction: the larger of -ratio - x and
     # -ratio + x is -ratio + |x|, and rounding is monotone and sign-symmetric,
     # so this is the largest weight bit for bit.
-    biggest = float(np.maximum.reduce(np.abs(f), None))
-    worst = -ratio + biggest / (2.0 * params.h)
-    if worst > 1e-12 * max(1.0, ratio):
+    biggest = float(np.maximum.reduce(np.abs(f, scratch), None))
+    worst = neg_ratio + biggest / two_h
+    if not worst <= 1e-12 * max(1.0, -neg_ratio):  # also nan
         raise MonotonicityError(
-            f"positive neighbor weight {worst:.3e}: viscosity {params.viscosity} "
+            f"positive neighbor weight {worst:.3e}: viscosity {viscosity} "
             f"does not dominate |f|/2 = {biggest / 2.0:.6g}"
         )
-    return plus, minus
 
 
 def _policy_terms(

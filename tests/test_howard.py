@@ -665,6 +665,8 @@ WORKSPACE_RUNS = [
     ("lq1d", {}, 0.5, 20, "zero"),
     ("manufactured2d", {"h": 0.1}, 0.18, 60, "adversarial2d"),
     ("manufactured2d", {"h": 0.1}, 1.0, 12, "adversarial2d"),
+    ("lq1d", {"h": 0.3}, 1.0, 20, "zero"),  # 19 unknowns: no reduction level
+    ("lq1d", {"half_width": 3.005, "h": 0.01}, 0.5, 20, "zero"),  # 600: four levels, even
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -167,16 +168,20 @@ def test_assembly_rejects_non_monotone_stencil():
 def test_assembly_refuses_a_system_whose_dominance_margin_falls_below_lam(monkeypatch):
     """Neighbor weights 0.1% too large keep their signs but take the margin
     of the rows with every neighbor inside below lam; assembly refuses that
-    with the margin over both axes, with and without a workspace."""
-    stencil = linsolve.stencil_coefficients
+    with the margin over both axes, with and without a workspace.  A NaN
+    weight is refused too.  The weights are scaled where assembly forms
+    them, after the stencil's sign check."""
+    write = linsolve.write_stencil
 
-    def scaled_stencil(params, f, out=None):
-        plus, minus = stencil(params, f, out=out)
-        for w in plus + minus:
-            w *= 1.001
-        return plus, minus
+    def scaled_stencil(factor):
+        def stencil(f, axes, *operands):
+            write(f, axes, *operands)
+            for _, plus, minus in axes:
+                plus *= factor
+                minus *= factor
+        return stencil
 
-    for name, h in (("lq1d", 0.2), ("manufactured2d", 0.25)):
+    for name, h in (("lq1d", 0.2), ("lq1d", 0.02), ("manufactured2d", 0.25)):
         setup = build_benchmark(name, h=h)
         gp = GridProblem(setup.problem, setup.grid, setup.params)
         policy = PolicyField.zeros(setup.grid, setup.problem.a_max)
@@ -185,13 +190,14 @@ def test_assembly_refuses_a_system_whose_dominance_margin_falls_below_lam(monkey
         margin = setup.params.center_weight - float(np.max(offsum))
         lam = setup.params.lam
         assert margin < lam - 1e-3, name
-        message = f"diagonal dominance margin {margin:.6g} fell below {lam}"
-        with monkeypatch.context() as patch:
-            patch.setattr(linsolve, "stencil_coefficients", scaled_stencil)
-            for out in (None, linsolve.EvaluationWorkspace(gp)):
-                with pytest.raises(MonotonicityError) as error:
-                    assemble_evaluation_system(gp, policy, setup.boundary, out=out)
-                assert str(error.value) == message, name
+        for factor, message in ((1.001, f"diagonal dominance margin {margin:.6g} fell below {lam}"),
+                                (math.nan, f"diagonal dominance margin nan fell below {lam}")):
+            with monkeypatch.context() as patch:
+                patch.setattr(linsolve, "write_stencil", scaled_stencil(factor))
+                for out in (None, linsolve.EvaluationWorkspace(gp, setup.boundary)):
+                    with pytest.raises(MonotonicityError) as error:
+                        assemble_evaluation_system(gp, policy, setup.boundary, out=out)
+                    assert str(error.value) == message, (name, h)
 
 
 def test_assembly_and_error_metrics_refuse_fields_on_another_grid():
@@ -424,6 +430,107 @@ def test_reduction_matches_pointwise_bit_for_bit():
             PolicyField(setup.grid, controls, a_max), setup.boundary,
         )
         assert solve_tridiagonal(system).tobytes() == pointwise_reduction(system).tobytes(), h
+
+
+def signed_zero_systems(n):
+    """Four random dominant systems of n unknowns: as drawn, and with
+    right-hand sides of +0.0 and -0.0 entries (a third of each, or only
+    those), without and with couplings set to zeros of either sign."""
+    rng = make_rng(430 + n)
+    systems = []
+    for zero_rhs, zero_couplings in ((False, False), (True, False), (False, True), (True, True)):
+        system = random_dominant_tridiagonal(rng, n)
+        if zero_rhs:
+            system.rhs[...] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        else:
+            system.rhs[::3], system.rhs[1::3] = -0.0, 0.0
+        if zero_couplings:
+            for w in system.minus + system.plus:
+                zero = rng.random(n) < 0.4
+                w[zero] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zero]
+        systems.append(system)
+    return systems
+
+
+def solution_digest(solutions) -> str:
+    return hashlib.sha256(b"".join(x.tobytes() for x in solutions)).hexdigest()
+
+
+# SHA-256 of solve_tridiagonal's solutions of signed_zero_systems(n), as the
+# implementation that negated both couplings of every level wrote them.
+SOLUTION_DIGESTS = {
+    1: "c74810f85eb06e0ab509fbb718349c29a6dcc0a341a426ff03b66d2470d70ddf",
+    2: "12d9775bb769dcd5ba53b30741b953fccd709078be48b4c7d0f94266711b0508",
+    3: "e993ac8559d6533d56c0c0f904dcd673be144cb49e6c80e3928ab0f73bcb69a9",
+    63: "6f317f60db911f86597810b104909b305abcfbc4bb18ecdd1901ebeeb8242cf7",
+    64: "499a83da0a10331f23b7e0d0db12d6c9feaecbfd206103cc8ca0c1e3e869f6de",
+    65: "38d37bba49c19432b842ec905a4d8a9bbf57a704238b9b0cfb5e2360fe4e9c07",
+    66: "26700545c4e5b5127e2912efbc1cf96b230a361a46132e08dd6330795543ac42",
+    127: "82c0180a51a3c60226a89d6b87fb85744b224af0fccc4cf58c3a18182d88be43",
+    128: "d85183692b79aacaa6ff83e912533f254e47528936a982a1aba370f06460fe29",
+    599: "e52978bafbfed3572cab16fe5bc6a1359b8fd675a40c6852539b786eac455bad",
+    600: "46febb2e848de8f3869576decf55f4dfd25041148ef9d535638c9b8fd2ff926e",
+}
+
+
+def test_reduction_keeps_the_bits_of_negated_couplings():
+    """The first level reads the couplings with their signs, the others
+    negated; the solutions keep every bit, signed zeros included, at zero,
+    one and four levels, both parities, in fresh and reused layouts."""
+    for n, digest in SOLUTION_DIGESTS.items():
+        layout = ReductionLayout(n)
+        for solve in (solve_tridiagonal, lambda system: solve_tridiagonal(system, layout)):
+            assert solution_digest(map(solve, signed_zero_systems(n))) == digest, n
+
+
+def test_workspace_rows_keep_the_bits_of_negated_couplings():
+    """A workspace's system lies in its layout's top rows when the layout
+    has a level, and is solved there with the bits of a copied system."""
+    for n, digest in SOLUTION_DIGESTS.items():
+        grid = build_grid((n + 1) / 2, 1.0, dim=1)
+        gp = GridProblem(constant_cost_problem(0.0), grid, SchemeParams(1.0, 1.0, 1, 1.0))
+        workspace = linsolve.EvaluationWorkspace(gp, GridField.zeros(grid))
+        own, layout = workspace.system, workspace.layout
+        assert (own is layout.system) == (n > REDUCTION_THRESHOLD), n
+        solutions = []
+        for system in signed_zero_systems(n):
+            own.center[...], own.rhs[...] = system.center, system.rhs
+            own.minus[0][1:], own.plus[0][:-1] = system.minus[0][1:], system.plus[0][:-1]
+            solutions.append(solve_tridiagonal(own, layout))
+        assert solution_digest(solutions) == digest, n
+
+
+def test_a_workspace_layout_solves_only_its_own_system():
+    """Another system would overwrite the workspace's center, written once."""
+    setup = build_benchmark("lq1d", h=0.01)
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
+    workspace = linsolve.EvaluationWorkspace(gp, setup.boundary)
+    policy = PolicyField.zeros(setup.grid, setup.problem.a_max)
+    system = assemble_evaluation_system(gp, policy, setup.boundary, out=workspace)
+    assert system is workspace.layout.system
+    expected = solve_tridiagonal(system)
+    with pytest.raises(ValueError, match="holds its workspace's system"):
+        solve_tridiagonal(random_dominant_tridiagonal(make_rng(422), system.n), workspace.layout)
+    assert solve_tridiagonal(system, workspace.layout).tobytes() == expected.tobytes()
+
+
+def test_workspace_serves_one_grid_problem_and_follows_its_boundary():
+    """A workspace of another GridProblem, even an equal one, is refused; a
+    workspace handed another boundary field rebinds to it and assembles what
+    a new workspace would."""
+    setup = build_benchmark("lq1d", h=0.1)
+    gp = GridProblem(setup.problem, setup.grid, setup.params)
+    policy = PolicyField.zeros(setup.grid, setup.problem.a_max)
+    workspace = linsolve.EvaluationWorkspace(gp, setup.boundary)
+    twin = GridProblem(setup.problem, setup.grid, setup.params)
+    with pytest.raises(ValueError, match="another grid problem"):
+        assemble_evaluation_system(twin, policy, setup.boundary, out=workspace)
+    other = GridField(setup.grid, make_rng(423).uniform(-1, 1, setup.grid.shape))
+    for boundary in (other, setup.boundary, other):
+        system = assemble_evaluation_system(gp, policy, boundary, out=workspace)
+        fresh = assemble_evaluation_system(gp, policy, boundary)
+        for name, a in system_arrays(system).items():
+            assert a.tobytes() == system_arrays(fresh)[name].tobytes(), name
 
 
 def test_reduction_layout_reuse_is_bit_identical():
@@ -666,6 +773,13 @@ def test_sor_reports_a_divergence_at_once():
             solve_sor(system, omega=1.99, tol=PIConfig.solver_tol,
                       max_iter=PIConfig.solver_max_iter)
     assert int(str(error.value).split()[3]) <= 50
+
+
+def test_sor_refuses_a_system_that_is_not_2d():
+    system = random_dominant_tridiagonal(make_rng(424), 3)
+    with pytest.raises(ValueError, match=r"^solve_sor needs a 2D system, of shape \(m0, m1\); "
+                       r"got shape \(3,\)$"):
+        solve_sor(system, omega=1.7, tol=1e-10, max_iter=5000)
 
 
 def test_sor_validates_omega():

@@ -4,7 +4,9 @@ import pytest
 from hjb_pi import (
     ControlProblem,
     GridField,
+    GridProblem,
     MonotonicityError,
+    PIConfig,
     PolicyField,
     SchemeParams,
     bellman_residual,
@@ -12,7 +14,9 @@ from hjb_pi import (
     build_grid,
     certify_monotone_stencil,
     resolvent_map,
+    run_policy_iteration,
 )
+from hjb_pi import howard
 from hjb_pi.checks import contraction_excess, fixed_point_gap
 from hjb_pi.problems import greedy_policy
 from hjb_pi.grid import interior_gradient
@@ -56,6 +60,40 @@ def test_stencil_coefficients_examples():
     bad = SchemeParams(viscosity=0.2, h=0.1, dim=1, lam=1.0)
     with pytest.raises(MonotonicityError):
         stencil_coefficients(bad, np.array([1.0]))
+
+
+def test_stencil_sign_check_refuses_a_nan_drift():
+    params = SchemeParams(viscosity=1.0, h=0.1, dim=1, lam=1.0)
+    with pytest.raises(MonotonicityError, match="positive neighbor weight nan"):
+        stencil_coefficients(params, np.array([[0.5], [np.nan], [0.1]]))
+
+
+def test_grid_problem_refuses_non_finite_samples_before_any_solve(monkeypatch):
+    """A NaN drift or an infinite cost at one node raises when it is
+    sampled, naming which, and a run stops there, before its first solve."""
+    grid = build_grid(1.0, 0.25, dim=1)
+    params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
+
+    def spike(value):
+        """value at the node x = 0.5, 0 elsewhere, of the coordinates' shape"""
+        return lambda x: np.where(np.abs(x - 0.5) < 1e-9, value, 0.0)
+
+    def zero_cost(x):
+        return np.zeros(x.shape[:-1])
+
+    def inf_cost(x):
+        return spike(np.inf)(x)[..., 0]
+
+    for name, drift, cost in (("drift_base", spike(np.nan), zero_cost),
+                              ("state_cost", np.zeros_like, inf_cost)):
+        problem = ControlProblem(lam=1.0, drift_base=drift, state_cost=cost, a_max=1.0, dim=1)
+        with pytest.raises(ValueError, match=f"^{name} must be finite at every interior node$"):
+            getattr(GridProblem(problem, grid, params), name)
+        monkeypatch.setattr(howard, "solve_tridiagonal", None)  # any solve would raise TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            run_policy_iteration(problem, grid, params, PIConfig(max_outer_iterations=3),
+                                 boundary=GridField.zeros(grid))
+        monkeypatch.undo()
 
 
 def test_stencil_coefficients_per_axis_layout():
