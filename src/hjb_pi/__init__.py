@@ -24,8 +24,10 @@ SchemeParams carries the derived center weight and contraction factor
 beta, and refuses a discount lost in the rounding of the center weight.
 linsolve has one interior system type for both dimensions,
 EvaluationSystem: a center, one plus and one minus weight per axis, and a
-right-hand side with the Dirichlet ring folded in, and one place that
-assembles it, EvaluationWorkspace.  benchmarks owns
+right-hand side with the Dirichlet ring folded in, and one handle of an
+evaluation problem, EvaluationWorkspace: it binds the GridProblem, the
+boundary data and the solver layout once, and assembles every system in
+them, which howard.policy_evaluate then solves.  benchmarks owns
 BENCHMARK_DEFAULTS, the one table of benchmark defaults; its builders set
 each benchmark's viscosity N and build the 2D cost with bellman_residual.
 oracles holds independent reimplementations used only to cross-check the
@@ -54,6 +56,7 @@ from .howard import (
 )
 from .linsolve import (
     EvaluationSystem,
+    EvaluationWorkspace,
     SolverError,
     SolveStats,
     assemble_evaluation_system,
@@ -91,6 +94,7 @@ __all__ = [
     "ControlProblem",
     "ErrorDecomposition",
     "EvaluationSystem",
+    "EvaluationWorkspace",
     "Grid",
     "GridField",
     "GridProblem",

@@ -20,10 +20,10 @@ import numpy as np
 
 from .benchmarks import BenchmarkSetup, build_benchmark
 from .grid import GridField, build_grid, interior_gradient, interior_laplacian
-from .howard import PIConfig, run_policy_iteration
+from .howard import PIConfig, policy_evaluate, run_policy_iteration
 from .linsolve import (
     EvaluationSystem,
-    assemble_evaluation_system,
+    EvaluationWorkspace,
     solve_dense_oracle,
     solve_sor,
     solve_tridiagonal,
@@ -39,7 +39,6 @@ from .problems import (
     ControlProblem,
     PolicyField,
     greedy_policy,
-    lq1d_problem,
     lq_value_coefficient,
     lq_reference_value,
     policy_cost_and_drift,
@@ -231,12 +230,13 @@ def maximum_principle_range(
     """(min, max |.|) over the solutions of a 1D setup's evaluation systems
     for random policies with controls uniform in the box."""
     gp = GridProblem(setup.problem, setup.grid, setup.params)
+    workspace = EvaluationWorkspace(gp, setup.boundary)
     a_max = setup.problem.a_max
     lo, hi = math.inf, 0.0
     for _ in range(trials):
         controls = rng.uniform(-a_max, a_max, size=setup.grid.interior_shape + (1,))
         policy = PolicyField(setup.grid, controls, a_max)
-        x = solve_tridiagonal(assemble_evaluation_system(gp, policy, setup.boundary))
+        x = policy_evaluate(workspace, policy)[0].interior()
         lo = min(lo, float(np.min(x)))
         hi = max(hi, float(np.max(np.abs(x))))
     return lo, hi
@@ -275,7 +275,8 @@ def check_greedy_argmin() -> tuple[bool, str]:
     """Closed-form greedy control attains the dense-scan minimum."""
     # One scan stage sits above the true minimum (by up to 1.8e-7 on these
     # draws), so only a closed form above the scan counts against it.
-    gaps = greedy_scan_gaps(lq1d_problem(), np.random.default_rng(_SEED), 50, stages=1)
+    problem = build_benchmark("lq1d").problem
+    gaps = greedy_scan_gaps(problem, np.random.default_rng(_SEED), 50, stages=1)
     worst = max(0.0, float(np.max(gaps)))
     return worst <= 1e-9, f"closed form minus scan minimum at most {worst:.2e}"
 

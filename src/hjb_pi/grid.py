@@ -152,8 +152,9 @@ class GridField:
 
     Values are stored row-major over the axes and must be finite everywhere;
     construction rejects NaN and Inf, and keeps the largest magnitude it
-    checks as max_abs, the max-norm of the field.  Treat instances as
-    immutable: operators return new fields instead of mutating their inputs.
+    checks as max_abs, the max-norm of the field.  `values` is a read-only
+    view of the array given (or of its float copy), so writing through the
+    field raises ValueError; operators return new fields.
     """
 
     __slots__ = ("grid", "values", "max_abs")
@@ -170,7 +171,8 @@ class GridField:
         if not math.isfinite(max_abs):
             raise ValueError("field values must be finite at every node")
         self.grid = grid
-        self.values = values
+        self.values = values = values.view()
+        values.setflags(write=False)
         self.max_abs = max_abs
 
     @classmethod
@@ -182,7 +184,7 @@ class GridField:
         return cls(grid, np.full(grid.shape, float(value)))
 
     def interior(self) -> np.ndarray:
-        """View of the interior values (do not mutate)."""
+        """Read-only view of the interior values."""
         return self.values[(slice(1, -1),) * self.grid.dim]
 
 

@@ -9,21 +9,21 @@ the convex mix (1 - theta) * previous + theta * greedy, clipped to the
 control box; theta = 1 is classical greedy improvement, for which iterates
 decrease pointwise and converge geometrically with factor
 beta = (2*d*N/h) / (lam + 2*d*N/h).  A run builds one
-linsolve.EvaluationWorkspace, bound to its GridProblem and boundary data,
-which every assembly overwrites with its system and drift, and one solver
-layout: in 1D the workspace's own ReductionLayout, whose rows it assembles
-into, in 2D the SOR colours of a linsolve.RedBlackLayout.  It hands both to
-every evaluation through policy_evaluate, and, when theta < 1, builds one
-array that improvement overwrites with the greedy controls.
-These hold buffers, not results, so reusing them changes no bit of any
-solve: every value field and policy a run hands on is its own array.
+linsolve.EvaluationWorkspace, the handle of its GridProblem, boundary data
+and solver layout, which every assembly and solve overwrites, and hands it
+to every evaluation through policy_evaluate; when theta < 1 it also builds
+one array that improvement overwrites with the greedy controls.  These
+hold buffers, not results, so reusing them changes no bit of any solve:
+every value field and policy a run hands on is its own array.
 
 A 1D run forms its trajectory norms once per block of NORM_BLOCK iterates,
 reducing their stack row by row and carrying a block's last iterate into
 the next (analysis.extend_block_norms): per iterate, on 601 nodes, those
 numpy calls were mostly overhead.  Only max|V_n - V_{n-1}| is formed per
-iteration, for an outer tolerance.  2D norms stay per iteration: bound by
-arithmetic at 1681 to 6561 nodes, they were measured slower in blocks.
+iteration, for an outer tolerance.  2D norms stay per iteration, bound by
+arithmetic at 1681 to 6561 nodes: with the iterates flattened to rows,
+blocks of 1 made relaxed2d's solve_s 7.8% slower (8 of 8 pairs), and
+blocks of 16 raised greedy2d's peak RSS by 8.5%.
 
 With theta < 1 the run is inexact Howard: evaluations 0 and 1 stop at
 solver_tol, and evaluation n >= 2 at
@@ -66,8 +66,6 @@ from .analysis import difference_norms, error_metrics, extend_block_norms
 from .grid import Grid, GridField, Record, interior_gradient
 from .linsolve import (
     EvaluationWorkspace,
-    RedBlackLayout,
-    ReductionLayout,
     SolveStats,
     assemble_evaluation_system,
     solve_sor,
@@ -222,41 +220,34 @@ def initial_policy(spec: str, grid: Grid, problem: ControlProblem) -> PolicyFiel
 
 
 def policy_evaluate(
-    gp: GridProblem,
+    workspace: EvaluationWorkspace,
     policy: PolicyField,
-    boundary: GridField,
     omega: float = PIConfig.omega,
     solver_tol: float = PIConfig.solver_tol,
     solver_max_iter: int = PIConfig.solver_max_iter,
     initial: GridField | None = None,
-    layout: RedBlackLayout | ReductionLayout | None = None,
-    workspace: EvaluationWorkspace | None = None,
 ) -> tuple[GridField, SolveStats]:
-    """Solve L_alpha V = 0 with Dirichlet data from `boundary`.
-
-    The system is assembled by `workspace` when given (see
-    assemble_evaluation_system).  1D systems are eliminated directly in
-    `layout`, a ReductionLayout (see solve_tridiagonal; in a run, the
-    workspace's, which holds its system); 2D systems run SOR
-    warm started from `initial` when given, in `layout`, a RedBlackLayout
-    (see solve_sor).  Either solver writes the solution straight into the
-    returned field, which is new.  A 2D solve's SolveStats records
-    solver_tol as its tolerance, a 1D solve's records 0.0 (it is exact).
-    Raises SolverError (from solve_sor) if SOR does not reach solver_tol
-    within the sweep budget.
+    """Solve L_alpha V = 0 for `policy` on the workspace's grid problem,
+    with its Dirichlet data: the system is assembled in the workspace (see
+    assemble_evaluation_system) and solved in its layout, a 1D one directly
+    where it lies (see solve_tridiagonal), a 2D one by SOR warm started from
+    `initial` when given (see solve_sor).  The solution goes straight into
+    the returned field, which is new.  A 2D solve's SolveStats records
+    solver_tol as its tolerance, a 1D solve's 0.0 (it is exact).  Raises
+    SolverError (from solve_sor) if SOR does not reach solver_tol within
+    the sweep budget.
     """
-    system = assemble_evaluation_system(gp, policy, boundary, out=workspace)
-    values = boundary.values.copy()
-    if gp.grid.dim == 1:
+    system = assemble_evaluation_system(workspace, policy)
+    grid, layout = workspace.gp.grid, workspace.layout
+    values = workspace.boundary.values.copy()
+    if grid.dim == 1:
         solve_tridiagonal(system, layout=layout, out=values[1:-1])
         stats = SolveStats(iterations=1, final_update_norm=0.0, tol=0.0)
     else:
         guess = initial.interior() if initial is not None else None
-        _, stats = solve_sor(
-            system, omega=omega, tol=solver_tol, max_iter=solver_max_iter, initial=guess,
-            layout=layout, out=values[1:-1, 1:-1],
-        )
-    return GridField(gp.grid, values), stats
+        _, stats = solve_sor(system, omega=omega, tol=solver_tol, max_iter=solver_max_iter,
+                             initial=guess, layout=layout, out=values[1:-1, 1:-1])
+    return GridField(grid, values), stats
 
 
 def policy_improve(
@@ -303,7 +294,7 @@ def run_policy_iteration(
     with SolverError; otherwise the report's stop_reason states whether the
     budget or the outer tolerance ended the run.  The problem is sampled
     onto the grid once per call (see GridProblem); the module docstring
-    describes the run's solver layout, buffers and 1D norm blocks.
+    describes the run's workspace, buffers and 1D norm blocks.
     """
     gp = GridProblem(problem, grid, params)
     if boundary.grid != grid:
@@ -313,12 +304,10 @@ def run_policy_iteration(
     # keep only the boundary ring as data; the interior is the warm start (zero)
     boundary_field = GridField(grid, np.where(grid.boundary_mask(), boundary.values, 0.0))
     policy = initial_policy(config.initial_policy_spec, grid, problem)
-    shape = grid.interior_shape
-    # the arrays of assembly and of relaxed improvement, rewritten every
+    # the buffers of assembly, solve and relaxed improvement, rewritten every
     # iteration; greedy improvement writes its controls into the new policy
     workspace = EvaluationWorkspace(gp, boundary_field)
-    layout = workspace.layout if grid.dim == 1 else RedBlackLayout(shape)
-    greedy = np.empty(shape + (grid.dim,)) if config.relaxation_theta < 1.0 else None
+    greedy = np.empty(grid.interior_shape + (grid.dim,)) if config.relaxation_theta < 1.0 else None
     report = PIReport()
     prev: GridField | None = None
     warm = boundary_field
@@ -333,17 +322,8 @@ def run_policy_iteration(
              report.residual_l2, report.monotonicity_violation)
 
     for n in range(config.max_outer_iterations):
-        value, stats = policy_evaluate(
-            gp,
-            policy,
-            boundary_field,
-            omega=config.omega,
-            solver_tol=inner_tol,
-            solver_max_iter=config.solver_max_iter,
-            initial=warm,
-            layout=layout,
-            workspace=workspace,
-        )
+        value, stats = policy_evaluate(workspace, policy, omega=config.omega, solver_tol=inner_tol,
+                                       solver_max_iter=config.solver_max_iter, initial=warm)
         report.warm_start_ratio.append(ratio)
         report.solve_stats.append(stats)
         report.linf_norm.append(value.max_abs)

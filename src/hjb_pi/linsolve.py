@@ -3,23 +3,25 @@
 One interior system type, EvaluationSystem, serves both dimensions.
 Assembly folds the Dirichlet neighbor terms into the right-hand side, axis
 by axis, leaving a strictly diagonally dominant system (dominance margin
-lam, inherited from the monotone stencil), in an EvaluationWorkspace, which
-keeps every operand no policy changes.  1D systems are tridiagonal.  They
-are halved by odd-even (cyclic) reduction, a pivot check, 14 whole-array
-steps (16 on the first level, which also forms the margins) and later 5
-back-substitution steps per level, until at most REDUCTION_THRESHOLD
-unknowns remain; Thomas elimination solves the rest, a sequential recurrence
-whose loop runs on Python floats taken once from the arrays, because reading
-numpy arrays element by element costs several times the arithmetic.  A 1D
-workspace assembles into its ReductionLayout's top rows, which the first
-level reads with the couplings' own signs, so its solve copies nothing in.
-2D systems are solved by SOR with red-black sweeps, vectorized over each
-colour.  Each solver's buffers and views, ReductionLayout and
-RedBlackLayout, are set up once per system shape and serve every solve of a
-policy-iteration run.  A SOR sweep is one flat list of numpy calls built
-with its layout, on fixed views and with omega in a 0-d array; both colours'
-updates go into one shared buffer, so the stopping test is one reduction per
-sweep.  A dense LU path exists purely as a test oracle.
+lam, inherited from the monotone stencil), in an EvaluationWorkspace: the
+one handle of an evaluation problem, which binds the GridProblem, its
+boundary data and its solver layout once and keeps every operand no policy
+changes.  1D systems are tridiagonal.  They are halved by odd-even
+(cyclic) reduction, a pivot check, 14 whole-array steps (16 on the first
+level, which also forms the margins) and later 5 back-substitution steps
+per level, until at most REDUCTION_THRESHOLD unknowns remain; Thomas
+elimination solves the rest, a sequential recurrence whose loop runs on
+Python floats taken once from the arrays, because reading numpy arrays
+element by element costs several times the arithmetic.  A 1D workspace
+assembles into its ReductionLayout's top rows, which the first level reads
+with the couplings' own signs, so its solve copies nothing in.  2D systems
+are solved by SOR with red-black sweeps, vectorized over each colour.
+Each solver's buffers and views, ReductionLayout and RedBlackLayout, are
+set up once per system shape, by the workspace in a run, and serve every
+solve.  A SOR sweep is one flat list of numpy calls built with its layout,
+on fixed views and with omega in a 0-d array; both colours' updates go
+into one shared buffer, so the stopping test is one reduction per sweep.
+A dense LU path exists purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -113,23 +115,27 @@ _FACES = {
 
 
 class EvaluationWorkspace:
-    """The one place an evaluation system is assembled, for one GridProblem
-    and its Dirichlet data (a run builds one; without it, each call does).
-
-    It keeps what no policy changes: the sampled cost and drift, -N/h and
-    2h, each axis's drift and weight views, each face's rows and boundary
-    values, the dominance check's buffers, and the system's center, written
-    once.  In 1D it builds the run's ReductionLayout and, when that has a
-    level, assembles into its rows, with -0.0 for the folded weights.  A
-    system taken from it is valid until the next assembly.  It serves only
-    the GridProblem whose samples it holds, and rebinds to a new boundary.
+    """The one handle of an evaluation problem: a GridProblem, its
+    Dirichlet data `boundary`, refused with ValueError unless it lies on
+    the problem's grid, and `layout`, the solver layout of the interior
+    shape (ReductionLayout in 1D, RedBlackLayout in 2D), bound once; a run
+    builds one.  It keeps what no policy changes: the sampled cost and
+    drift, -N/h and 2h, each axis's drift and weight views, each face's
+    rows and boundary values, the dominance check's buffers, and the
+    system's center, written once.  In 1D, when the layout has a level, the
+    system is its top rows, with -0.0 for the folded weights.  A system
+    taken from it is valid until the next assembly.
     """
 
     def __init__(self, gp: GridProblem, boundary: GridField) -> None:
-        params, shape, dim = gp.params, gp.grid.interior_shape, gp.grid.dim
-        self.gp, self.cost, self.drift_base = gp, gp.state_cost, gp.drift_base
-        self.layout = ReductionLayout(shape[0]) if dim == 1 else None
-        if self.layout is not None and self.layout._levels:
+        grid = gp.grid
+        if boundary.grid is not grid and boundary.grid != grid:
+            raise ValueError("boundary field lives on a different grid")
+        params, shape, dim = gp.params, grid.interior_shape, grid.dim
+        self.gp, self.boundary = gp, boundary
+        self.cost, self.drift_base = gp.state_cost, gp.drift_base
+        self.layout = ReductionLayout(shape[0]) if dim == 1 else RedBlackLayout(shape)
+        if dim == 1 and self.layout._levels:
             diag, lower, upper, rhs, _ = self.layout._top
             system = self.layout.system = EvaluationSystem(diag, (upper,), (lower,), rhs)
             self._zero = -0.0  # the exact negation of the negated form's zero couplings
@@ -143,22 +149,16 @@ class EvaluationWorkspace:
         axes = tuple(zip((drift[..., k] for k in range(dim)), system.plus, system.minus))
         self._stencil = (drift, axes, -(params.viscosity / params.h), 2.0 * params.h,
                          params.viscosity, np.empty(drift.shape))
+        # axis by axis, the low face (through minus), then the high face
+        # (through plus): its rows' index, their weights, and the boundary
+        # values they couple to, in 1D one value per face, read here once
+        self._faces, bvals = [], boundary.values
+        for k, (low, low_nodes, high, high_nodes) in enumerate(_FACES[dim]):
+            self._faces += [(system.minus[k], low, bvals[low_nodes]),
+                            (system.plus[k], high, bvals[high_nodes])]
         self._floor = params.lam - DOMINANCE_RTOL * self.center_weight
         # the dominance check's row sums of absolute weights, and two terms
         self._offsums = tuple(np.empty(shape) for _ in range(3))
-        self.bind(boundary)
-
-    def bind(self, boundary: GridField) -> None:
-        """Read the Dirichlet data from `boundary` from now on; in 1D its two
-        values are read here, once (a GridField is not to be mutated)."""
-        self.boundary, bvals, system = boundary, boundary.values, self.system
-        # axis by axis, the low face (through minus), then the high face
-        # (through plus): the index of its rows, their weights, and the
-        # boundary values they couple to
-        self._faces = []
-        for k, (low, low_nodes, high, high_nodes) in enumerate(_FACES[len(system.shape)]):
-            self._faces += [(system.minus[k], low, bvals[low_nodes]),
-                            (system.plus[k], high, bvals[high_nodes])]
 
     def assemble(self, controls: np.ndarray) -> EvaluationSystem:
         """Assemble the system of the policy with these controls; see
@@ -185,33 +185,18 @@ class EvaluationWorkspace:
         return system
 
 
-def assemble_evaluation_system(
-    gp: GridProblem,
-    policy: PolicyField,
-    boundary: GridField,
-    out: EvaluationWorkspace | None = None,
-) -> EvaluationSystem:
-    """Assemble L_alpha u = 0 over interior unknowns with Dirichlet data.
-
-    Axis by axis, the low face (through minus) and then the high face
-    (through plus) fold their boundary terms into rhs and their weights to
-    0.  The stencil's sign check runs on every weight, and dominance margin
-    lam is asserted row by row; a NaN weight fails both.  The system is
-    assembled by `out`, an EvaluationWorkspace of this GridProblem (another
-    one's is refused), which is rebound first if it was bound to another
-    boundary field; the system is overwritten by the next assembly into
-    `out`.  Without `out` a new workspace assembles it.
+def assemble_evaluation_system(workspace: EvaluationWorkspace,
+                               policy: PolicyField) -> EvaluationSystem:
+    """Assemble L_alpha u = 0 for `policy` over the interior unknowns, with
+    the workspace's Dirichlet data, into its system, which the next
+    assembly overwrites: axis by axis, the low face (through minus) and then
+    the high face (through plus) fold their boundary terms into rhs and
+    their weights to 0.  The stencil's sign check runs on every weight, and
+    dominance margin lam is asserted row by row; a NaN weight fails both.
+    It is workspace.assemble(policy.controls), a module-level function so
+    that assemblies can be wrapped by name, as perfbench's tracer does.
     """
-    grid = gp.grid
-    if boundary.grid is not grid and boundary.grid != grid:
-        raise ValueError("boundary field lives on a different grid")
-    if out is None:
-        out = EvaluationWorkspace(gp, boundary)
-    elif out.gp is not gp:
-        raise ValueError("workspace built for another grid problem")
-    elif out.boundary is not boundary:
-        out.bind(boundary)
-    return out.assemble(policy.controls)
+    return workspace.assemble(policy.controls)
 
 
 class ReductionLayout:
@@ -414,8 +399,8 @@ class RedBlackLayout:
     A layout serves any number of solves of its shape, one at a time:
     `load` writes omega, a system and a start into the buffers, `sweep` runs
     the steps, and `unload` writes the solution out.  Nothing carries over
-    from one solve to the next, so a run builds one layout and hands it to
-    every solve.
+    from one solve to the next, so the one layout of a run's
+    EvaluationWorkspace serves every solve.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:

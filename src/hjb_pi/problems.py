@@ -142,7 +142,7 @@ def lq_reference_policy(lam: float, x, a_max: float | None = None):
     return a
 
 
-def lq1d_problem(lam: float = 1.0, a_max: float = 6.0) -> ControlProblem:
+def lq1d_problem(lam: float, a_max: float) -> ControlProblem:
     """1D benchmark: zero drift, state cost x^2/2, closed-form reference."""
 
     def drift(x: np.ndarray) -> np.ndarray:

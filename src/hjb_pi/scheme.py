@@ -191,6 +191,8 @@ def write_stencil(f: np.ndarray, axes: tuple, neg_ratio: float, two_h: float,
     biggest = float(np.maximum.reduce(np.abs(f, scratch), None))
     worst = neg_ratio + biggest / two_h
     if not worst <= 1e-12 * max(1.0, -neg_ratio):  # also nan
+        if not math.isfinite(biggest):
+            raise MonotonicityError(f"drift is not finite: max |f| = {biggest}")
         raise MonotonicityError(
             f"positive neighbor weight {worst:.3e}: viscosity {viscosity} "
             f"does not dominate |f|/2 = {biggest / 2.0:.6g}"

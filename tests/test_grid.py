@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hjb_pi import GridField, build_grid
+from hjb_pi import GridField, PIConfig, build_grid, run_policy_iteration
 from hjb_pi.grid import interior_gradient, interior_laplacian
 
 from conftest import make_rng
@@ -134,6 +134,26 @@ def test_grid_field_validation():
         GridField(grid, bad)
     with pytest.raises(ValueError):
         GridField(grid, np.zeros(4))
+
+
+def test_grid_field_values_are_read_only(lq_coarse, man_coarse):
+    """Writing through a field's values or interior raises, for a new field
+    and for a run's final value; the array a field was built from stays
+    writable."""
+    fields = []
+    for setup in (lq_coarse, man_coarse):
+        given = np.ones(setup.grid.shape)
+        fields.append(GridField(setup.grid, given))
+        given[...] = 2.0
+        report = run_policy_iteration(setup.problem, setup.grid, setup.params,
+                                      PIConfig(max_outer_iterations=2), boundary=setup.boundary)
+        fields.append(report.final_value)
+    for field in fields:
+        for view in (field.values, field.interior()):
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                view += 1.0
 
 
 def test_grid_field_rejects_non_finite_values():

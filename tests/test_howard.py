@@ -8,6 +8,8 @@ import pytest
 from hjb_pi import (
     BENCHMARK_DEFAULTS,
     ControlProblem,
+    EvaluationSystem,
+    EvaluationWorkspace,
     GridField,
     GridProblem,
     PIConfig,
@@ -29,11 +31,13 @@ from hjb_pi import (
     solve_sor,
     solve_tridiagonal,
 )
-from hjb_pi import howard
+from hjb_pi import howard, linsolve
 from hjb_pi.analysis import difference_norms
 from hjb_pi.checks import greedy_run_extremes
 from hjb_pi.grid import interior_gradient
 from hjb_pi.problems import lq1d_problem
+
+from conftest import make_rng
 
 
 def test_initial_policy_zero(lq_coarse):
@@ -71,7 +75,7 @@ def test_policy_evaluate_zero_problem():
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
     value, stats = policy_evaluate(
-        GridProblem(problem, grid, params), policy, GridField.zeros(grid)
+        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.zeros(grid)), policy
     )
     assert np.max(np.abs(value.values)) == 0.0
     # a direct solve: one pass, no update left, and exact, so its tolerance is 0
@@ -86,7 +90,7 @@ def test_policy_evaluate_frozen_optimal_policy(lq_paper):
     )
     policy = PolicyField(setup.grid, controls, setup.problem.a_max)
     gp = GridProblem(setup.problem, setup.grid, setup.params)
-    value, _ = policy_evaluate(gp, policy, setup.boundary)
+    value, _ = policy_evaluate(EvaluationWorkspace(gp, setup.boundary), policy)
     gap = np.max(np.abs(value.values - setup.reference.values))
     assert gap <= 0.1
 
@@ -100,11 +104,46 @@ def test_policy_evaluate_sor_residual_certificate(man_paper):
     setup = man_paper
     policy = initial_policy("adversarial2d", setup.grid, setup.problem)
     gp = GridProblem(setup.problem, setup.grid, setup.params)
-    value, stats = policy_evaluate(gp, policy, setup.boundary)
+    value, stats = policy_evaluate(EvaluationWorkspace(gp, setup.boundary), policy)
     assert stats.final_update_norm <= stats.tol == PIConfig.solver_tol
     residual = bellman_residual(setup.problem, setup.params, value, policy)
     bound = setup.params.center_weight * 1e-10
     assert np.max(np.abs(residual.values)) <= bound
+
+
+def test_standalone_1d_evaluation_solves_in_its_workspace_layout(monkeypatch, lq_paper):
+    """An evaluation outside a run, of 199 unknowns, builds one
+    ReductionLayout, its workspace's, and solves the system where it lies,
+    in that layout's rows, with the bits of a solve that copies the system
+    into a new layout."""
+    setup, built, solved = lq_paper, [], []
+
+    class CountedLayout(linsolve.ReductionLayout):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    solve = howard.solve_tridiagonal
+
+    def recording_solve(system, layout=None, out=None):
+        solved.append((system, layout))
+        return solve(system, layout, out)
+
+    monkeypatch.setattr(linsolve, "ReductionLayout", CountedLayout)
+    monkeypatch.setattr(howard, "solve_tridiagonal", recording_solve)
+    a_max = setup.problem.a_max
+    controls = make_rng(131).uniform(-a_max, a_max, setup.grid.interior_shape + (1,))
+    policy = PolicyField(setup.grid, controls, a_max)
+    workspace = EvaluationWorkspace(GridProblem(setup.problem, setup.grid, setup.params),
+                                    setup.boundary)
+    value, _ = policy_evaluate(workspace, policy)
+    monkeypatch.undo()
+    assert built == [199]
+    [(system, layout)] = solved
+    assert system is workspace.system is layout.system and layout is workspace.layout
+    copied = EvaluationSystem(system.center.copy(), (system.plus[0].copy(),),
+                              (system.minus[0].copy(),), system.rhs.copy())
+    assert value.interior().tobytes() == solve_tridiagonal(copied).tobytes()
 
 
 def test_policy_improve_mixing():
@@ -208,7 +247,7 @@ def test_policy_convergence_bound(lq_coarse):
     slack = setup.grid.dim / setup.grid.h
     gp = GridProblem(setup.problem, setup.grid, setup.params)
     for _ in range(10):
-        value, _ = policy_evaluate(gp, policy, setup.boundary)
+        value, _ = policy_evaluate(EvaluationWorkspace(gp, setup.boundary), policy)
         improved = policy_improve(setup.problem, value, policy, theta=1.0)
         value_gap = np.max(np.abs(value.values - v_h.values))
         policy_gap = np.max(np.abs(improved.controls - a_h.controls))
@@ -264,7 +303,7 @@ def test_scheme_rejects_a_problem_with_another_lam(lq_coarse):
     """The scheme's rate is params.lam; a problem with another rate is an
     error, not silently solved at params.lam."""
     setup = lq_coarse
-    other = lq1d_problem(lam=2.0)
+    other = lq1d_problem(lam=2.0, a_max=setup.problem.a_max)
     policy = initial_policy("zero", setup.grid, other)
     calls = [
         lambda: bellman_residual(other, setup.params, setup.reference),
@@ -294,7 +333,7 @@ def test_report_bookkeeping(lq_coarse):
     assert "budget" in report.stop_reason
     # the final value is the evaluation of the final policy
     gp = GridProblem(setup.problem, setup.grid, setup.params)
-    value, _ = policy_evaluate(gp, report.final_policy, setup.boundary)
+    value, _ = policy_evaluate(EvaluationWorkspace(gp, setup.boundary), report.final_policy)
     assert np.max(np.abs(value.values - report.final_value.values)) == 0.0
 
 
@@ -608,7 +647,7 @@ def _allocating_run(setup, theta, iterations, spec):
     policies, values, sweeps = [], [], []
     warm, prev, prev_update, tol = boundary, None, math.inf, PIConfig.solver_tol
     for n in range(iterations):
-        system = assemble_evaluation_system(gp, policy, boundary)
+        system = assemble_evaluation_system(EvaluationWorkspace(gp, boundary), policy)
         v = boundary.values.copy()
         if grid.dim == 1:
             solve_tridiagonal(system, out=v[1:-1])
@@ -640,9 +679,9 @@ def _recording_run(monkeypatch, setup, theta, iterations, spec, snapshots=()):
     evaluate, improve = howard.policy_evaluate, howard.policy_improve
     evaluated, improved = [], []
 
-    def recording_evaluate(gp, policy, *args, **kwargs):
+    def recording_evaluate(workspace, policy, *args, **kwargs):
         evaluated.append((policy, policy.controls.copy()))
-        return evaluate(gp, policy, *args, **kwargs)
+        return evaluate(workspace, policy, *args, **kwargs)
 
     def recording_improve(problem, value, prev_policy, *args, **kwargs):
         improved.append((prev_policy, prev_policy.controls.copy()))
@@ -705,7 +744,7 @@ def test_buffer_reuse_keeps_what_the_report_holds(monkeypatch, theta):
     )
     assert report.value_snapshots[5].tobytes() == short.final_value.values.tobytes()
     gp = GridProblem(setup.problem, setup.grid, setup.params)
-    value, _ = policy_evaluate(gp, report.final_policy, setup.boundary)
+    value, _ = policy_evaluate(EvaluationWorkspace(gp, setup.boundary), report.final_policy)
     assert value.values.tobytes() == report.final_value.values.tobytes()
     assert len(evaluated) == 12 and len(improved) == 11
     for n, (policy, controls) in enumerate(evaluated):

@@ -9,6 +9,7 @@ import pytest
 from hjb_pi import (
     ControlProblem,
     EvaluationSystem,
+    EvaluationWorkspace,
     GridField,
     GridProblem,
     MonotonicityError,
@@ -54,6 +55,11 @@ def system_arrays(system) -> dict:
     return arrays
 
 
+def setup_workspace(setup) -> EvaluationWorkspace:
+    """The evaluation workspace of a benchmark setup."""
+    return EvaluationWorkspace(GridProblem(setup.problem, setup.grid, setup.params), setup.boundary)
+
+
 def constant_cost_problem(kappa, dim=1, a_max=1.0):
     return ControlProblem(
         lam=1.0, drift_base=lambda x: np.zeros_like(x),
@@ -67,7 +73,7 @@ def test_homogeneous_system_solves_to_zero():
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
     system = assemble_evaluation_system(
-        GridProblem(problem, grid, params), policy, GridField.zeros(grid)
+        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.zeros(grid)), policy
     )
     assert np.max(np.abs(solve_tridiagonal(system))) == 0.0
 
@@ -76,7 +82,7 @@ def test_homogeneous_system_solves_to_zero():
     params2 = SchemeParams(viscosity=1.0, h=0.25, dim=2, lam=1.0)
     policy2 = PolicyField.zeros(grid2, 1.0)
     system2 = assemble_evaluation_system(
-        GridProblem(problem2, grid2, params2), policy2, GridField.zeros(grid2)
+        EvaluationWorkspace(GridProblem(problem2, grid2, params2), GridField.zeros(grid2)), policy2
     )
     sol, stats = solve_sor(
         system2, omega=PIConfig.omega, tol=PIConfig.solver_tol, max_iter=PIConfig.solver_max_iter
@@ -93,7 +99,7 @@ def test_single_interior_node_closed_form():
     params = SchemeParams(viscosity=1.0, h=1.0, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
     system = assemble_evaluation_system(
-        GridProblem(problem, grid, params), policy, GridField.zeros(grid)
+        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.zeros(grid)), policy
     )
     sol = solve_tridiagonal(system)
     assert sol[0] == pytest.approx(kappa / (1.0 + 2.0), abs=1e-15)
@@ -102,7 +108,7 @@ def test_single_interior_node_closed_form():
 def test_lq_paper_assembly_diagonal(lq_paper):
     policy = PolicyField.zeros(lq_paper.grid, lq_paper.problem.a_max)
     gp = GridProblem(lq_paper.problem, lq_paper.grid, lq_paper.params)
-    system = assemble_evaluation_system(gp, policy, lq_paper.boundary)
+    system = assemble_evaluation_system(EvaluationWorkspace(gp, lq_paper.boundary), policy)
     # center weight 1 + 2*3/0.03 = 201 exactly, every row
     assert np.all(system.center == 201.0)
 
@@ -116,7 +122,7 @@ def test_assembled_dominance_margin(lq_coarse, man_coarse):
         )
         policy = PolicyField(setup.grid, controls, setup.problem.a_max)
         gp = GridProblem(setup.problem, setup.grid, setup.params)
-        system = assemble_evaluation_system(gp, policy, setup.boundary)
+        system = assemble_evaluation_system(EvaluationWorkspace(gp, setup.boundary), policy)
         off = sum(np.abs(w) for w in system.plus + system.minus)
         lam = setup.problem.lam
         assert np.min(system.center - off) >= lam - 1e-12 * np.max(system.center)
@@ -137,7 +143,7 @@ def test_assembly_matches_policy_operator():
         policy = PolicyField(grid, controls, a_max)
         u = GridField(grid, rng.uniform(-1, 1, grid.shape))
         gp = GridProblem(setup.problem, grid, setup.params)
-        system = assemble_evaluation_system(gp, policy, u)
+        system = assemble_evaluation_system(EvaluationWorkspace(gp, u), policy)
         for k in range(grid.dim):
             assert not np.take(system.minus[k], 0, axis=k).any(), (name, k)
             assert not np.take(system.plus[k], -1, axis=k).any(), (name, k)
@@ -157,20 +163,22 @@ def test_assembly_rejects_non_monotone_stencil():
         problem = constant_cost_problem(0.0, dim=dim)
         # |f| = 1, so N = 1/2 is the edge of monotonicity
         edge = SchemeParams(viscosity=0.5, h=0.25, dim=dim, lam=1.0)
-        assemble_evaluation_system(GridProblem(problem, grid, edge), policy, GridField.zeros(grid))
+        boundary = GridField.zeros(grid)
+        assemble_evaluation_system(EvaluationWorkspace(GridProblem(problem, grid, edge), boundary),
+                                   policy)
         low = SchemeParams(viscosity=0.45, h=0.25, dim=dim, lam=1.0)
         with pytest.raises(MonotonicityError, match="positive neighbor weight"):
             assemble_evaluation_system(
-                GridProblem(problem, grid, low), policy, GridField.zeros(grid)
+                EvaluationWorkspace(GridProblem(problem, grid, low), boundary), policy
             )
 
 
 def test_assembly_refuses_a_system_whose_dominance_margin_falls_below_lam(monkeypatch):
     """Neighbor weights 0.1% too large keep their signs but take the margin
     of the rows with every neighbor inside below lam; assembly refuses that
-    with the margin over both axes, with and without a workspace.  A NaN
-    weight is refused too.  The weights are scaled where assembly forms
-    them, after the stencil's sign check."""
+    with the margin over both axes, in a workspace that has assembled before
+    and in a new one.  A NaN weight is refused too.  The weights are scaled
+    where assembly forms them, after the stencil's sign check."""
     write = linsolve.write_stencil
 
     def scaled_stencil(factor):
@@ -185,7 +193,8 @@ def test_assembly_refuses_a_system_whose_dominance_margin_falls_below_lam(monkey
         setup = build_benchmark(name, h=h)
         gp = GridProblem(setup.problem, setup.grid, setup.params)
         policy = PolicyField.zeros(setup.grid, setup.problem.a_max)
-        system = assemble_evaluation_system(gp, policy, setup.boundary)
+        workspace = EvaluationWorkspace(gp, setup.boundary)
+        system = assemble_evaluation_system(workspace, policy)
         offsum = sum(np.abs(1.001 * w) for w in system.plus + system.minus)
         margin = setup.params.center_weight - float(np.max(offsum))
         lam = setup.params.lam
@@ -194,28 +203,31 @@ def test_assembly_refuses_a_system_whose_dominance_margin_falls_below_lam(monkey
                                 (math.nan, f"diagonal dominance margin nan fell below {lam}")):
             with monkeypatch.context() as patch:
                 patch.setattr(linsolve, "write_stencil", scaled_stencil(factor))
-                for out in (None, linsolve.EvaluationWorkspace(gp, setup.boundary)):
+                for used in (workspace, EvaluationWorkspace(gp, setup.boundary)):
                     with pytest.raises(MonotonicityError) as error:
-                        assemble_evaluation_system(gp, policy, setup.boundary, out=out)
+                        assemble_evaluation_system(used, policy)
                     assert str(error.value) == message, (name, h)
 
 
 def test_assembly_and_error_metrics_refuse_fields_on_another_grid():
     """A field on an equal grid built separately is accepted; one on a grid
-    of the same shape with another spacing and width is refused, by
-    assembly (the boundary) and by error_metrics."""
-    grid = build_grid(1.0, 0.25, dim=1)
-    params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
-    gp = GridProblem(constant_cost_problem(1.0), grid, params)
-    policy = PolicyField.zeros(grid, 1.0)
-    equal, other = build_grid(1.0, 0.25, dim=1), build_grid(2.0, 0.5, dim=1)
-    assert equal == grid and equal is not grid and other.shape == grid.shape
-    assemble_evaluation_system(gp, policy, GridField.zeros(equal))
-    assert error_metrics(GridField.zeros(grid), GridField.zeros(equal)) == (0.0, 0.0)
-    with pytest.raises(ValueError, match="different grid"):
-        assemble_evaluation_system(gp, policy, GridField.zeros(other))
-    with pytest.raises(ValueError, match="different grid"):
-        error_metrics(GridField.zeros(grid), GridField.zeros(other))
+    of the same shape with another spacing and width is refused, by an
+    evaluation workspace (the boundary) when it is built, in 1D and 2D, and
+    by error_metrics."""
+    for dim in (1, 2):
+        grid = build_grid(1.0, 0.25, dim=dim)
+        params = SchemeParams(viscosity=1.0, h=0.25, dim=dim, lam=1.0)
+        gp = GridProblem(constant_cost_problem(1.0, dim=dim), grid, params)
+        equal, other = build_grid(1.0, 0.25, dim=dim), build_grid(2.0, 0.5, dim=dim)
+        assert equal == grid and equal is not grid and other.shape == grid.shape
+        workspace = EvaluationWorkspace(gp, GridField.zeros(equal))
+        assemble_evaluation_system(workspace, PolicyField.zeros(grid, 1.0))
+        with pytest.raises(ValueError, match="^boundary field lives on a different grid$"):
+            EvaluationWorkspace(gp, GridField.zeros(other))
+        if dim == 1:
+            assert error_metrics(GridField.zeros(grid), GridField.zeros(equal)) == (0.0, 0.0)
+            with pytest.raises(ValueError, match="different grid"):
+                error_metrics(GridField.zeros(grid), GridField.zeros(other))
 
 
 def test_thomas_examples():
@@ -244,8 +256,7 @@ def test_thomas_on_assembled_lq1d_system():
     a_max = setup.problem.a_max
     controls = make_rng(410).uniform(-a_max, a_max, setup.grid.interior_shape + (1,))
     system = assemble_evaluation_system(
-        GridProblem(setup.problem, setup.grid, setup.params),
-        PolicyField(setup.grid, controls, a_max), setup.boundary,
+        setup_workspace(setup), PolicyField(setup.grid, controls, a_max)
     )
     assert system.n == 599
     before = {name: a.copy() for name, a in system_arrays(system).items()}
@@ -292,8 +303,7 @@ def test_reduction_backward_error_at_benchmark_size():
     a_max = setup.problem.a_max
     controls = make_rng(413).uniform(-a_max, a_max, setup.grid.interior_shape + (1,))
     assembled = assemble_evaluation_system(
-        GridProblem(setup.problem, setup.grid, setup.params),
-        PolicyField(setup.grid, controls, a_max), setup.boundary,
+        setup_workspace(setup), PolicyField(setup.grid, controls, a_max)
     )
     for system in (random_dominant_tridiagonal(make_rng(414), 599), assembled):
         assert system.n == 599
@@ -426,8 +436,7 @@ def test_reduction_matches_pointwise_bit_for_bit():
         a_max = setup.problem.a_max
         controls = rng.uniform(-a_max, a_max, setup.grid.interior_shape + (1,))
         system = assemble_evaluation_system(
-            GridProblem(setup.problem, setup.grid, setup.params),
-            PolicyField(setup.grid, controls, a_max), setup.boundary,
+            setup_workspace(setup), PolicyField(setup.grid, controls, a_max)
         )
         assert solve_tridiagonal(system).tobytes() == pointwise_reduction(system).tobytes(), h
 
@@ -489,7 +498,7 @@ def test_workspace_rows_keep_the_bits_of_negated_couplings():
     for n, digest in SOLUTION_DIGESTS.items():
         grid = build_grid((n + 1) / 2, 1.0, dim=1)
         gp = GridProblem(constant_cost_problem(0.0), grid, SchemeParams(1.0, 1.0, 1, 1.0))
-        workspace = linsolve.EvaluationWorkspace(gp, GridField.zeros(grid))
+        workspace = EvaluationWorkspace(gp, GridField.zeros(grid))
         own, layout = workspace.system, workspace.layout
         assert (own is layout.system) == (n > REDUCTION_THRESHOLD), n
         solutions = []
@@ -504,33 +513,14 @@ def test_a_workspace_layout_solves_only_its_own_system():
     """Another system would overwrite the workspace's center, written once."""
     setup = build_benchmark("lq1d", h=0.01)
     gp = GridProblem(setup.problem, setup.grid, setup.params)
-    workspace = linsolve.EvaluationWorkspace(gp, setup.boundary)
+    workspace = EvaluationWorkspace(gp, setup.boundary)
     policy = PolicyField.zeros(setup.grid, setup.problem.a_max)
-    system = assemble_evaluation_system(gp, policy, setup.boundary, out=workspace)
+    system = assemble_evaluation_system(workspace, policy)
     assert system is workspace.layout.system
     expected = solve_tridiagonal(system)
     with pytest.raises(ValueError, match="holds its workspace's system"):
         solve_tridiagonal(random_dominant_tridiagonal(make_rng(422), system.n), workspace.layout)
     assert solve_tridiagonal(system, workspace.layout).tobytes() == expected.tobytes()
-
-
-def test_workspace_serves_one_grid_problem_and_follows_its_boundary():
-    """A workspace of another GridProblem, even an equal one, is refused; a
-    workspace handed another boundary field rebinds to it and assembles what
-    a new workspace would."""
-    setup = build_benchmark("lq1d", h=0.1)
-    gp = GridProblem(setup.problem, setup.grid, setup.params)
-    policy = PolicyField.zeros(setup.grid, setup.problem.a_max)
-    workspace = linsolve.EvaluationWorkspace(gp, setup.boundary)
-    twin = GridProblem(setup.problem, setup.grid, setup.params)
-    with pytest.raises(ValueError, match="another grid problem"):
-        assemble_evaluation_system(twin, policy, setup.boundary, out=workspace)
-    other = GridField(setup.grid, make_rng(423).uniform(-1, 1, setup.grid.shape))
-    for boundary in (other, setup.boundary, other):
-        system = assemble_evaluation_system(gp, policy, boundary, out=workspace)
-        fresh = assemble_evaluation_system(gp, policy, boundary)
-        for name, a in system_arrays(system).items():
-            assert a.tobytes() == system_arrays(fresh)[name].tobytes(), name
 
 
 def test_reduction_layout_reuse_is_bit_identical():
@@ -762,9 +752,7 @@ def test_sor_reports_a_divergence_at_once():
     budget and then report a stall."""
     setup = build_benchmark("manufactured2d", h=0.05)
     policy = initial_policy("adversarial2d", setup.grid, setup.problem)
-    system = assemble_evaluation_system(
-        GridProblem(setup.problem, setup.grid, setup.params), policy, setup.boundary
-    )
+    system = assemble_evaluation_system(setup_workspace(setup), policy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match=r"^SOR diverged after \d+ sweeps: update norm "

@@ -13,7 +13,6 @@ from hjb_pi import (
     build_benchmark,
     build_grid,
     greedy_policy,
-    lq1d_problem,
     lq_reference_policy,
     lq_reference_value,
     lq_value_coefficient,
@@ -32,8 +31,8 @@ def cost_and_drift(problem, x, a):
     return policy_cost_and_drift(problem.state_cost(x), problem.drift_base(x), a)
 
 
-def test_dynamics_examples(man_paper):
-    lq = lq1d_problem()
+def test_dynamics_examples(lq_paper, man_paper):
+    lq = lq_paper.problem
     assert cost_and_drift(lq, np.array([0.7]), np.array([-0.3]))[1] == pytest.approx([-0.3])
     p2 = man_paper.problem
     origin = np.zeros(2)
@@ -45,8 +44,8 @@ def test_dynamics_examples(man_paper):
     assert f == pytest.approx(np.array([[0.06, 0.0], [1.06, -1.0]]))
 
 
-def test_running_cost_examples(man_paper):
-    lq = lq1d_problem()
+def test_running_cost_examples(lq_paper, man_paper):
+    lq = lq_paper.problem
     assert cost_and_drift(lq, np.array([0.0]), np.array([0.0]))[0] == 0.0
     assert cost_and_drift(lq, np.array([1.0]), np.array([2.0]))[0] == pytest.approx(2.5)
     # zero control on the 2D benchmark returns the stored cost values
@@ -211,9 +210,9 @@ def test_policy_field_box_invariant(lq_coarse):
         PolicyField(grid, bad, a_max=6.0)
 
 
-def test_greedy_is_exact_argmin_against_scan():
+def test_greedy_is_exact_argmin_against_scan(lq_paper):
     """100 random (x, p): the scan minimum matches the closed form to 1e-9."""
-    gaps = greedy_scan_gaps(lq1d_problem(), make_rng(202), 100, stages=3)
+    gaps = greedy_scan_gaps(lq_paper.problem, make_rng(202), 100, stages=3)
     assert np.max(np.abs(gaps)) < 1e-9
 
 
@@ -221,9 +220,9 @@ def test_hamiltonian_matches_negated_scan(man_coarse):
     assert hamiltonian_scan_gap(man_coarse, make_rng(203), 25) < 1e-9
 
 
-def test_greedy_policy_is_one_lipschitz_in_p():
+def test_greedy_policy_is_one_lipschitz_in_p(lq_paper):
     rng = make_rng(204)
-    problem = lq1d_problem()
+    problem = lq_paper.problem
     for _ in range(200):
         p1 = rng.uniform(-10, 10, size=(1,))
         p2 = rng.uniform(-10, 10, size=(1,))
