@@ -12,9 +12,9 @@ Layer map, bottom to top: grid -> analysis, problems -> scheme ->
 linsolve -> howard -> benchmarks -> cli.  grid also holds Record, the
 base of the value types, which are plain classes rather than dataclasses
 so that importing the package generates no code.  analysis (error norms
-and fits) needs only grid, so howard records its norms with it.  problems
-writes the control model once: policy_cost_and_drift forms (c, f) and
-greedy_policy the clip of -grad_h u.  scheme owns
+and the mesh-rate fit) needs only grid, so howard records its norms with
+it.  problems writes the control model once: policy_cost_and_drift forms
+(c, f) and greedy_policy the clip of -grad_h u.  scheme owns
 GridProblem, the problem sampled once onto a grid; write_stencil, the one
 stencil routine, which assembly calls with its bound operands and
 stencil_coefficients (for the resolvent and certification) with any drift;
@@ -35,14 +35,11 @@ main path.
 """
 
 from .analysis import (
-    ErrorDecomposition,
     RateFit,
     detect_plateau,
     error_metrics,
-    fit_geometric_rate,
     fit_power_rate,
     optimal_iteration_count,
-    total_error_bound,
 )
 from .benchmarks import BENCHMARK_DEFAULTS, BENCHMARK_NAMES, BenchmarkSetup, build_benchmark
 from .grid import Grid, GridField, build_grid
@@ -69,7 +66,6 @@ from .problems import (
     PolicyField,
     greedy_policy,
     lq1d_problem,
-    lq_reference_policy,
     lq_reference_value,
     lq_value_coefficient,
     manufactured_drift,
@@ -92,7 +88,6 @@ __all__ = [
     "BENCHMARK_NAMES",
     "BenchmarkSetup",
     "ControlProblem",
-    "ErrorDecomposition",
     "EvaluationSystem",
     "EvaluationWorkspace",
     "Grid",
@@ -114,12 +109,10 @@ __all__ = [
     "certify_monotone_stencil",
     "detect_plateau",
     "error_metrics",
-    "fit_geometric_rate",
     "fit_power_rate",
     "greedy_policy",
     "initial_policy",
     "lq1d_problem",
-    "lq_reference_policy",
     "lq_reference_value",
     "lq_value_coefficient",
     "manufactured_drift",
@@ -132,6 +125,5 @@ __all__ = [
     "solve_dense_oracle",
     "solve_sor",
     "solve_tridiagonal",
-    "total_error_bound",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Error metrics, rate fitting, error-budget helpers, plateau detection.
+"""Error metrics, the mesh-rate fit, plateau detection.
 
 The iteration error of greedy policy iteration decays like beta^n with
 beta = (2*d*N/h) / (lam + 2*d*N/h) <= exp(-lam*h / (2*d*N) * n), while the
@@ -18,46 +18,28 @@ from .grid import Grid, GridField, Record
 
 __all__ = [
     "RateFit",
-    "ErrorDecomposition",
     "difference_norms",
     "extend_block_norms",
     "error_metrics",
-    "fit_geometric_rate",
     "fit_power_rate",
-    "total_error_bound",
     "optimal_iteration_count",
     "detect_plateau",
 ]
 
-# fit points below this multiple of machine epsilon are rounding noise
-NOISE_FLOOR = 100.0 * np.finfo(float).eps
+# relative band within which detect_plateau calls an error tail flat
+PLATEAU_BAND = 0.01
 
 
 class RateFit(Record):
-    """Least-squares line through transformed data points.
-
-    slope/intercept describe log(y) against n (geometric fits) or log(y)
-    against log(h) (power fits); r_squared is clamped to [0, 1];
-    points_used counts the points that survived the noise floor.
+    """Least-squares line through log(error) against log(h): slope and
+    intercept of the line, r_squared clamped to [0, 1], and points_used,
+    the number of (h, error) pairs fitted.
     """
 
     _fields = ("slope", "intercept", "r_squared", "points_used")
 
     def __init__(self, slope: float, intercept: float, r_squared: float, points_used: int) -> None:
         super().__init__(slope, intercept, r_squared, points_used)
-
-
-class ErrorDecomposition(Record):
-    """Two-term error budget: geometric iteration term plus mesh term."""
-
-    _fields = ("iteration_term", "discretization_term")
-
-    def __init__(self, iteration_term: float, discretization_term: float) -> None:
-        super().__init__(iteration_term, discretization_term)
-
-    @property
-    def total(self) -> float:
-        return self.iteration_term + self.discretization_term
 
 
 def error_metrics(field: GridField, reference: GridField) -> tuple[float, float]:
@@ -103,33 +85,6 @@ def extend_block_norms(norms: tuple[list[float], ...], block: list[np.ndarray], 
     return block[-1:]
 
 
-def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), min(1.0, max(0.0, r2))
-
-
-def fit_geometric_rate(residuals: Sequence[float]) -> RateFit:
-    """Fit log(residual) against the iteration index.
-
-    exp(slope) estimates the per-iteration contraction factor.  Entries at
-    or below 100x machine epsilon are excluded as rounding noise; at least
-    three positive entries must survive.
-    """
-    res = np.asarray(residuals, dtype=float)
-    mask = np.isfinite(res) & (res > NOISE_FLOOR)
-    idx = np.nonzero(mask)[0]
-    if idx.size < 3:
-        raise ValueError(
-            f"need at least 3 residuals above the noise floor, got {idx.size}"
-        )
-    slope, intercept, r2 = _line_fit(idx.astype(float), np.log(res[idx]))
-    return RateFit(slope=slope, intercept=intercept, r_squared=r2, points_used=int(idx.size))
-
-
 def fit_power_rate(h_values: Sequence[float], errors: Sequence[float]) -> RateFit:
     """Fit log(error) against log(h); the slope is the convergence order."""
     h = np.asarray(h_values, dtype=float)
@@ -140,34 +95,14 @@ def fit_power_rate(h_values: Sequence[float], errors: Sequence[float]) -> RateFi
         raise ValueError("h values must be positive and strictly decreasing")
     if np.any(~np.isfinite(e)) or np.any(e <= 0):
         raise ValueError("errors must be positive and finite")
-    slope, intercept, r2 = _line_fit(np.log(h), np.log(e))
-    return RateFit(slope=slope, intercept=intercept, r_squared=r2, points_used=int(h.size))
-
-
-def total_error_bound(
-    c_iter: float,
-    c_mesh: float,
-    n: int,
-    h: float,
-    lam: float,
-    dim: int,
-    viscosity: float,
-) -> ErrorDecomposition:
-    """Exponential-form error budget after n iterations at spacing h.
-
-    iteration_term = c_iter * exp(-lam*n*h / (2*dim*viscosity)), the
-    geometric envelope in disguise; discretization_term = c_mesh * sqrt(h).
-    """
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
-    for name, v in (("h", h), ("lam", lam), ("viscosity", viscosity)):
-        if not (v > 0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive, got {v}")
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-    it = c_iter * math.exp(-lam * n * h / (2.0 * dim * viscosity))
-    mesh = c_mesh * math.sqrt(h)
-    return ErrorDecomposition(iteration_term=it, discretization_term=mesh)
+    xs, ys = np.log(h), np.log(e)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    pred = slope * xs + intercept
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return RateFit(slope=float(slope), intercept=float(intercept),
+                   r_squared=min(1.0, max(0.0, r2)), points_used=int(h.size))
 
 
 def optimal_iteration_count(h: float, lam: float, dim: int, viscosity: float) -> int:
@@ -186,17 +121,15 @@ def optimal_iteration_count(h: float, lam: float, dim: int, viscosity: float) ->
     return math.ceil(dim * viscosity / (lam * h) * math.log(1.0 / h))
 
 
-def detect_plateau(errors: Sequence[float], window: int, rel_band: float) -> int | None:
+def detect_plateau(errors: Sequence[float], window: int) -> int | None:
     """Smallest index from which the error tail is flat.
 
     Returns the first index i such that the tail errors[i:] has at least
-    `window` entries and max/min over the tail is at most 1 + rel_band,
+    `window` entries and max/min over the tail is at most 1 + PLATEAU_BAND,
     or None when no such index exists.  Errors must be positive.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
-    if rel_band <= 0:
-        raise ValueError("rel_band must be positive")
     e = np.asarray(errors, dtype=float)
     if e.size == 0:
         return None
@@ -207,6 +140,6 @@ def detect_plateau(errors: Sequence[float], window: int, rel_band: float) -> int
     suf_min = np.minimum.accumulate(e[::-1])[::-1]
     limit = e.size - window
     for i in range(limit + 1):
-        if suf_max[i] <= (1.0 + rel_band) * suf_min[i]:
+        if suf_max[i] <= (1.0 + PLATEAU_BAND) * suf_min[i]:
             return i
     return None

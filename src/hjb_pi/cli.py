@@ -107,7 +107,6 @@ def _summary_payload(config: dict, setup: BenchmarkSetup, report: PIReport) -> d
     plateau = detect_plateau(
         [e for e in report.linf_error_to_reference if math.isfinite(e)],
         window=min(10, max(2, report.iterations_run)),
-        rel_band=0.01,
     )
     return {
         "config": config,

@@ -113,14 +113,6 @@ class Grid(Record):
     def interior_shape(self) -> tuple[int, ...]:
         return (self.nodes_per_axis - 2,) * self.dim
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes_per_axis**self.dim
-
-    @property
-    def n_interior(self) -> int:
-        return (self.nodes_per_axis - 2) ** self.dim
-
     def axis_coords(self) -> np.ndarray:
         """Node coordinates along one axis, x_i = -L + i*h."""
         return -self.half_width + np.arange(self.nodes_per_axis) * self.h

@@ -88,6 +88,9 @@ INITIAL_POLICY_SPECS = ("zero", "adversarial2d")
 # Inner tolerance per unit of the previous outer step when theta < 1.
 INEXACT_TOL_FACTOR = 0.01
 
+# Every direct 1D solve returns this one frozen record: one pass, exact.
+_DIRECT_SOLVE = SolveStats(iterations=1, final_update_norm=0.0, tol=0.0)
+
 # Iterates per block of a 1D run's trajectory norms (see the module docstring).
 NORM_BLOCK = 16
 
@@ -242,7 +245,7 @@ def policy_evaluate(
     values = workspace.boundary.values.copy()
     if grid.dim == 1:
         solve_tridiagonal(system, layout=layout, out=values[1:-1])
-        stats = SolveStats(iterations=1, final_update_norm=0.0, tol=0.0)
+        stats = _DIRECT_SOLVE
     else:
         guess = initial.interior() if initial is not None else None
         _, stats = solve_sor(system, omega=omega, tol=solver_tol, max_iter=solver_max_iter,

@@ -90,14 +90,14 @@ class EvaluationSystem:
 class SolveStats(Record):
     """One solve, which met its tolerance: its sweeps (1 for a direct
     solve), its last update norm and tol, the update tolerance it was asked
-    to reach (in a run, the schedule's value); both are 0.0 when direct.
-    Unlike the frozen records it may be assigned to, so it has no hash."""
+    to reach (in a run, the schedule's value); both are 0.0 when direct."""
 
     _fields = ("iterations", "final_update_norm", "tol")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, iterations: int, final_update_norm: float, tol: float) -> None:
-        self.iterations, self.final_update_norm, self.tol = iterations, final_update_norm, tol
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "final_update_norm", final_update_norm)
+        object.__setattr__(self, "tol", tol)
 
 
 # Per dimension and axis: the index of the interior rows on the low face, of

@@ -33,7 +33,6 @@ __all__ = [
     "greedy_policy",
     "lq_value_coefficient",
     "lq_reference_value",
-    "lq_reference_policy",
     "lq1d_problem",
     "manufactured_drift",
     "manufactured_value",
@@ -131,15 +130,6 @@ def lq_reference_value(lam: float, x):
     """Closed-form value V(x) = P x^2 / 2 of the 1D LQ benchmark."""
     x = np.asarray(x, dtype=float)
     return 0.5 * lq_value_coefficient(lam) * x * x
-
-
-def lq_reference_policy(lam: float, x, a_max: float | None = None):
-    """Optimal feedback a*(x) = -P x, clipped to the box when a_max is given."""
-    x = np.asarray(x, dtype=float)
-    a = -lq_value_coefficient(lam) * x
-    if a_max is not None:
-        a = np.clip(a, -a_max, a_max)
-    return a
 
 
 def lq1d_problem(lam: float, a_max: float) -> ControlProblem:

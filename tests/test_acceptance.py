@@ -273,7 +273,7 @@ def test_c09_mesh_convergence_rate():
 def test_c10_plateau_matches_discretization_floor():
     t0 = time.perf_counter()
     traj = _lq_paper_run().linf_error_to_reference
-    idx = detect_plateau(traj, window=10, rel_band=0.01)
+    idx = detect_plateau(traj, window=10)
     floor = _lq_paper_floor()
     level = traj[-1]
     rel = abs(level - floor) / floor

@@ -9,11 +9,9 @@ from hjb_pi import (
     build_grid,
     detect_plateau,
     error_metrics,
-    fit_geometric_rate,
     fit_power_rate,
     optimal_iteration_count,
     run_policy_iteration,
-    total_error_bound,
 )
 
 from conftest import make_rng
@@ -44,29 +42,11 @@ def test_error_metrics_symmetry_and_norm_inequality():
     w = GridField(grid, rng.uniform(-3, 3, grid.shape))
     assert error_metrics(u, w) == error_metrics(w, u)
     linf, l2 = error_metrics(u, w)
-    assert l2 <= linf * math.sqrt(0.2**2 * grid.n_nodes) + 1e-12
+    assert l2 <= linf * math.sqrt(0.2**2 * grid.nodes_per_axis ** grid.dim) + 1e-12
 
     other = build_grid(1.0, 0.5, dim=2)
     with pytest.raises(ValueError):
         error_metrics(u, GridField.zeros(other))
-
-
-def test_fit_geometric_rate_synthetic():
-    fit = fit_geometric_rate([0.9**n for n in range(40)])
-    assert math.exp(fit.slope) == pytest.approx(0.9, abs=1e-10)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    fit = fit_geometric_rate([3.0 * 0.5**n for n in range(30)])
-    assert math.exp(fit.slope) == pytest.approx(0.5, abs=1e-10)
-    with pytest.raises(ValueError):
-        fit_geometric_rate([1.0, 0.5])
-
-
-def test_fit_geometric_rate_excludes_noise_floor():
-    clean = [0.5**n for n in range(20)]
-    noisy = clean + [1e-17, 3e-17, 2e-17]
-    fit = fit_geometric_rate(noisy)
-    assert fit.points_used == 20
-    assert math.exp(fit.slope) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_measured_pi_factor_below_contraction_bound(lq_coarse):
@@ -77,10 +57,13 @@ def test_measured_pi_factor_below_contraction_bound(lq_coarse):
         PIConfig(max_outer_iterations=12),
         boundary=setup.boundary, reference=setup.reference,
     )
-    usable = [r for r in report.residual_l2[1:] if np.isfinite(r)]
-    fit = fit_geometric_rate(usable)
+    usable = np.array([r for r in report.residual_l2[1:] if np.isfinite(r)])
+    # fit log(step) against the step's index, leaving out the rounding tail
+    idx = np.nonzero(usable > 100.0 * np.finfo(float).eps)[0]
+    assert idx.size >= 3
+    slope, _ = np.polyfit(idx.astype(float), np.log(usable[idx]), 1)
     beta = setup.params.contraction_factor
-    assert math.exp(fit.slope) <= beta + 0.01
+    assert math.exp(slope) <= beta + 0.01
 
 
 def test_fit_power_rate_synthetic():
@@ -98,20 +81,6 @@ def test_fit_power_rate_synthetic():
         fit_power_rate([0.4], [1.0])  # too few
 
 
-def test_total_error_bound():
-    dec = total_error_bound(2.0, 0.5, n=0, h=0.09, lam=1.0, dim=1, viscosity=1.0)
-    assert dec.total == pytest.approx(2.0 + 0.5 * 0.3)
-    far = total_error_bound(2.0, 0.5, n=100000, h=0.09, lam=1.0, dim=1, viscosity=1.0)
-    assert far.total == pytest.approx(0.5 * 0.3, abs=1e-12)
-    dec = total_error_bound(1.0, 1.0, n=10, h=0.1, lam=1.0, dim=1, viscosity=1.0)
-    assert dec.iteration_term == pytest.approx(math.exp(-0.5), abs=1e-15)
-    # monotone decreasing in n, increasing in the constants
-    b1 = total_error_bound(1.0, 1.0, n=5, h=0.1, lam=1.0, dim=1, viscosity=1.0).total
-    b2 = total_error_bound(1.0, 1.0, n=6, h=0.1, lam=1.0, dim=1, viscosity=1.0).total
-    assert b2 < b1
-    assert total_error_bound(2.0, 1.0, n=5, h=0.1, lam=1.0, dim=1, viscosity=1.0).total > b1
-
-
 def test_optimal_iteration_count():
     assert optimal_iteration_count(0.1, 1.0, 1, 1.0) == 24
     assert optimal_iteration_count(0.5, 1.0, 1, 1.0) == 2
@@ -126,14 +95,14 @@ def test_optimal_iteration_count():
 
 def test_detect_plateau():
     flat_tail = [1.0, 0.5, 0.25, 0.1, 0.1, 0.1, 0.1]
-    assert detect_plateau(flat_tail, window=4, rel_band=0.01) == 3
+    assert detect_plateau(flat_tail, window=4) == 3
     geometric = [0.9**n for n in range(60)]
-    assert detect_plateau(geometric, window=10, rel_band=0.01) is None
+    assert detect_plateau(geometric, window=10) is None
     floored = [max(0.9**n, 0.01) for n in range(80)]
-    found = detect_plateau(floored, window=10, rel_band=0.01)
+    found = detect_plateau(floored, window=10)
     crossover = math.log(0.01) / math.log(0.9)
     assert found is not None and abs(found - crossover) <= 2
     with pytest.raises(ValueError):
-        detect_plateau(flat_tail, window=1, rel_band=0.01)
+        detect_plateau(flat_tail, window=1)
     with pytest.raises(ValueError):
-        detect_plateau([1.0, 0.0, 1.0], window=2, rel_band=0.01)
+        detect_plateau([1.0, 0.0, 1.0], window=2)

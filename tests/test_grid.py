@@ -14,7 +14,7 @@ def test_build_grid_node_counts():
     assert build_grid(2.0, 0.05, dim=2).nodes_per_axis == 81
     tiny = build_grid(1.0, 1.0, dim=1)
     assert tiny.nodes_per_axis == 3
-    assert tiny.n_interior == 1
+    assert tiny.interior_shape == (1,)
 
 
 def test_build_grid_rejects_bad_input():

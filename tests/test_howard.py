@@ -23,7 +23,7 @@ from hjb_pi import (
     certify_monotone_stencil,
     error_metrics,
     initial_policy,
-    lq_reference_policy,
+    lq_value_coefficient,
     policy_evaluate,
     policy_improve,
     resolvent_map,
@@ -85,9 +85,8 @@ def test_policy_evaluate_zero_problem():
 def test_policy_evaluate_frozen_optimal_policy(lq_paper):
     """Evaluating a* = -Px with exact boundary lands within O(h) of V."""
     setup = lq_paper
-    controls = lq_reference_policy(
-        1.0, setup.grid.interior_coordinates(), a_max=setup.problem.a_max
-    )
+    # a* = -P x stays inside the box: |P x| <= 1.86 < a_max = 6
+    controls = -lq_value_coefficient(1.0) * setup.grid.interior_coordinates()
     policy = PolicyField(setup.grid, controls, setup.problem.a_max)
     gp = GridProblem(setup.problem, setup.grid, setup.params)
     value, _ = policy_evaluate(EvaluationWorkspace(gp, setup.boundary), policy)
@@ -179,7 +178,7 @@ def test_policy_improve_matches_reference_slope_at_fixed_point(lq_paper):
     )
     improved = policy_improve(setup.problem, report.final_value, report.final_policy, theta=1.0)
     coords = setup.grid.interior_coordinates()
-    expect = lq_reference_policy(1.0, coords, a_max=6.0)
+    expect = -lq_value_coefficient(1.0) * coords
     gap = np.abs(improved.controls - expect)
     # the truncation boundary distorts the discrete slope in a layer near
     # x = +-3; away from it the greedy control tracks the continuum slope

@@ -1,6 +1,7 @@
 """Every imported name in the package and its tests is used or re-exported,
-every private module-level name in the package is used, and every keyword
-default of a package function is set by some call.
+every private module-level name in the package is used, every public name
+of the package is read by code outside the tests, and every keyword default
+of a package function is set by some call.
 
 No linter is a dependency, so this scans the sources with `ast`.  A name
 counts as used when it appears as a bare name anywhere in the module (an
@@ -38,32 +39,39 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-def orphaned_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level `_private` functions, classes and constants, over the
-    modules in `sources` (name -> source), that no module reads: by bare
-    name, as an attribute, or in a `from ... import`.  Assigning to a name
-    does not read it."""
-    defined, read = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
-        for node in ast.walk(tree):
+def bound_names(node: ast.stmt) -> list[str]:
+    """The names that a module-level function, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def names_read(sources) -> set[str]:
+    """The names that `sources` read: by a bare-name load, as an attribute,
+    or in a `from ... import`.  Assigning to a name does not read it."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return [f"{module}: {name}" for module, name in defined if name not in read]
+    return read
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_private` functions, classes and constants, over the
+    modules in `sources` (name -> source), that no module reads."""
+    read = names_read(sources.values())
+    return [f"{module}: {name}" for module, source in sources.items()
+            for node in ast.parse(source).body for name in bound_names(node)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
 def test_scan_flags_orphaned_private_names():
@@ -81,6 +89,70 @@ def test_no_orphaned_private_names():
     paths = sorted((ROOT / "src" / "hjb_pi").glob("*.py"))
     assert paths
     assert orphaned_private_names({path.name: path.read_text() for path in paths}) == []
+
+
+def uncalled_public_names(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Public names of the modules in `package` (module name -> source) that
+    no source in `callers` reads, and names in a module's `__all__` that the
+    module does not bind.  Public names are module-level functions, classes
+    and assigned names, and the methods and properties of those classes.
+    Listing a name in `__all__` does not read it.
+
+    Names are matched without their owner, so a method counts as read when
+    any attribute of that name is: `GridField.zeros` is read by `np.zeros`,
+    and a method by another class's method of the same name."""
+    read, found = names_read(callers), []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        bound = {alias.asname or alias.name.split(".")[0] for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        exported = []
+        for node in tree.body:
+            names = bound_names(node)
+            bound.update(names)
+            if names == ["__all__"]:
+                exported = ast.literal_eval(node.value)
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{fn.name}" for fn in node.body
+                          if isinstance(fn, ast.FunctionDef)]
+            found += [f"{module}: {name}" for name in names
+                      if not (last := name.rpartition(".")[2]).startswith("_") and last not in read]
+        found += [f"{module}: __all__ lists {name}, which is not bound"
+                  for name in exported if name not in bound]
+    return found
+
+
+def test_scan_flags_uncalled_public_names():
+    package = {
+        "a": "__all__ = ['used', 'gone', 'Kind', 'ghost']\n"
+             "import numpy as np\n"
+             "def used(): pass\ndef gone(): pass\ndef _private(): pass\n"
+             "LIMIT = 3\nSIZE: int = 2\nUNREAD = 1\n"
+             "class Kind:\n"
+             "    def run(self): pass\n"
+             "    def idle(self): pass\n"
+             "    @property\n"
+             "    def width(self): pass\n"
+             "    def _helper(self): pass\n"
+             "    def __init__(self): pass\n",
+        "b": "__all__ = ['np', 'helper']\nfrom a import used as helper\nimport numpy as np\n",
+    }
+    callers = ["from a import used\nimport a\na.Kind().run(a.LIMIT)\nprint(SIZE)\n",
+               "print(x.width)\n"]
+    assert uncalled_public_names(package, callers) == [
+        "a: gone", "a: UNREAD", "a: Kind.idle", "a: __all__ lists ghost, which is not bound",
+    ]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    package = sorted((ROOT / "src" / "hjb_pi").glob("*.py"))
+    callers = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+               if p.name != "__init__.py"]
+    assert package and len(callers) >= len(package)
+    found = uncalled_public_names(
+        {path.name: path.read_text() for path in package}, [p.read_text() for p in callers]
+    )
+    assert found == []
 
 
 def unset_keyword_defaults(package: dict[str, str], callers: list[str]) -> list[str]:

@@ -13,7 +13,6 @@ from hjb_pi import (
     build_benchmark,
     build_grid,
     greedy_policy,
-    lq_reference_policy,
     lq_reference_value,
     lq_value_coefficient,
     manufactured_drift,
@@ -130,14 +129,6 @@ def test_policy_field_box_edge(lq_coarse, man_coarse):
             controls.flat[-1] = value
             with pytest.raises(ValueError, match="leave the control box"):
                 PolicyField(grid, controls, a_max=6.0)
-
-
-def test_lq_reference_policy():
-    assert lq_reference_policy(1.0, 0.0) == 0.0
-    assert lq_reference_policy(1.0, 1.0) == pytest.approx(-0.618034, abs=1e-6)
-    # bound inactive at x=3 with a_max=6
-    assert lq_reference_policy(1.0, 3.0, a_max=6.0) == pytest.approx(-1.854102, abs=1e-6)
-    assert lq_reference_policy(1.0, 3.0, a_max=1.0) == -1.0
 
 
 def test_manufactured_drift():
