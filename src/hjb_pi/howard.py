@@ -25,25 +25,34 @@ arithmetic at 1681 to 6561 nodes: with the iterates flattened to rows,
 blocks of 1 made relaxed2d's solve_s 7.8% slower (8 of 8 pairs), and
 blocks of 16 raised greedy2d's peak RSS by 8.5%.
 
-With theta < 1 the run is inexact Howard: evaluations 0 and 1 stop at
-solver_tol, and evaluation n >= 2 at
-max(solver_tol, INEXACT_TOL_FACTOR * max|V_{n-1} - V_{n-2}|), an inner
+With theta < 1 the run is inexact Howard from its first evaluation:
+evaluation n stops at max(solver_tol, INEXACT_TOL_FACTOR * s_n), an inner
 accuracy proportional to outer progress, which keeps the outer convergence
-(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).  The early
-solves, whose values the next improvement moves far anyway, take fewer
-sweeps; solver_tol is the floor of the schedule, so the last evaluations of
-a converging run are as tight as those of an exact run.  With theta = 1
-every evaluation stops at solver_tol: greedy improvement's pointwise
-decrease rests on exact evaluation, and the same schedule there let 2D
-greedy iterates rise by about 1e-3.
+(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).  From n = 2 on,
+s_n = max|V_{n-1} - V_{n-2}| is the last outer step.  Before that, the
+run's start field S (the Dirichlet data with a zero interior) stands in
+for the missing iterates: s_0 = theta * max|S| and
+s_1 = theta * max|V_0 - S|.  These are sizes of whole fields, of which a
+relaxed outer step moves about a theta share; without the factor,
+evaluation 1 at h = 0.025 stopped after 1 sweep and the final certified
+error rose 3-8%.  The early solves, whose values the next improvement
+moves far anyway, take fewer sweeps: on manufactured2d at h = 0.1,
+lam = 1 (run2d settings) evaluations 0 and 1 take 30 and 16 sweeps, where
+solving them to solver_tol took 76 and 64.  solver_tol is the floor of
+the schedule, so the last evaluations of a converging run are as tight as
+those of an exact run.  With theta = 1 every evaluation stops at
+solver_tol: greedy improvement's pointwise decrease rests on exact
+evaluation, and the same schedule there let 2D greedy iterates rise by
+about 1e-3.
 
-An inexact evaluation (inner tolerance above solver_tol) also starts from a
-predicted value.  The relaxed outer steps step_n = max|V_n - V_{n-1}| shrink
-by a nearly constant factor (about 1 - theta), so when the last two
-decreased, 0 < step_n < step_{n-1}, SOR starts from
-V_n + r (V_n - V_{n-1}) with r = step_n / step_{n-1} instead of from V_n.
-On manufactured2d at h = 0.1, lam = 1 (run2d settings) this cuts the run
-from 755 to 410 sweeps at the same certified error.  Every other
+An inexact evaluation (inner tolerance above solver_tol) with two outer
+steps behind it, so from evaluation 3 on, also starts from a predicted
+value.  The relaxed outer steps step_n = max|V_n - V_{n-1}| shrink by a
+nearly constant factor (about 1 - theta), so when the last two decreased,
+0 < step_n < step_{n-1}, SOR starts from V_n + r (V_n - V_{n-1}) with
+r = step_n / step_{n-1} instead of from V_n.  On manufactured2d at
+h = 0.1, lam = 1 (run2d settings) this cuts the run from 661 to 316
+sweeps at the same certified error.  Every other
 evaluation starts from V_n, for two measured reasons.  At the floor the
 solves stop on the update norm, and a better start leaves more residual
 behind: extrapolating there too raised the certified error at h = 0.1 up
@@ -105,13 +114,15 @@ class PIConfig(Record):
     at or beyond the budget keeps nothing.
 
     solver_tol is the SOR update tolerance of every evaluation when
-    relaxation_theta = 1, and the floor of the inexact schedule when
-    relaxation_theta < 1 (see the module docstring): greedy runs stay exact
-    because their monotone decrease needs exact evaluation.  With
-    relaxation_theta < 1 the evaluations above the floor start SOR from a
-    value predicted from the last two outer steps; evaluations at the floor
-    and greedy ones start from the previous value field (see the module
-    docstring).  1D runs solve directly and use none of the three SOR
+    relaxation_theta = 1.  When relaxation_theta < 1 it is the floor of the
+    inexact schedule, which sets every evaluation's tolerance from the
+    first one on (see the module docstring): greedy runs stay exact because
+    their monotone decrease needs exact evaluation.  With
+    relaxation_theta < 1 the evaluations above the floor, from evaluation 3
+    on, start SOR from a value predicted from the last two outer steps; the
+    other evaluations and greedy ones start from the previous value field,
+    or the first from the boundary data with a zero interior (see the
+    module docstring).  1D runs solve directly and use none of the three SOR
     settings omega, solver_tol and solver_max_iter, but all three are checked.
     """
 
@@ -317,6 +328,10 @@ def run_policy_iteration(
     value = boundary_field
     stop_reason = None
     inner_tol = config.solver_tol
+    if config.relaxation_theta < 1.0:
+        # the inexact schedule, see the module docstring
+        inner_tol = max(inner_tol, INEXACT_TOL_FACTOR
+                        * (config.relaxation_theta * boundary_field.max_abs))
     ratio = 0.0
     prev_update = math.inf
     # 1D: the iterates whose norms wait for their block, after a carried one
@@ -361,8 +376,10 @@ def run_policy_iteration(
             break
         if n + 1 < config.max_outer_iterations:
             policy = policy_improve(problem, value, policy, config.relaxation_theta, out=greedy)
-        if config.relaxation_theta < 1.0 and prev is not None:
-            inner_tol = max(config.solver_tol, INEXACT_TOL_FACTOR * update)
+        if config.relaxation_theta < 1.0:
+            size = update if prev is not None else config.relaxation_theta * float(
+                np.maximum.reduce(np.abs(value.values - boundary_field.values), None))
+            inner_tol = max(config.solver_tol, INEXACT_TOL_FACTOR * size)
         warm = value
         ratio = 0.0
         predict = inner_tol > config.solver_tol and 0.0 < update < prev_update < math.inf
