@@ -25,7 +25,7 @@ arithmetic at 1681 to 6561 nodes: with the iterates flattened to rows,
 blocks of 1 made relaxed2d's solve_s 7.8% slower (8 of 8 pairs), and
 blocks of 16 raised greedy2d's peak RSS by 8.5%.
 
-With theta < 1 the run is inexact Howard from its first evaluation:
+With theta < 1 a 2D run is inexact Howard from its first evaluation: SOR
 evaluation n stops at max(solver_tol, INEXACT_TOL_FACTOR * s_n), an inner
 accuracy proportional to outer progress, which keeps the outer convergence
 (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).  From n = 2 on,
@@ -60,8 +60,9 @@ to 1.8x (1.15e-9 against 6.4e-10 at lam = 1.18) and to 1.88e-9 at
 lam = 0.81, next to the 2e-9 accuracy gate.  Greedy steps are not
 geometric: extrapolating theta = 1 runs (manufactured2d, h = 0.05, 12
 iterations) raised the sweeps at lam = 1 from 481 to 545 and the certified
-error at lam = 0.8 from 8.1e-10 to 2.9e-9.  A 1D direct solve ignores its
-warm start, so 1D runs make no prediction.
+error at lam = 0.8 from 8.1e-10 to 2.9e-9.  A 1D direct solve is exact
+and ignores its warm start, so 1D runs form neither the schedule's
+tolerances nor a prediction.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ INITIAL_POLICY_SPECS = ("zero", "adversarial2d")
 INEXACT_TOL_FACTOR = 0.01
 
 # Every direct 1D solve returns this one frozen record: one pass, exact.
-_DIRECT_SOLVE = SolveStats(iterations=1, final_update_norm=0.0, tol=0.0)
+_DIRECT_SOLVE = SolveStats(1, 0.0)
 
 # Iterates per block of a 1D run's trajectory norms (see the module docstring).
 NORM_BLOCK = 16
@@ -115,7 +116,7 @@ class PIConfig(Record):
 
     solver_tol is the SOR update tolerance of every evaluation when
     relaxation_theta = 1.  When relaxation_theta < 1 it is the floor of the
-    inexact schedule, which sets every evaluation's tolerance from the
+    inexact schedule, which sets every SOR evaluation's tolerance from the
     first one on (see the module docstring): greedy runs stay exact because
     their monotone decrease needs exact evaluation.  With
     relaxation_theta < 1 the evaluations above the floor, from evaluation 3
@@ -179,11 +180,9 @@ class PIReport:
     monotonicity_violation is max (V_n - V_{n-1}).  solve_stats[n] is
     evaluation n's record: its sweep count and, as tol, the update
     tolerance it was asked to reach (0.0 for a 1D direct solve, which is
-    exact).
-    warm_start_ratio[n] is the r of evaluation n's predicted warm start
-    V_{n-1} + r (V_{n-1} - V_{n-2}), and 0.0 when it started from V_{n-1}
-    (or, at n = 0, from the boundary data with a zero interior).
-    Errors against the reference are NaN when no reference was supplied.
+    exact).  value_snapshots[n] is V_n's read-only array itself, for each
+    n in config.snapshot_iterations that the run reached.  Errors against
+    the reference are NaN when no reference was supplied.
     The lists are complete when run_policy_iteration returns; a 1D run fills
     the four norm lists a block at a time (see the module docstring).
     """
@@ -194,7 +193,6 @@ class PIReport:
         self.residual_l2: list[float] = []
         self.monotonicity_violation: list[float] = []
         self.linf_norm: list[float] = []
-        self.warm_start_ratio: list[float] = []
         self.solve_stats: list[SolveStats] = []
         self.value_snapshots: dict[int, np.ndarray] = {}
         self.final_value: GridField | None = None
@@ -327,12 +325,12 @@ def run_policy_iteration(
     warm = boundary_field
     value = boundary_field
     stop_reason = None
+    # the inexact schedule and its predicted starts act on SOR runs only
+    inexact = config.relaxation_theta < 1.0 and grid.dim > 1
     inner_tol = config.solver_tol
-    if config.relaxation_theta < 1.0:
-        # the inexact schedule, see the module docstring
+    if inexact:
         inner_tol = max(inner_tol, INEXACT_TOL_FACTOR
                         * (config.relaxation_theta * boundary_field.max_abs))
-    ratio = 0.0
     prev_update = math.inf
     # 1D: the iterates whose norms wait for their block, after a carried one
     blocked, block = grid.dim == 1, []
@@ -342,7 +340,6 @@ def run_policy_iteration(
     for n in range(config.max_outer_iterations):
         value, stats = policy_evaluate(workspace, policy, omega=config.omega, solver_tol=inner_tol,
                                        solver_max_iter=config.solver_max_iter, initial=warm)
-        report.warm_start_ratio.append(ratio)
         report.solve_stats.append(stats)
         report.linf_norm.append(value.max_abs)
         if blocked:
@@ -368,7 +365,7 @@ def run_policy_iteration(
                 report.residual_l2.append(step_l2)
                 report.monotonicity_violation.append(float(np.maximum.reduce(step, None)))
         if n in config.snapshot_iterations:
-            report.value_snapshots[n] = value.values.copy()
+            report.value_snapshots[n] = value.values
         if config.outer_tolerance is not None and update <= config.outer_tolerance:
             stop_reason = (
                 f"outer tolerance {config.outer_tolerance:g} reached at iteration {n}"
@@ -376,17 +373,14 @@ def run_policy_iteration(
             break
         if n + 1 < config.max_outer_iterations:
             policy = policy_improve(problem, value, policy, config.relaxation_theta, out=greedy)
-        if config.relaxation_theta < 1.0:
+        warm = value
+        if inexact:
+            # the next tolerance and warm start, see the module docstring
             size = update if prev is not None else config.relaxation_theta * float(
                 np.maximum.reduce(np.abs(value.values - boundary_field.values), None))
             inner_tol = max(config.solver_tol, INEXACT_TOL_FACTOR * size)
-        warm = value
-        ratio = 0.0
-        predict = inner_tol > config.solver_tol and 0.0 < update < prev_update < math.inf
-        if predict and grid.dim > 1:
-            # predicted warm start, see the module docstring
-            ratio = update / prev_update
-            warm = GridField(grid, value.values + ratio * step)
+            if inner_tol > config.solver_tol and 0.0 < update < prev_update < math.inf:
+                warm = GridField(grid, value.values + update / prev_update * step)
         prev = value
         prev_update = update
 

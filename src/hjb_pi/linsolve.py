@@ -89,14 +89,13 @@ class EvaluationSystem:
 
 class SolveStats(Record):
     """One solve, which met its tolerance: its sweeps (1 for a direct
-    solve), its last update norm and tol, the update tolerance it was asked
-    to reach (in a run, the schedule's value); both are 0.0 when direct."""
+    solve) and tol, the update tolerance it was asked to reach (in a run,
+    the schedule's value; 0.0 for a direct solve, which is exact)."""
 
-    _fields = ("iterations", "final_update_norm", "tol")
+    _fields = ("iterations", "tol")
 
-    def __init__(self, iterations: int, final_update_norm: float, tol: float) -> None:
+    def __init__(self, iterations: int, tol: float) -> None:
         object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "final_update_norm", final_update_norm)
         object.__setattr__(self, "tol", tol)
 
 
@@ -193,9 +192,14 @@ def assemble_evaluation_system(workspace: EvaluationWorkspace,
     the high face (through plus) fold their boundary terms into rhs and
     their weights to 0.  The stencil's sign check runs on every weight, and
     dominance margin lam is asserted row by row; a NaN weight fails both.
-    It is workspace.assemble(policy.controls), a module-level function so
-    that assemblies can be wrapped by name, as perfbench's tracer does.
+    A policy on a grid other than the workspace's, even one of the same
+    shape, is refused with ValueError.  It is otherwise
+    workspace.assemble(policy.controls), a module-level function so that
+    assemblies can be wrapped by name, as perfbench's tracer does.
     """
+    grid = workspace.gp.grid
+    if policy.grid is not grid and policy.grid != grid:
+        raise ValueError("policy lives on a different grid")
     return workspace.assemble(policy.controls)
 
 
@@ -532,7 +536,7 @@ def solve_sor(
     if out is None:
         out = np.empty(system.shape)
     layout.unload(out)
-    return out, SolveStats(iterations=iters, final_update_norm=float(update), tol=tol)
+    return out, SolveStats(iterations=iters, tol=tol)
 
 
 def system_to_dense(system: EvaluationSystem) -> tuple[np.ndarray, np.ndarray]:

@@ -18,22 +18,22 @@ so every neighbor weight is nonpositive exactly when N >= |f_i|/2, the
 monotonicity condition enforced throughout (each benchmark builder sets N
 to meet it).  Dividing by the center weight gives the resolvent map T_a, a
 contraction with factor beta = (2*d*N/h) / (lam + 2*d*N/h)
-(SchemeParams.contraction_factor), and F_h[u] = (lam + 2*d*N/h)(u - T u).
+(SchemeParams.contraction_factor), and F_h[u] = (lam + 2*d*N/h)(u - T u),
+where T u = T_{a*(u)} u, which resolvent_map computes.
 
 A GridProblem is the discrete problem: a control problem, its grid and its
 scheme parameters, checked for consistency, with the state cost and drift
-sampled once on the interior nodes, which must be finite.  write_stencil
-is the one place the neighbor weights above are formed and their signs
-checked, from operands its caller prepares: stencil_coefficients for any
-drift, and an evaluation workspace once per run.  The weights come per
-axis, (plus, minus), the layout the evaluation system holds, and the
-center weight is SchemeParams.center_weight.
+sampled on the interior nodes when it is built; every sample must be
+finite.  write_stencil is the one place the neighbor weights above are
+formed and their signs checked, from operands its caller prepares:
+stencil_coefficients for any drift, and an evaluation workspace once per
+run.  The weights come per axis, (plus, minus), the layout the evaluation
+system holds, and the center weight is SchemeParams.center_weight.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -103,12 +103,12 @@ class SchemeParams(Record):
 class GridProblem(Record):
     """A control problem on one grid with one set of scheme parameters.
 
-    Construction checks that the three agree on dim, h and lam.  The state
-    cost and drift are sampled on the interior nodes at first use and kept
-    read-only, so a run calls the problem's callables once however many
-    policies it evaluates, and a GridProblem built only for the checks
-    samples nothing.  A sample with a NaN or infinite entry raises
-    ValueError naming it, before any system is assembled from it.
+    Construction checks that the three agree on dim, h and lam, then
+    samples the state cost and drift on the interior nodes, kept read-only
+    as state_cost (shape grid.interior_shape) and drift_base (shape
+    grid.interior_shape + (dim,)), so a run calls the problem's callables
+    once however many policies it evaluates.  A sample with a NaN or
+    infinite entry raises ValueError naming it, so no GridProblem holds one.
     """
 
     _fields = ("problem", "grid", "params")
@@ -124,24 +124,13 @@ class GridProblem(Record):
             raise ValueError(
                 f"params.lam={self.params.lam} does not match problem.lam={self.problem.lam}"
             )
-
-    def _sample(self, name: str) -> np.ndarray:
-        fn = getattr(self.problem, name)
-        values = np.array(fn(self.grid.interior_coordinates()), dtype=float)
-        if not np.logical_and.reduce(np.isfinite(values), None):
-            raise ValueError(f"{name} must be finite at every interior node")
-        values.flags.writeable = False  # shared by every later call
-        return values
-
-    @cached_property
-    def state_cost(self) -> np.ndarray:
-        """state_cost at the interior nodes, shape grid.interior_shape."""
-        return self._sample("state_cost")
-
-    @cached_property
-    def drift_base(self) -> np.ndarray:
-        """drift_base at the interior nodes, shape grid.interior_shape + (dim,)."""
-        return self._sample("drift_base")
+        coords = self.grid.interior_coordinates()
+        for name in ("state_cost", "drift_base"):
+            values = np.array(getattr(self.problem, name)(coords), dtype=float)
+            if not np.logical_and.reduce(np.isfinite(values), None):
+                raise ValueError(f"{name} must be finite at every interior node")
+            values.flags.writeable = False  # shared by every later call
+            object.__setattr__(self, name, values)
 
 
 class StencilCertificate(Record):
@@ -242,26 +231,22 @@ def bellman_residual(
     return GridField(grid, out)
 
 
-def resolvent_map(
-    problem: ControlProblem,
-    params: SchemeParams,
-    field: GridField,
-    policy: PolicyField | None = None,
-) -> GridField:
-    """One sweep of the damped fixed-point map T (or T_alpha when given).
+def resolvent_map(problem: ControlProblem, params: SchemeParams, field: GridField) -> GridField:
+    """One sweep of the damped fixed-point map T.
 
-    At interior nodes,
+    At interior nodes, with T_a the map of one control a,
 
         T_a u = [ c(x, a) + sum_i (N/h + f_i/(2h)) u(x + h e_i)
                             + sum_i (N/h - f_i/(2h)) u(x - h e_i) ]
                 / (lam + 2*d*N/h),
 
-    and without a policy the exact minimizer over controls is used, so the
-    result is T u = inf_a T_a u.  Boundary values pass through unchanged,
-    making Dirichlet data invariant under iteration of the map.
+    T u = T_{a*(u)} u at the greedy control a*(u) of grad_h u, the exact
+    minimizer over controls, so T u = inf_a T_a u.  Boundary values pass
+    through unchanged, making Dirichlet data invariant under iteration of
+    the map.
     """
     grid = field.grid
-    _, c, f = _policy_terms(problem, params, field, policy)
+    _, c, f = _policy_terms(problem, params, field, None)
     plus, minus = stencil_coefficients(params, f)
     num = c.copy()
     for k in range(grid.dim):

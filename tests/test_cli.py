@@ -352,6 +352,16 @@ def test_sweep_refuses_flags_it_cannot_use(flags, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_diverging_run_exits_1_and_writes_nothing(tmp_path, capsys):
+    """SOR diverges on run2d's first evaluation at omega = 1.99: the command
+    stops at once, says so on stderr with exit status 1, under the suite's
+    warnings-as-errors, and creates no output directory."""
+    out = tmp_path / "diverged"
+    assert execute_command(["run2d", "--omega", "1.99", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: SOR diverged after ")
+    assert not out.exists()
+
+
 def test_check_runs_every_property(capsys):
     assert execute_command(["check"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,8 +1,10 @@
 """Every imported name in the package and its tests is used or re-exported,
 every private module-level name in the package is used, every public name
-of the package is read by code outside the tests, and every keyword default
+of the package is read by code outside the tests, every keyword default
 of a package function is set by some call outside the tests, apart from the
-few that SET_ONLY_BY_TESTS lists with their reasons.
+few that SET_ONLY_BY_TESTS lists with their reasons, and every field that a
+package class records is read by code outside the tests, apart from the
+few that READ_ONLY_BY_TESTS lists with theirs.
 
 No linter is a dependency, so this scans the sources with `ast`.  A name
 counts as used when it appears as a bare name anywhere in the module (an
@@ -236,9 +238,6 @@ SET_ONLY_BY_TESTS = {
         "test_howard.py, test_linsolve.py, test_scheme.py",
         "L_alpha u at a frozen policy: an evaluation's residual certificate, "
         "and the reference for assembled systems"),
-    "scheme.py: resolvent_map(policy)": (
-        "test_scheme.py::test_resolvent_policy_improvement_identity",
-        "T_alpha at the greedy policy equals the control-free T"),
 }
 
 
@@ -254,6 +253,94 @@ def test_every_keyword_default_is_set_by_some_call():
     found = unset_keyword_defaults(sources, [p.read_text() for p in callers])
     assert sorted(found) == sorted(SET_ONLY_BY_TESTS)
     assert unset_keyword_defaults(sources, [p.read_text() for p in callers + tests]) == []
+
+
+def unread_fields(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Recorded fields of the classes in `package` (module name -> source)
+    that no source in `callers` reads.  A class records each public entry
+    of its `_fields` and each public attribute that one of its methods
+    assigns on `self`, plainly or with an annotation.  A field is read when
+    a caller loads an attribute of its name.  Writes do not count: being
+    the receiver of `.append` or `.extend`, a constructor keyword, or an
+    `object.__setattr__` call is not a read."""
+    read = set()
+    for source in callers:
+        tree = ast.parse(source)
+        grown = {id(call.func.value) for call in ast.walk(tree) if isinstance(call, ast.Call)
+                 and isinstance(call.func, ast.Attribute) and call.func.attr in ("append", "extend")}
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load) and id(node) not in grown)
+    found = []
+    for module, source in package.items():
+        for cls in (node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)):
+            fields = []
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "_fields" for t in node.targets):
+                    fields += ast.literal_eval(node.value)
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                for target in targets:
+                    for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                        if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                                and t.value.id == "self"):
+                            fields.append(t.attr)
+            found += [f"{module}: {cls.name}.{name}" for name in dict.fromkeys(fields)
+                      if not name.startswith("_") and name not in read]
+    return found
+
+
+def test_scan_flags_write_only_fields():
+    package = {
+        "m": "class Report:\n"
+             "    _fields = ('kept', 'dropped', '_hidden')\n"
+             "    def __init__(self):\n"
+             "        self.log = []\n"
+             "        self.seen: list = []\n"
+             "        self.size, self.width = 0, 1\n"
+             "        self._cache = {}\n"
+             "        object.__setattr__(self, 'kept', 1)\n"
+             "class Plain:\n"
+             "    def run(self):\n"
+             "        self.total = 0\n"
+             "        self.total += 1\n",
+    }
+    callers = ["r = Report(dropped=2)\nr.log.append(1)\nr.seen.extend([2])\n"
+               "print(r.seen[0], r.width, r.kept)\nr.size = 3\n"
+               "object.__setattr__(r, 'dropped', 4)\n"]
+    assert unread_fields(package, callers) == [
+        "m: Report.dropped", "m: Report.log", "m: Report.size", "m: Plain.total",
+    ]
+
+
+# The recorded fields that no code under src/ or perfbench/ reads: for each,
+# who reads it and why it stays.  Any other field needs a reader outside the
+# tests.
+READ_ONLY_BY_TESTS = {
+    "howard.py: PIReport.final_policy": (
+        "README's example of a run, which CI runs",
+        "the run's result: the policy whose evaluation is final_value"),
+    "scheme.py: StencilCertificate.nodes_checked": (
+        "test_acceptance.py::test_c01_monotone_stencil_certification",
+        "c01 asserts the size of the sample"),
+    "scheme.py: StencilCertificate.controls_checked": (
+        "test_acceptance.py::test_c01_monotone_stencil_certification",
+        "c01 asserts the size of the sample"),
+}
+
+
+def test_every_recorded_field_has_a_reader():
+    """Readers are the files under src/ and perfbench/, so a field that
+    nothing reads, or only tests do, fails unless READ_ONLY_BY_TESTS lists
+    it; the tests read every listed one."""
+    package = sorted((ROOT / "src" / "hjb_pi").glob("*.py"))
+    callers = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    tests = sorted((ROOT / "tests").rglob("*.py"))
+    assert package and len(callers) > len(package) and tests
+    sources = {path.name: path.read_text() for path in package}
+    found = unread_fields(sources, [p.read_text() for p in callers])
+    assert sorted(found) == sorted(READ_ONLY_BY_TESTS)
+    assert unread_fields(sources, [p.read_text() for p in callers + tests]) == []
 
 
 def test_scan_flags_unused_import():

@@ -16,6 +16,7 @@ from hjb_pi import (
     PIConfig,
     PolicyField,
     SchemeParams,
+    SolveStats,
     SolverError,
     assemble_evaluation_system,
     bellman_residual,
@@ -23,6 +24,7 @@ from hjb_pi import (
     build_grid,
     error_metrics,
     initial_policy,
+    policy_evaluate,
     solve_dense_oracle,
     solve_sor,
     solve_tridiagonal,
@@ -36,7 +38,7 @@ from hjb_pi.checks import (
 from hjb_pi import linsolve
 from hjb_pi.linsolve import REDUCTION_THRESHOLD, RedBlackLayout, ReductionLayout, system_to_dense
 
-from conftest import make_rng
+from conftest import make_rng, pointwise_red_black_sor
 
 
 def tridiagonal(minus, center, plus, rhs) -> EvaluationSystem:
@@ -84,11 +86,12 @@ def test_homogeneous_system_solves_to_zero():
     system2 = assemble_evaluation_system(
         EvaluationWorkspace(GridProblem(problem2, grid2, params2), GridField.zeros(grid2)), policy2
     )
-    sol, stats = solve_sor(
-        system2, omega=PIConfig.omega, tol=PIConfig.solver_tol, max_iter=PIConfig.solver_max_iter
-    )
+    omega, tol, max_iter = PIConfig.omega, PIConfig.solver_tol, PIConfig.solver_max_iter
+    sol, stats = solve_sor(system2, omega=omega, tol=tol, max_iter=max_iter)
     assert np.max(np.abs(sol)) == 0.0
-    assert stats.iterations == 1 and stats.final_update_norm <= stats.tol == PIConfig.solver_tol
+    expect, sweeps, update = pointwise_red_black_sor(system2, omega, tol, max_iter)
+    assert sol.tobytes() == expect.tobytes() and update <= tol
+    assert stats == SolveStats(1, tol) and sweeps == 1
 
 
 def test_single_interior_node_closed_form():
@@ -212,8 +215,8 @@ def test_assembly_refuses_a_system_whose_dominance_margin_falls_below_lam(monkey
 def test_assembly_and_error_metrics_refuse_fields_on_another_grid():
     """A field on an equal grid built separately is accepted; one on a grid
     of the same shape with another spacing and width is refused, by an
-    evaluation workspace (the boundary) when it is built, in 1D and 2D, and
-    by error_metrics."""
+    evaluation workspace (the boundary) when it is built, by assembly and
+    evaluation (the policy), in 1D and 2D, and by error_metrics."""
     for dim in (1, 2):
         grid = build_grid(1.0, 0.25, dim=dim)
         params = SchemeParams(viscosity=1.0, h=0.25, dim=dim, lam=1.0)
@@ -222,8 +225,12 @@ def test_assembly_and_error_metrics_refuse_fields_on_another_grid():
         assert equal == grid and equal is not grid and other.shape == grid.shape
         workspace = EvaluationWorkspace(gp, GridField.zeros(equal))
         assemble_evaluation_system(workspace, PolicyField.zeros(grid, 1.0))
+        assemble_evaluation_system(workspace, PolicyField.zeros(equal, 1.0))
         with pytest.raises(ValueError, match="^boundary field lives on a different grid$"):
             EvaluationWorkspace(gp, GridField.zeros(other))
+        for evaluate in (assemble_evaluation_system, policy_evaluate):
+            with pytest.raises(ValueError, match="^policy lives on a different grid$"):
+                evaluate(workspace, PolicyField.zeros(other, 1.0))
         if dim == 1:
             assert error_metrics(GridField.zeros(grid), GridField.zeros(equal)) == (0.0, 0.0)
             with pytest.raises(ValueError, match="different grid"):
@@ -563,45 +570,10 @@ def test_reduction_layout_reuse_is_bit_identical():
 SOR_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (9, 8), (9, 9)]
 
 
-def pointwise_red_black_sor(system, omega, tol, max_iter, initial=None):
-    """Red-black SOR one node at a time on Python floats: first every node
-    with i + j even, then every node with i + j odd, each from its four
-    neighbours in a zero-padded copy of the unknowns.  Returns (solution,
-    sweeps, last update norm)."""
-    m0, m1 = system.shape
-    u = [[0.0] * (m1 + 2) for _ in range(m0 + 2)]
-    if initial is not None:
-        for i in range(m0):
-            for j in range(m1):
-                u[i + 1][j + 1] = float(initial[i, j])
-    colours = [[(i, j) for i in range(m0) for j in range(m1) if (i + j) % 2 == c] for c in (0, 1)]
-    arrays = (system.plus[0], system.minus[0], system.plus[1], system.minus[1], system.rhs)
-    scaled = {}
-    for i in range(m0):
-        for j in range(m1):
-            scale = omega / float(system.center[i, j])
-            scaled[i, j] = [scale * float(a[i, j]) for a in arrays]
-    for sweeps in range(1, max_iter + 1):
-        update = 0.0
-        for nodes in colours:
-            for i, j in nodes:
-                east, west, north, south, rhs = scaled[i, j]
-                delta = u[i + 1][j + 1] * omega
-                delta += east * u[i + 2][j + 1]
-                delta += west * u[i][j + 1]
-                delta += north * u[i + 1][j + 2]
-                delta += south * u[i + 1][j]
-                delta = rhs - delta
-                u[i + 1][j + 1] += delta
-                update = max(update, abs(delta))
-        if update <= tol:
-            break
-    return np.array(u)[1:-1, 1:-1], sweeps, update
-
-
 def test_sor_matches_pointwise_red_black_bit_for_bit():
     """The vectorized kernel does each node's floating-point operations in
-    the pointwise order: same solution bits, sweep count and update norm."""
+    the pointwise order: same solution bits and sweep count, and the
+    layout's sweeps return the same update norms."""
     rng = make_rng(417)
     for shape in SOR_SHAPES:
         system = random_structured_system(rng, *shape)
@@ -609,7 +581,11 @@ def test_sor_matches_pointwise_red_black_bit_for_bit():
             sol, stats = solve_sor(system, omega=omega, tol=1e-10, max_iter=5000, initial=initial)
             expect, sweeps, update = pointwise_red_black_sor(system, omega, 1e-10, 5000, initial)
             assert sol.tobytes() == expect.tobytes(), (shape, omega)
-            assert (stats.iterations, stats.final_update_norm) == (sweeps, update), (shape, omega)
+            assert stats == SolveStats(sweeps, 1e-10), (shape, omega)
+            layout = RedBlackLayout(shape)
+            layout.load(system, omega, initial)
+            updates = [layout.sweep() for _ in range(sweeps)]
+            assert updates[-1] == update <= 1e-10, (shape, omega)
 
 
 def test_sor_layout_reuse_is_bit_identical():
@@ -671,8 +647,8 @@ def test_sor_layout_follows_omega_across_loads():
         sol, stats = solve_sor(system, layout=layout, **settings)
         expect, sweeps, update = pointwise_red_black_sor(system, omega, 1e-10, max_iter, initial)
         assert sol.tobytes() == fresh.tobytes() == expect.tobytes(), omega
-        assert stats == fresh_stats, omega
-        assert (stats.iterations, stats.final_update_norm) == (sweeps, update), omega
+        assert stats == fresh_stats == SolveStats(sweeps, 1e-10), omega
+        assert update <= 1e-10, omega
 
 
 def layout_buffers(layout):
@@ -715,7 +691,9 @@ def test_sor_matches_dense_and_gauss_seidel():
         dense = solve_dense_oracle(system)
         for omega in (1.7, 1.0):
             sol, stats = solve_sor(system, omega=omega, tol=1e-10, max_iter=5000)
-            assert stats.final_update_norm <= stats.tol == 1e-10, (shape, omega)
+            expect, sweeps, update = pointwise_red_black_sor(system, omega, 1e-10, 5000)
+            assert sol.tobytes() == expect.tobytes() and update <= 1e-10, (shape, omega)
+            assert stats == SolveStats(sweeps, 1e-10), (shape, omega)
             assert sol.shape == shape
             assert np.max(np.abs(sol - dense)) <= 1e-8, (shape, omega)
 
@@ -728,7 +706,9 @@ def test_sor_leaves_inputs_unchanged():
     before = {name: a.copy() for name, a in system_arrays(system).items()}
     initial_before = initial.copy()
     sol, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=5000, initial=initial)
-    assert stats.final_update_norm <= stats.tol
+    expect, sweeps, update = pointwise_red_black_sor(system, 1.7, 1e-10, 5000, initial)
+    assert sol.tobytes() == expect.tobytes() and update <= 1e-10
+    assert stats == SolveStats(sweeps, 1e-10)
     assert np.array_equal(initial, initial_before)
     for name, a in system_arrays(system).items():
         assert np.array_equal(a, before[name]), name
@@ -784,8 +764,10 @@ def test_sor_validates_omega():
     for max_iter in (2.5, True, 0, -1, "10"):
         with pytest.raises(ValueError, match="max_iter"):
             solve_sor(system, omega=1.7, tol=1e-10, max_iter=max_iter)
-    _, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=np.int64(5000))
-    assert stats.final_update_norm <= stats.tol
+    sol, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=np.int64(5000))
+    expect, sweeps, update = pointwise_red_black_sor(system, 1.7, 1e-10, 5000)
+    assert sol.tobytes() == expect.tobytes() and update <= 1e-10
+    assert stats == SolveStats(sweeps, 1e-10)
 
 
 def test_dense_oracle_limits():

@@ -69,8 +69,9 @@ def test_stencil_sign_check_refuses_a_nan_drift():
 
 
 def test_grid_problem_refuses_non_finite_samples_before_any_solve(monkeypatch):
-    """A NaN drift or an infinite cost at one node raises when it is
-    sampled, naming which, and a run stops there, before its first solve."""
+    """A NaN drift or an infinite cost at one node raises when the
+    GridProblem is built, naming which, and a run stops there, before its
+    first solve."""
     grid = build_grid(1.0, 0.25, dim=1)
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
 
@@ -88,7 +89,7 @@ def test_grid_problem_refuses_non_finite_samples_before_any_solve(monkeypatch):
                               ("state_cost", np.zeros_like, inf_cost)):
         problem = ControlProblem(lam=1.0, drift_base=drift, state_cost=cost, a_max=1.0, dim=1)
         with pytest.raises(ValueError, match=f"^{name} must be finite at every interior node$"):
-            getattr(GridProblem(problem, grid, params), name)
+            GridProblem(problem, grid, params)
         monkeypatch.setattr(howard, "solve_tridiagonal", None)  # any solve would raise TypeError
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             run_policy_iteration(problem, grid, params, PIConfig(max_outer_iterations=3),
@@ -258,18 +259,6 @@ def test_resolvent_monotone(lq_mid):
 
 def test_resolvent_contraction_pairs(lq_mid):
     assert contraction_excess(lq_mid, make_rng(305), 10, 3.0) <= 1e-12
-
-
-def test_resolvent_policy_improvement_identity(lq_mid):
-    """Control-free T equals T applied with the greedy policy of grad_h U."""
-    rng = make_rng(306)
-    u = GridField(lq_mid.grid, rng.uniform(-3, 3, lq_mid.grid.shape))
-    g = interior_gradient(u)
-    controls = greedy_policy(lq_mid.problem, g)
-    policy = PolicyField(lq_mid.grid, controls, lq_mid.problem.a_max)
-    free = resolvent_map(lq_mid.problem, lq_mid.params, u)
-    pinned = resolvent_map(lq_mid.problem, lq_mid.params, u, policy=policy)
-    assert np.max(np.abs(free.values - pinned.values)) <= 1e-12
 
 
 def test_contraction_factor_values():
