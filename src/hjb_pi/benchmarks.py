@@ -22,6 +22,7 @@ from .problems import (
     ControlProblem,
     lq1d_problem,
     lq_reference_value,
+    lq_value_coefficient,
     make_grid_lookup,
     manufactured_drift,
     manufactured_value,
@@ -72,6 +73,12 @@ def build_benchmark(
 def _build_lq1d(lam: float, half_width: float, h: float, a_max: float) -> BenchmarkSetup:
     grid = build_grid(half_width, h, dim=1)
     problem = lq1d_problem(lam=lam, a_max=a_max)
+    # V = P x^2 / 2 is the value only while the optimal control -P x stays
+    # inside the box on the whole domain
+    bound = lq_value_coefficient(lam) * half_width
+    if a_max < bound:
+        raise ValueError(f"a_max {a_max} is below P(lam) * half_width = {bound} at lam {lam}: "
+                         "the control box binds the closed-form value P x^2 / 2")
     params = SchemeParams(viscosity=max(1.0, 0.5 * a_max), h=grid.h, dim=1, lam=lam)
     coords = grid.node_coordinates()
     reference = GridField(grid, lq_reference_value(lam, coords[..., 0]))

@@ -7,6 +7,9 @@ function: it takes its inputs (setup, numpy Generator, trial count, field
 amplitude or system size) and returns the measured quantity, never a
 verdict.  CHECKS binds each property to fixed inputs and a threshold; the
 tests call the same functions with their own inputs and thresholds.
+greedy_scan_gaps is the one measurement of the greedy control in any
+dimension: its callers draw the points x and gradients p, and the problem
+sets the dimension of the scan.
 run_checks runs every entry of CHECKS, the value-iteration oracle
 included: all sixteen take about a second, so there is nothing to skip.
 """
@@ -60,7 +63,6 @@ __all__ = [
     "thomas_dense_gap",
     "sor_dense_gap",
     "greedy_scan_gaps",
-    "hamiltonian_scan_gap",
     "maximum_principle_range",
     "greedy_run_extremes",
 ]
@@ -178,50 +180,22 @@ def sor_dense_gap(
     return worst
 
 
-def _scan_objective(problem: ControlProblem, x: np.ndarray, p: np.ndarray):
-    """c(x, a) + f(x, a) . p over a batch of controls a."""
-    state_cost, drift_base = problem.state_cost(x), problem.drift_base(x)
-
-    def objective(cand):
-        c, f = policy_cost_and_drift(state_cost, drift_base, cand)
-        return c + np.sum(f * p, axis=-1)
-
-    return objective
-
-
 def greedy_scan_gaps(
-    problem: ControlProblem, rng: np.random.Generator, trials: int, stages: int
+    problem: ControlProblem, xs: np.ndarray, ps: np.ndarray, n_points: int, stages: int
 ) -> np.ndarray:
-    """Per random (x, p) of a 1D problem, x in [-3, 3] and p in [-8, 8]: the
-    objective c + f.p at the greedy control minus its minimum found by a
-    staged scan of 10^4 points per stage.  Signed, because a short scan
-    sits above the true minimum."""
-    gaps = np.empty(trials)
-    for k in range(trials):
-        x = rng.uniform(-3, 3, size=(1,))
-        p = rng.uniform(-8, 8, size=(1,))
-        objective = _scan_objective(problem, x, p)
-        best = objective(greedy_policy(problem, p))
-        scanned, _ = scan_extremum(objective, problem.a_max, 1, 10000, mode="min", stages=stages)
-        gaps[k] = best - scanned[0]
-    return gaps
+    """Per point x and gradient p, the rows of xs and ps (shape (n, dim)):
+    the objective c + f.p at the greedy control minus its minimum found by
+    a staged scan of the control box, n_points controls per stage.  Signed,
+    because a short scan sits above the true minimum."""
+    state, drift = problem.state_cost(xs)[:, None], problem.drift_base(xs)[:, None]
 
+    def objective(a):
+        c, f = policy_cost_and_drift(state, drift, a)
+        return c + np.sum(f * ps[:, None], axis=-1)
 
-def hamiltonian_scan_gap(setup: BenchmarkSetup, rng: np.random.Generator, samples: int) -> float:
-    """Largest |H(x, p) + min_a (c + f.p)| over `samples` distinct interior
-    nodes x of a 2D setup with p in [-3, 3]^2, H(x, p) = -(c + f.p) at the
-    greedy control and the minimum from a 4-stage scan of 1024 points."""
-    problem = setup.problem
-    coords = setup.grid.interior_coordinates().reshape(-1, 2)
-    xs = coords[rng.choice(coords.shape[0], size=samples, replace=False)]
-    ps = rng.uniform(-3, 3, size=(samples, 2))
-    worst = 0.0
-    for x, p in zip(xs, ps):
-        objective = _scan_objective(problem, x, p)
-        hval = -float(objective(greedy_policy(problem, p)))
-        scanned, _ = scan_extremum(objective, problem.a_max, 2, 1024, mode="min", stages=4)
-        worst = max(worst, abs(hval + float(scanned[0])))
-    return worst
+    scanned, _ = scan_extremum(objective, problem.a_max, problem.dim, n_points,
+                               stages=stages, centers=np.zeros_like(ps))
+    return objective(greedy_policy(problem, ps)[:, None])[:, 0] - scanned
 
 
 def maximum_principle_range(
@@ -276,15 +250,22 @@ def check_greedy_argmin() -> tuple[bool, str]:
     # One scan stage sits above the true minimum (by up to 1.8e-7 on these
     # draws), so only a closed form above the scan counts against it.
     problem = build_benchmark("lq1d").problem
-    gaps = greedy_scan_gaps(problem, np.random.default_rng(_SEED), 50, stages=1)
+    # (x, p) in [-3, 3] x [-8, 8], drawn in turn
+    draws = np.random.default_rng(_SEED).uniform((-3, -8), (3, 8), size=(50, 2))
+    gaps = greedy_scan_gaps(problem, draws[:, :1], draws[:, 1:], 10000, stages=1)
     worst = max(0.0, float(np.max(gaps)))
     return worst <= 1e-9, f"closed form minus scan minimum at most {worst:.2e}"
 
 
 def check_hamiltonian_scan() -> tuple[bool, str]:
-    """The closed-form Hamiltonian equals the negated staged-scan minimum of c + f.p."""
+    """The closed-form Hamiltonian equals the negated staged-scan minimum of
+    c + f.p, at 20 distinct interior nodes x with p in [-3, 3]^2."""
     setup = build_benchmark("manufactured2d", h=0.25)
-    worst = hamiltonian_scan_gap(setup, np.random.default_rng(_SEED + 1), 20)
+    rng = np.random.default_rng(_SEED + 1)
+    coords = setup.grid.interior_coordinates().reshape(-1, 2)
+    xs = coords[rng.choice(coords.shape[0], size=20, replace=False)]
+    gaps = greedy_scan_gaps(setup.problem, xs, rng.uniform(-3, 3, size=(20, 2)), 1024, stages=4)
+    worst = float(np.max(np.abs(gaps)))
     return worst <= 1e-9, f"max |closed form + scan min| = {worst:.2e}"
 
 
@@ -344,29 +325,29 @@ def check_resolvent_contraction() -> tuple[bool, str]:
     return worst <= 1e-12, f"max contraction excess {worst:.2e}"
 
 
-def check_policy_improvement_identity() -> tuple[bool, str]:
-    """Control-free T u matches the staged-scan minimum over controls."""
-    rng = np.random.default_rng(_SEED + 4)
-    setup = build_benchmark("lq1d", h=0.2)
+def _closed_form_scan_gap(closed, scan, h: float, seed: int) -> float:
+    """Largest |closed - scan| at the interior nodes of lq1d at mesh size h,
+    over 5 random fields u; both map (problem, params, u) to the operator,
+    closed as a GridField, scan as a flat array of interior values."""
+    rng = np.random.default_rng(seed)
+    setup = build_benchmark("lq1d", h=h)
     worst = 0.0
     for _ in range(5):
         u = _random_field(setup.grid, rng)
-        tu = resolvent_map(setup.problem, setup.params, u).interior()
-        scan = resolvent_scan(setup.problem, setup.params, u)
-        worst = max(worst, float(np.max(np.abs(tu.reshape(-1) - scan))))
+        closed_u = closed(setup.problem, setup.params, u).interior().reshape(-1)
+        worst = max(worst, float(np.max(np.abs(closed_u - scan(setup.problem, setup.params, u)))))
+    return worst
+
+
+def check_policy_improvement_identity() -> tuple[bool, str]:
+    """Control-free T u matches the staged-scan minimum over controls."""
+    worst = _closed_form_scan_gap(resolvent_map, resolvent_scan, 0.2, _SEED + 4)
     return worst <= 1e-9, f"max |closed form - scan| = {worst:.2e}"
 
 
 def check_bellman_scan_agreement() -> tuple[bool, str]:
     """Closed-form F_h matches the staged-scan supremum over controls."""
-    rng = np.random.default_rng(_SEED + 5)
-    setup = build_benchmark("lq1d", h=0.1)
-    worst = 0.0
-    for _ in range(5):
-        u = _random_field(setup.grid, rng)
-        closed = bellman_residual(setup.problem, setup.params, u).interior().reshape(-1)
-        scan = bellman_residual_scan(setup.problem, setup.params, u)
-        worst = max(worst, float(np.max(np.abs(closed - scan))))
+    worst = _closed_form_scan_gap(bellman_residual, bellman_residual_scan, 0.1, _SEED + 5)
     return worst <= 1e-8, f"max |closed form - scan| = {worst:.2e}"
 
 

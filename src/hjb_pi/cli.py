@@ -26,7 +26,7 @@ from .benchmarks import BENCHMARK_DEFAULTS, BenchmarkSetup, build_benchmark
 from .grid import Grid
 from .howard import PIConfig, PIReport, run_policy_iteration
 from .linsolve import SolverError
-from .scheme import MonotonicityError, bellman_residual
+from .scheme import bellman_residual
 
 __all__ = ["execute_command", "main"]
 
@@ -374,7 +374,7 @@ def execute_command(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except (ValueError, MonotonicityError, SolverError) as exc:
+    except (ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -168,10 +168,6 @@ class GridField:
         self.max_abs = max_abs
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "GridField":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
     def full(cls, grid: Grid, value: float) -> "GridField":
         return cls(grid, np.full(grid.shape, float(value)))
 

@@ -19,7 +19,7 @@ from conftest import make_rng
 
 def test_error_metrics_closed_forms():
     grid = build_grid(1.0, 0.25, dim=1)  # 9 nodes
-    ref = GridField.zeros(grid)
+    ref = GridField.full(grid, 0.0)
     assert error_metrics(ref, ref) == (0.0, 0.0)
 
     kappa = -0.7
@@ -46,7 +46,7 @@ def test_error_metrics_symmetry_and_norm_inequality():
 
     other = build_grid(1.0, 0.5, dim=2)
     with pytest.raises(ValueError):
-        error_metrics(u, GridField.zeros(other))
+        error_metrics(u, GridField.full(other, 0.0))
 
 
 def test_measured_pi_factor_below_contraction_bound(lq_coarse):

@@ -203,6 +203,17 @@ def test_unresolvable_discount_is_refused_before_solving(command, tmp_path, caps
     assert not out.exists()
 
 
+def test_binding_control_box_is_refused_before_solving(tmp_path, capsys, monkeypatch):
+    """At --a-max 1 the optimal control -P x of lq1d leaves the box, so its
+    error columns would be measured against a function that is not V."""
+    refuse_solving(monkeypatch)
+    out = tmp_path / "a"
+    assert execute_command(["run1d", "--a-max", "1", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a_max 1.0 is below P" in err
+    assert not out.exists()
+
+
 SETTING_REFUSALS = [
     ["--lambda", "0"], ["--lambda", "-1"], ["--lambda", "nan"], ["--lambda", "inf"],
     ["--a-max", "0"], ["--a-max", "nan"],

@@ -75,7 +75,7 @@ def test_policy_evaluate_zero_problem():
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
     value, stats = policy_evaluate(
-        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.zeros(grid)), policy
+        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.full(grid, 0.0)), policy
     )
     assert np.max(np.abs(value.values)) == 0.0
     # a direct solve: one pass, and exact, so its tolerance is 0
@@ -203,7 +203,7 @@ def test_run_trivial_problem_converges_immediately():
     report = run_policy_iteration(
         problem, grid, params,
         PIConfig(max_outer_iterations=5, outer_tolerance=1e-12),
-        boundary=GridField.zeros(grid),
+        boundary=GridField.full(grid, 0.0),
     )
     assert report.iterations_run <= 2
     assert np.max(np.abs(report.final_value.values)) == 0.0
@@ -296,7 +296,7 @@ def test_problem_is_sampled_once_per_run():
             calls = {"state_cost": 0, "drift_base": 0}
             report = run_policy_iteration(
                 counting_problem(dim, calls), grid, params,
-                PIConfig(max_outer_iterations=iterations), boundary=GridField.zeros(grid),
+                PIConfig(max_outer_iterations=iterations), boundary=GridField.full(grid, 0.0),
             )
             assert report.iterations_run == iterations
             counts.append(calls)

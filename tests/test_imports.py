@@ -94,6 +94,26 @@ def test_no_orphaned_private_names():
     assert orphaned_private_names({path.name: path.read_text() for path in paths}) == []
 
 
+def method_reads(sources, classes: set[str]) -> set[str]:
+    """The attribute reads in `sources` that can reach a method of a class
+    named in `classes`: `Kind.name` for a read through that class by name,
+    and the bare name for a read through anything but a module that the
+    source imports (`np.zeros` reads no method) or such a class."""
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                if owner in classes:
+                    read.add(f"{owner}.{node.attr}")
+                elif owner not in modules:
+                    read.add(node.attr)
+    return read
+
+
 def uncalled_public_names(package: dict[str, str], callers: list[str]) -> list[str]:
     """Public names of the modules in `package` (module name -> source) that
     no source in `callers` reads, and names in a module's `__all__` that the
@@ -101,12 +121,17 @@ def uncalled_public_names(package: dict[str, str], callers: list[str]) -> list[s
     and assigned names, and the methods and properties of those classes.
     Listing a name in `__all__` does not read it.
 
-    Names are matched without their owner, so a method counts as read when
-    any attribute of that name is: `GridField.zeros` is read by `np.zeros`,
-    and a method by another class's method of the same name."""
-    read, found = names_read(callers), []
-    for module, source in package.items():
-        tree = ast.parse(source)
+    A module-level name is read by a bare-name load, a `from ... import`, or
+    as any attribute.  A method is read as an attribute of its own class by
+    name, or of an expression that is neither a package class nor a module
+    that the caller imports (see method_reads): `Kind.zeros` reads only
+    Kind's method, and `np.zeros` none.  So a method that only tests call
+    cannot pass on another owner's name."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    read, methods, found = names_read(callers), method_reads(callers, classes), []
+    for module, tree in trees.items():
         bound = {alias.asname or alias.name.split(".")[0] for node in tree.body
                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         exported = []
@@ -115,11 +140,12 @@ def uncalled_public_names(package: dict[str, str], callers: list[str]) -> list[s
             bound.update(names)
             if names == ["__all__"]:
                 exported = ast.literal_eval(node.value)
-            if isinstance(node, ast.ClassDef):
-                names += [f"{node.name}.{fn.name}" for fn in node.body
-                          if isinstance(fn, ast.FunctionDef)]
             found += [f"{module}: {name}" for name in names
-                      if not (last := name.rpartition(".")[2]).startswith("_") and last not in read]
+                      if not name.startswith("_") and name not in read]
+            if isinstance(node, ast.ClassDef):
+                found += [f"{module}: {node.name}.{fn.name}" for fn in node.body
+                          if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                          and not {fn.name, f"{node.name}.{fn.name}"} & methods]
         found += [f"{module}: __all__ lists {name}, which is not bound"
                   for name in exported if name not in bound]
     return found
@@ -127,7 +153,7 @@ def uncalled_public_names(package: dict[str, str], callers: list[str]) -> list[s
 
 def test_scan_flags_uncalled_public_names():
     package = {
-        "a": "__all__ = ['used', 'gone', 'Kind', 'ghost']\n"
+        "a": "__all__ = ['used', 'gone', 'Kind', 'Other', 'ghost']\n"
              "import numpy as np\n"
              "def used(): pass\ndef gone(): pass\ndef _private(): pass\n"
              "LIMIT = 3\nSIZE: int = 2\nUNREAD = 1\n"
@@ -136,14 +162,19 @@ def test_scan_flags_uncalled_public_names():
              "    def idle(self): pass\n"
              "    @property\n"
              "    def width(self): pass\n"
+             "    def zeros(self): pass\n"
+             "    def full(self): pass\n"
              "    def _helper(self): pass\n"
-             "    def __init__(self): pass\n",
+             "    def __init__(self): pass\n"
+             "class Other:\n"
+             "    def full(self): pass\n",
         "b": "__all__ = ['np', 'helper']\nfrom a import used as helper\nimport numpy as np\n",
     }
     callers = ["from a import used\nimport a\na.Kind().run(a.LIMIT)\nprint(SIZE)\n",
-               "print(x.width)\n"]
+               "import numpy as np\nprint(x.width, np.zeros(2), Other.full())\n"]
     assert uncalled_public_names(package, callers) == [
-        "a: gone", "a: UNREAD", "a: Kind.idle", "a: __all__ lists ghost, which is not bound",
+        "a: gone", "a: UNREAD", "a: Kind.idle", "a: Kind.zeros", "a: Kind.full",
+        "a: __all__ lists ghost, which is not bound",
     ]
 
 

@@ -75,7 +75,7 @@ def test_homogeneous_system_solves_to_zero():
     params = SchemeParams(viscosity=1.0, h=0.25, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
     system = assemble_evaluation_system(
-        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.zeros(grid)), policy
+        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.full(grid, 0.0)), policy
     )
     assert np.max(np.abs(solve_tridiagonal(system))) == 0.0
 
@@ -84,7 +84,7 @@ def test_homogeneous_system_solves_to_zero():
     params2 = SchemeParams(viscosity=1.0, h=0.25, dim=2, lam=1.0)
     policy2 = PolicyField.zeros(grid2, 1.0)
     system2 = assemble_evaluation_system(
-        EvaluationWorkspace(GridProblem(problem2, grid2, params2), GridField.zeros(grid2)), policy2
+        EvaluationWorkspace(GridProblem(problem2, grid2, params2), GridField.full(grid2, 0.0)), policy2
     )
     omega, tol, max_iter = PIConfig.omega, PIConfig.solver_tol, PIConfig.solver_max_iter
     sol, stats = solve_sor(system2, omega=omega, tol=tol, max_iter=max_iter)
@@ -102,7 +102,7 @@ def test_single_interior_node_closed_form():
     params = SchemeParams(viscosity=1.0, h=1.0, dim=1, lam=1.0)
     policy = PolicyField.zeros(grid, 1.0)
     system = assemble_evaluation_system(
-        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.zeros(grid)), policy
+        EvaluationWorkspace(GridProblem(problem, grid, params), GridField.full(grid, 0.0)), policy
     )
     sol = solve_tridiagonal(system)
     assert sol[0] == pytest.approx(kappa / (1.0 + 2.0), abs=1e-15)
@@ -166,7 +166,7 @@ def test_assembly_rejects_non_monotone_stencil():
         problem = constant_cost_problem(0.0, dim=dim)
         # |f| = 1, so N = 1/2 is the edge of monotonicity
         edge = SchemeParams(viscosity=0.5, h=0.25, dim=dim, lam=1.0)
-        boundary = GridField.zeros(grid)
+        boundary = GridField.full(grid, 0.0)
         assemble_evaluation_system(EvaluationWorkspace(GridProblem(problem, grid, edge), boundary),
                                    policy)
         low = SchemeParams(viscosity=0.45, h=0.25, dim=dim, lam=1.0)
@@ -223,18 +223,18 @@ def test_assembly_and_error_metrics_refuse_fields_on_another_grid():
         gp = GridProblem(constant_cost_problem(1.0, dim=dim), grid, params)
         equal, other = build_grid(1.0, 0.25, dim=dim), build_grid(2.0, 0.5, dim=dim)
         assert equal == grid and equal is not grid and other.shape == grid.shape
-        workspace = EvaluationWorkspace(gp, GridField.zeros(equal))
+        workspace = EvaluationWorkspace(gp, GridField.full(equal, 0.0))
         assemble_evaluation_system(workspace, PolicyField.zeros(grid, 1.0))
         assemble_evaluation_system(workspace, PolicyField.zeros(equal, 1.0))
         with pytest.raises(ValueError, match="^boundary field lives on a different grid$"):
-            EvaluationWorkspace(gp, GridField.zeros(other))
+            EvaluationWorkspace(gp, GridField.full(other, 0.0))
         for evaluate in (assemble_evaluation_system, policy_evaluate):
             with pytest.raises(ValueError, match="^policy lives on a different grid$"):
                 evaluate(workspace, PolicyField.zeros(other, 1.0))
         if dim == 1:
-            assert error_metrics(GridField.zeros(grid), GridField.zeros(equal)) == (0.0, 0.0)
+            assert error_metrics(GridField.full(grid, 0.0), GridField.full(equal, 0.0)) == (0.0, 0.0)
             with pytest.raises(ValueError, match="different grid"):
-                error_metrics(GridField.zeros(grid), GridField.zeros(other))
+                error_metrics(GridField.full(grid, 0.0), GridField.full(other, 0.0))
 
 
 def test_thomas_examples():
@@ -505,7 +505,7 @@ def test_workspace_rows_keep_the_bits_of_negated_couplings():
     for n, digest in SOLUTION_DIGESTS.items():
         grid = build_grid((n + 1) / 2, 1.0, dim=1)
         gp = GridProblem(constant_cost_problem(0.0), grid, SchemeParams(1.0, 1.0, 1, 1.0))
-        workspace = EvaluationWorkspace(gp, GridField.zeros(grid))
+        workspace = EvaluationWorkspace(gp, GridField.full(grid, 0.0))
         own, layout = workspace.system, workspace.layout
         assert (own is layout.system) == (n > REDUCTION_THRESHOLD), n
         solutions = []
@@ -649,6 +649,35 @@ def test_sor_layout_follows_omega_across_loads():
         assert sol.tobytes() == fresh.tobytes() == expect.tobytes(), omega
         assert stats == fresh_stats == SolveStats(sweeps, 1e-10), omega
         assert update <= 1e-10, omega
+
+
+def test_sor_half_swept_iterate_is_certified_by_the_update_norm():
+    """Let u be the iterate one black half-update before a sweep ends.  At
+    u each red residual is (1 - omega) c / omega times its node's update and
+    each black one c / omega times its update, so ||b - A u||_inf is at most
+    max(center) / omega times the sweep's update norm, on which solve_sor
+    stops; the bound is attained."""
+    rng = make_rng(421)
+    attained = 0.0
+    for _ in range(20):
+        system = random_structured_system(rng, 9, 8)
+        a, b = system_to_dense(system)
+        u = np.empty(system.shape)
+        for omega in (1.0, 1.3, 1.7):
+            layout = RedBlackLayout(system.shape)
+            layout.load(system, omega, None)
+            *before_last_add, last_add = layout._steps
+            for _ in range(14):
+                for ufunc, x, y, out in before_last_add:
+                    ufunc(x, y, out)
+                layout.unload(u)
+                bound = float(np.max(system.center)) / omega * float(np.max(np.abs(layout._delta)))
+                ratio = float(np.max(np.abs(b - a @ u.reshape(-1)))) / bound
+                assert ratio <= 1.0 + 1e-12, omega
+                attained = max(attained, ratio)
+                ufunc, x, y, out = last_add
+                ufunc(x, y, out)
+    assert attained >= 1.0 - 1e-12
 
 
 def layout_buffers(layout):

@@ -18,7 +18,7 @@ from hjb_pi import (
     manufactured_drift,
     manufactured_value,
 )
-from hjb_pi.checks import greedy_scan_gaps, hamiltonian_scan_gap
+from hjb_pi.checks import greedy_scan_gaps
 from hjb_pi.grid import interior_gradient, interior_laplacian
 from hjb_pi.problems import make_grid_lookup, policy_cost_and_drift
 
@@ -203,12 +203,17 @@ def test_policy_field_box_invariant(lq_coarse):
 
 def test_greedy_is_exact_argmin_against_scan(lq_paper):
     """100 random (x, p): the scan minimum matches the closed form to 1e-9."""
-    gaps = greedy_scan_gaps(lq_paper.problem, make_rng(202), 100, stages=3)
+    draws = make_rng(202).uniform((-3, -8), (3, 8), size=(100, 2))
+    gaps = greedy_scan_gaps(lq_paper.problem, draws[:, :1], draws[:, 1:], 10000, stages=3)
     assert np.max(np.abs(gaps)) < 1e-9
 
 
 def test_hamiltonian_matches_negated_scan(man_coarse):
-    assert hamiltonian_scan_gap(man_coarse, make_rng(203), 25) < 1e-9
+    rng = make_rng(203)
+    coords = man_coarse.grid.interior_coordinates().reshape(-1, 2)
+    xs = coords[rng.choice(coords.shape[0], size=25, replace=False)]
+    gaps = greedy_scan_gaps(man_coarse.problem, xs, rng.uniform(-3, 3, size=(25, 2)), 1024, 4)
+    assert np.max(np.abs(gaps)) < 1e-9
 
 
 def test_greedy_policy_is_one_lipschitz_in_p(lq_paper):

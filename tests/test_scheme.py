@@ -13,6 +13,7 @@ from hjb_pi import (
     build_benchmark,
     build_grid,
     certify_monotone_stencil,
+    lq_value_coefficient,
     resolvent_map,
     run_policy_iteration,
 )
@@ -36,10 +37,19 @@ def test_benchmark_viscosity_rules():
     """Each builder sets its own N: max(1, a_max/2) for lq1d, whose drift is
     the control alone, and 1.05 * (max|b| over the nodes + a_max) / 2 for
     manufactured2d, pinned as a literal so any change to N shows."""
-    for a_max in (1.0, 6.0, 20.0):
+    for a_max in (1.9, 6.0, 20.0):
         assert build_benchmark("lq1d", a_max=a_max).params.viscosity == max(1.0, a_max / 2)
     for h in (0.1, 0.05):
         assert build_benchmark("manufactured2d", h=h).params.viscosity == 1.2826740100994345
+
+
+def test_lq1d_refuses_a_control_box_that_binds_its_closed_form():
+    """V = P x^2 / 2 is lq1d's value only while the optimal control -P x
+    stays in the box on the whole domain: a_max >= P(lam) * half_width."""
+    with pytest.raises(ValueError, match="a_max 1.0 is below P"):
+        build_benchmark("lq1d", a_max=1.0)
+    bound = lq_value_coefficient(1.0) * 3.0
+    assert build_benchmark("lq1d", a_max=bound).problem.a_max == bound
 
 
 def test_stencil_coefficients_examples():
@@ -93,7 +103,7 @@ def test_grid_problem_refuses_non_finite_samples_before_any_solve(monkeypatch):
         monkeypatch.setattr(howard, "solve_tridiagonal", None)  # any solve would raise TypeError
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             run_policy_iteration(problem, grid, params, PIConfig(max_outer_iterations=3),
-                                 boundary=GridField.zeros(grid))
+                                 boundary=GridField.full(grid, 0.0))
         monkeypatch.undo()
 
 
