@@ -217,11 +217,11 @@ def initial_policy(spec: str, grid: Grid, problem: ControlProblem) -> PolicyFiel
     if spec == "adversarial2d":
         if grid.dim != 2:
             raise ValueError("adversarial2d requires a 2D grid")
-        coords = grid.node_coordinates()
-        ref = GridField(grid, manufactured_value(coords[..., 0], coords[..., 1]))
+        # the separable factors are formed once per axis, not per node
+        axis = grid.axis_coords()
+        ref = GridField(grid, manufactured_value(axis[:, None], axis[None, :]))
         a_star = -interior_gradient(ref)
-        inner = coords[1:-1, 1:-1]
-        x, y = inner[..., 0], inner[..., 1]
+        x, y = axis[1:-1, None], axis[None, 1:-1]
         perturb = np.stack(
             [0.3 * np.sin(2.0 * x + 1.0) * np.cos(y), 0.3 * np.cos(x) * np.sin(2.0 * y - 0.5)],
             axis=-1,

@@ -15,13 +15,17 @@ Python floats taken once from the arrays, because reading numpy arrays
 element by element costs several times the arithmetic.  A 1D workspace
 assembles into its ReductionLayout's top rows, which the first level reads
 with the couplings' own signs, so its solve copies nothing in.  2D systems
-are solved by SOR with red-black sweeps, vectorized over each colour.
-Each solver's buffers and views, ReductionLayout and RedBlackLayout, are
-set up once per system shape, by the workspace in a run, and serve every
-solve.  A SOR sweep is one flat list of numpy calls built with its layout,
-on fixed views and with omega in a 0-d array; both colours' updates go
-into one shared buffer, so the stopping test is one reduction per sweep.
-A dense LU path exists purely as a test oracle.
+are solved by SOR with red-black sweeps, vectorized over each colour.  A 2D
+workspace assembles into its RedBlackLayout's block, its weights and rhs as
+one contiguous array, which a load scales in one multiply into a padded
+staging and splits by colour in one copy.  Each solver's buffers and views,
+ReductionLayout and RedBlackLayout, are set up once per system shape, by
+the workspace in a run, and serve every solve; a layout that holds its
+workspace's system refuses any other.  A SOR sweep is one flat list of
+numpy calls built with its layout, on fixed views and with omega in a 0-d
+array; both colours' updates go into one shared buffer, so the stopping
+test is one reduction per sweep.  A dense LU path exists purely as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -122,7 +126,10 @@ class EvaluationWorkspace:
     drift, -N/h and 2h, each axis's drift and weight views, each face's
     rows and boundary values, the dominance check's buffers, and the
     system's center, written once.  In 1D, when the layout has a level, the
-    system is its top rows, with -0.0 for the folded weights.  A system
+    system is its top rows, with -0.0 for the folded weights.  In 2D it is
+    the layout's block: E, W, N, S (plus[0], minus[0], plus[1], minus[1])
+    and rhs as one contiguous (5, m0, m1) array, whose four faces fold in
+    one gather, multiply, ordered np.subtract.at and scatter.  A system
     taken from it is valid until the next assembly.
     """
 
@@ -134,13 +141,18 @@ class EvaluationWorkspace:
         self.gp, self.boundary = gp, boundary
         self.cost, self.drift_base = gp.state_cost, gp.drift_base
         self.layout = ReductionLayout(shape[0]) if dim == 1 else RedBlackLayout(shape)
-        if dim == 1 and self.layout._levels:
+        self._zero, bvals = 0.0, boundary.values
+        if dim == 2:
+            east, west, north, south, rhs = self.layout._block
+            system = self.layout.system = EvaluationSystem(
+                np.empty(shape), (east, north), (west, south), rhs)
+        elif self.layout._levels:
             diag, lower, upper, rhs, _ = self.layout._top
             system = self.layout.system = EvaluationSystem(diag, (upper,), (lower,), rhs)
             self._zero = -0.0  # the exact negation of the negated form's zero couplings
         else:
-            weights = [tuple(np.empty(shape) for _ in range(dim)) for _ in range(2)]
-            system, self._zero = EvaluationSystem(np.empty(shape), *weights, np.empty(shape)), 0.0
+            system = EvaluationSystem(np.empty(shape), (np.empty(shape),), (np.empty(shape),),
+                                      np.empty(shape))
         self.system, self.center_weight = system, params.center_weight
         system.center[...] = self.center_weight
         drift = np.empty(shape + (dim,))
@@ -148,16 +160,30 @@ class EvaluationWorkspace:
         axes = tuple(zip((drift[..., k] for k in range(dim)), system.plus, system.minus))
         self._stencil = (drift, axes, -(params.viscosity / params.h), 2.0 * params.h,
                          params.viscosity, np.empty(drift.shape))
-        # axis by axis, the low face (through minus), then the high face
-        # (through plus): its rows' index, their weights, and the boundary
-        # values they couple to, in 1D one value per face, read here once
-        self._faces, bvals = [], boundary.values
-        for k, (low, low_nodes, high, high_nodes) in enumerate(_FACES[dim]):
-            self._faces += [(system.minus[k], low, bvals[low_nodes]),
-                            (system.plus[k], high, bvals[high_nodes])]
         self._floor = params.lam - DOMINANCE_RTOL * self.center_weight
         # the dominance check's row sums of absolute weights, and two terms
         self._offsums = tuple(np.empty(shape) for _ in range(3))
+        if dim == 1:
+            # the low face (through minus), then the high face (through
+            # plus): its row's index, its weights, and its boundary value
+            low, low_node, high, high_node = _FACES[1][0]
+            self._faces = [(system.minus[0], low, bvals[low_node]),
+                           (system.plus[0], high, bvals[high_node])]
+            return
+        # Every face at once, in the order of folding one face at a time:
+        # axis by axis, the low face's weights (W, then S) and the high
+        # face's (E, then N), by their index in the flat block, then the rhs
+        # rows they fold into and the boundary values they couple to.  A
+        # corner row is in two faces and folds its axis-0 face first.
+        index, weights, values = np.arange(system.n).reshape(shape), [], []
+        for k, (low, low_nodes, high, high_nodes) in enumerate(_FACES[2]):
+            # minus[k] is layer 2k + 1 of the block, plus[k] layer 2k
+            for face, nodes, layer in ((low, low_nodes, 2 * k + 1), (high, high_nodes, 2 * k)):
+                weights.append(index[face] + layer * system.n)
+                values.append(bvals[nodes])
+        weights = np.concatenate(weights)
+        self._faces = (self.layout._block.reshape(-1), weights,
+                       weights % system.n + 4 * system.n, np.concatenate(values))
 
     def assemble(self, controls: np.ndarray) -> EvaluationSystem:
         """Assemble the system of the policy with these controls; see
@@ -166,14 +192,22 @@ class EvaluationWorkspace:
         # c goes straight into rhs, where the boundary terms fold in below
         policy_cost_and_drift(self.cost, self.drift_base, controls, out=self._cost_drift)
         write_stencil(*self._stencil)
-        rhs, zero = system.rhs, self._zero
-        for weights, rows, values in self._faces:
-            rhs[rows] -= weights[rows] * values
-            weights[rows] = zero
+        plus, minus = system.plus, system.minus
+        if len(plus) == 1:
+            rhs, zero = system.rhs, self._zero
+            for weights, rows, values in self._faces:
+                rhs[rows] -= weights[rows] * values
+                weights[rows] = zero
+        else:
+            # one gather, multiply, ordered subtraction and scatter
+            block, weights, rhs_rows, values = self._faces
+            terms = block[weights]
+            terms *= values
+            np.subtract.at(block, rhs_rows, terms)
+            block[weights] = 0.0
         # Rounded subtraction is monotone, so this is the smallest row margin
         # exactly as the element-wise difference would give it.
         offsum, a, b = self._offsums
-        plus, minus = system.plus, system.minus
         np.add(np.abs(plus[0], a), np.abs(minus[0], b), offsum)
         for k in range(1, len(plus)):
             offsum += np.add(np.abs(plus[k], a), np.abs(minus[k], b), a)
@@ -397,19 +431,23 @@ class RedBlackLayout:
     nodes have zero coefficients and rhs, so they stay 0.
 
     Everything that depends on the shape alone is built once, here: the
-    padded staging array, the colour-split buffers of the four weights, the
-    rhs and the values, and one sweep as a list of (ufunc, a, b, out) steps
-    on views into them, 11 per colour, which read omega from a 0-d array.
-    A layout serves any number of solves of its shape, one at a time:
-    `load` writes omega, a system and a start into the buffers, `sweep` runs
-    the steps, and `unload` writes the solution out.  Nothing carries over
-    from one solve to the next, so the one layout of a run's
-    EvaluationWorkspace serves every solve.
+    block that an EvaluationWorkspace assembles into (E, W, N, S and rhs,
+    one contiguous (5, m0, m1) array), the padded staging arrays of those
+    five layers and of the values, the colour-split buffers of the four
+    weights, the rhs and the values, and one sweep as a list of (ufunc, a,
+    b, out) steps on views into them, 11 per colour, which read omega from a
+    0-d array.  A layout serves any number of solves of its shape, one at a
+    time: `load` writes omega, a system and a start into the buffers,
+    `sweep` runs the steps, and `unload` writes the solution out.  Nothing
+    carries over from one solve to the next, so the one layout of a run's
+    EvaluationWorkspace serves every solve.  That workspace sets `system`
+    to the system in the block; a layout without one (None) copies in each
+    system it loads, and one with a system refuses any other.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
         m0, m1 = shape
-        self.shape = (m0, m1)
+        self.shape, self.system = (m0, m1), None
         width = m1 + 2 if m1 % 2 else m1 + 3
         rows = m0 + 2 if m0 % 2 == 0 else m0 + 3  # even, so the colours split evenly
         self._staging = _aligned_zeros((rows, width))
@@ -417,8 +455,13 @@ class RedBlackLayout:
         # the staging array as its (2, rows * width / 2) colour rows
         self._split = self._staging.reshape(-1, 2).T
         self._scale = np.empty(self.shape)
-        # E, W, N, S coefficients and rhs, scaled by omega / center
+        # E, W, N, S and rhs of a workspace's system, one contiguous block
+        self._block = np.empty((5,) + self.shape)
+        # the same five, scaled by omega / center, padded, then colour split
+        self._padded = _aligned_zeros((5, rows, width))
+        self._padded_inner = self._padded[:, 1 : m0 + 1, 1 : m1 + 1]
         self._layers = _aligned_zeros((5,) + self._split.shape)
+        self._padded_split = self._padded.reshape(5, -1, 2).transpose(0, 2, 1)
         self._values = _aligned_zeros(self._split.shape)
         # entries of colour c in rows 1..m0
         bounds = [((width - c + 1) // 2, ((m0 + 1) * width - c + 1) // 2) for c in (0, 1)]
@@ -446,22 +489,29 @@ class RedBlackLayout:
 
     def load(self, system: EvaluationSystem, omega: float, initial: np.ndarray | None) -> None:
         """Write the system, scaled by omega / center, and the start (0 when
-        `initial` is None) into the buffers; neither input is modified."""
+        `initial` is None) into the buffers; neither input is modified.  The
+        layout's own system is scaled in one multiply of its block; any
+        other is scaled layer by layer, which a layout that holds a system
+        refuses with ValueError."""
         if system.shape != self.shape:
             raise ValueError(f"system shape {system.shape}, layout shape {self.shape}")
         if initial is not None:
             initial = np.asarray(initial, dtype=float)
             if initial.shape != self.shape:
                 raise ValueError(f"initial guess shape {initial.shape}, expected {self.shape}")
-        self._omega[()] = omega
-        inner, split = self._inner, self._split
+        if system is not self.system and self.system is not None:
+            raise ValueError("the layout holds its workspace's system; solve others in another")
         scale = np.divide(omega, system.center, out=self._scale)
-        (east, north), (west, south) = system.plus, system.minus
-        for layer, a in zip(self._layers, (east, west, north, south, system.rhs)):
-            np.multiply(scale, a, out=inner)
-            layer[...] = split
-        inner[...] = 0.0 if initial is None else initial
-        self._values[...] = split
+        if system is self.system:
+            np.multiply(self._block, scale, out=self._padded_inner)
+        else:
+            (east, north), (west, south) = system.plus, system.minus
+            for padded, a in zip(self._padded_inner, (east, west, north, south, system.rhs)):
+                np.multiply(scale, a, out=padded)
+        self._omega[()] = omega
+        self._layers[...] = self._padded_split
+        self._inner[...] = 0.0 if initial is None else initial
+        self._values[...] = self._split
 
     def sweep(self) -> float:
         """One sweep, at the omega of the last load: every node of one
@@ -498,13 +548,14 @@ def solve_sor(
     rule is the same as for any sweep order: the largest absolute update of
     a sweep is at most tol.  The sweeps run in `layout`, a RedBlackLayout of
     the system's shape, built here when not given; reusing one across solves
-    gives the same results bit for bit, also after a solve that raised.  The
-    solution is written into `out` when given, else into a new array, and
-    returned with its SolveStats.  Neither the system nor `initial` is
-    modified.  Raises SolverError on a divergence, as soon as an update is
-    not finite or reaches DIVERGENCE_FACTOR times the least update of the
-    solve, or on a stall, when max_iter sweeps end with the update still
-    above tol; `out` is then left as it was.
+    gives the same results bit for bit, also after a solve that raised.  A
+    layout that holds its workspace's system refuses any other with
+    ValueError.  The solution is written into `out` when given, else into a
+    new array, and returned with its SolveStats.  Neither the system nor
+    `initial` is modified.  Raises SolverError on a divergence, as soon as
+    an update is not finite or reaches DIVERGENCE_FACTOR times the least
+    update of the solve, or on a stall, when max_iter sweeps end with the
+    update still above tol; `out` is then left as it was.
     """
     if not 0.0 < omega < 2.0:
         raise ValueError(f"omega must lie in (0, 2), got {omega}")

@@ -76,6 +76,24 @@ def test_gradient_pointwise_examples():
     assert interior_gradient(quad)[14, 0] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_2d_gradient_equals_the_windowed_differences_bit_for_bit():
+    """The 2D gradient, formed at unit stride, has the bits of the
+    differences of the shifted interior windows divided by 2h, into a new
+    array and into a given one, at odd (39^2, 79^2, 1^2) and even (24^2,
+    2^2) interiors."""
+    rng = make_rng(102)
+    for half_width, h in ((2.0, 0.1), (2.0, 0.05), (2.0, 0.16), (1.0, 1.0), (1.5, 1.0)):
+        grid = build_grid(half_width, h, dim=2)
+        v = rng.standard_normal(grid.shape) * 10.0 ** rng.uniform(-3, 3, grid.shape)
+        expect = np.stack([(v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * h),
+                           (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * h)], axis=-1)
+        field = GridField(grid, v)
+        out = np.full(grid.interior_shape + (2,), np.nan)
+        assert interior_gradient(field).tobytes() == expect.tobytes(), h
+        assert interior_gradient(field, out) is out
+        assert out.tobytes() == expect.tobytes(), h
+
+
 def test_laplacian_pointwise_examples():
     grid = build_grid(1.0, 0.1, dim=1)
     const = GridField.full(grid, -7.0)

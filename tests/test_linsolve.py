@@ -37,6 +37,8 @@ from hjb_pi.checks import (
 )
 from hjb_pi import linsolve
 from hjb_pi.linsolve import REDUCTION_THRESHOLD, RedBlackLayout, ReductionLayout, system_to_dense
+from hjb_pi.problems import policy_cost_and_drift
+from hjb_pi.scheme import stencil_coefficients
 
 from conftest import make_rng, pointwise_red_black_sor
 
@@ -530,6 +532,65 @@ def test_a_workspace_layout_solves_only_its_own_system():
     assert solve_tridiagonal(system, workspace.layout).tobytes() == expected.tobytes()
 
 
+def face_by_face_system(gp, boundary, controls) -> EvaluationSystem:
+    """The 2D system of a policy with these controls, its boundary terms
+    folded one face at a time: axis by axis, the low face (through minus),
+    then the high face (through plus), so a corner row folds its axis-0
+    face before its axis-1 face."""
+    c, f = policy_cost_and_drift(gp.state_cost, gp.drift_base, controls)
+    plus, minus = stencil_coefficients(gp.params, f)
+    values, every, inner = boundary.values, slice(None), slice(1, -1)
+    # per axis: the low face's rows and boundary nodes, then the high face's
+    faces = [((0, every), (0, inner), (-1, every), (-1, inner)),
+             ((every, 0), (inner, 0), (every, -1), (inner, -1))]
+    for k, (low, low_nodes, high, high_nodes) in enumerate(faces):
+        for weights, rows, nodes in ((minus[k], low, low_nodes), (plus[k], high, high_nodes)):
+            c[rows] -= weights[rows] * values[nodes]
+            weights[rows] = 0.0
+    return EvaluationSystem(np.full(c.shape, gp.params.center_weight), plus, minus, c)
+
+
+def test_2d_assembly_folds_its_faces_in_order_bit_for_bit():
+    """The block's one-call fold of the four faces gives the bits of
+    folding face by face, corner rows included, at an odd (39^2) and an
+    even (24^2) interior, with random boundary data and policies."""
+    rng = make_rng(423)
+    for h in (0.1, 0.16):
+        setup = build_benchmark("manufactured2d", h=h)
+        grid, a_max = setup.grid, setup.problem.a_max
+        gp = GridProblem(setup.problem, grid, setup.params)
+        boundary = GridField(grid, rng.uniform(-3.0, 3.0, grid.shape))
+        workspace = EvaluationWorkspace(gp, boundary)
+        for _ in range(3):
+            controls = rng.uniform(-a_max, a_max, grid.interior_shape + (2,))
+            system = assemble_evaluation_system(workspace, PolicyField(grid, controls, a_max))
+            expect = system_arrays(face_by_face_system(gp, boundary, controls))
+            for name, a in system_arrays(system).items():
+                assert a.tobytes() == expect[name].tobytes(), (h, name)
+
+
+def test_a_2d_workspace_layout_solves_only_its_own_system():
+    """A 2D workspace's layout holds its system and refuses any other, as a
+    1D one does; its own solve, cold and warm, has the bits and sweeps of a
+    fresh layout's solve of a copy of that system."""
+    setup = build_benchmark("manufactured2d", h=0.1)
+    workspace = setup_workspace(setup)
+    policy = initial_policy("adversarial2d", setup.grid, setup.problem)
+    system = assemble_evaluation_system(workspace, policy)
+    assert system is workspace.layout.system
+    copy = EvaluationSystem(system.center.copy(), tuple(a.copy() for a in system.plus),
+                            tuple(a.copy() for a in system.minus), system.rhs.copy())
+    settings = dict(omega=1.7, tol=1e-10, max_iter=5000)
+    starts = (None, make_rng(424).uniform(-1.0, 1.0, system.shape))
+    expected = [solve_sor(copy, initial=start, **settings) for start in starts]
+    with pytest.raises(ValueError, match="holds its workspace's system"):
+        solve_sor(copy, layout=workspace.layout, **settings)
+    for start, (solution, stats) in zip(starts, expected):
+        own, own_stats = solve_sor(system, layout=workspace.layout, initial=start, **settings)
+        assert own.tobytes() == solution.tobytes()
+        assert own_stats == stats
+
+
 def test_reduction_layout_reuse_is_bit_identical():
     """One layout serves several systems of its size with the bits of fresh
     solves, into the caller's array, leaving the systems unchanged; a zero
@@ -681,10 +742,11 @@ def test_sor_half_swept_iterate_is_certified_by_the_update_norm():
 
 
 def layout_buffers(layout):
-    """The buffers a layout's sweeps read and write: staging, layers,
+    """The buffers a layout's loads and sweeps read and write: the staging
+    arrays of the values and of the system's five layers, the layers, the
     values, the shared update buffer, and the product term."""
     term = layout._steps[1][3]  # the first neighbour product's output
-    return [layout._staging, layout._layers, layout._values, layout._delta, term]
+    return [layout._staging, layout._padded, layout._layers, layout._values, layout._delta, term]
 
 
 def test_sor_layout_buffers_are_cache_line_aligned(monkeypatch):
@@ -701,11 +763,11 @@ def test_sor_layout_buffers_are_cache_line_aligned(monkeypatch):
     for shape in ((1, 1), (2, 3), (9, 8), (8, 9), (39, 39), (79, 79)):
         system = random_structured_system(rng, *shape)
         aligned = RedBlackLayout(shape)
-        assert [b.ctypes.data % 64 for b in layout_buffers(aligned)] == [0] * 5, shape
+        assert [b.ctypes.data % 64 for b in layout_buffers(aligned)] == [0] * 6, shape
         with monkeypatch.context() as patch:
             patch.setattr(linsolve, "_aligned_zeros", misaligned_zeros)
             reference = RedBlackLayout(shape)
-        assert [b.ctypes.data % 64 for b in layout_buffers(reference)] == [8] * 5, shape
+        assert [b.ctypes.data % 64 for b in layout_buffers(reference)] == [8] * 6, shape
         settings = dict(omega=1.7, tol=1e-10, max_iter=5000)
         sol, stats = solve_sor(system, layout=aligned, **settings)
         expect, expect_stats = solve_sor(system, layout=reference, **settings)
