@@ -18,14 +18,15 @@ with the couplings' own signs, so its solve copies nothing in.  2D systems
 are solved by SOR with red-black sweeps, vectorized over each colour.  A 2D
 workspace assembles into its RedBlackLayout's block, its weights and rhs as
 one contiguous array, which a load scales in one multiply into a padded
-staging and splits by colour in one copy.  Each solver's buffers and views,
-ReductionLayout and RedBlackLayout, are set up once per system shape, by
-the workspace in a run, and serve every solve; a layout that holds its
-workspace's system refuses any other.  A SOR sweep is one flat list of
-numpy calls built with its layout, on fixed views and with omega in a 0-d
-array; both colours' updates go into one shared buffer, so the stopping
-test is one reduction per sweep.  A dense LU path exists purely as a test
-oracle.
+staging, beside the start, and splits by colour in one copy; a layout
+copies any other system into its block first.  Each solver's buffers and
+views, ReductionLayout and RedBlackLayout, are set up once per system
+shape, by the workspace in a run, and serve every solve; a layout that
+holds its workspace's system refuses any other.  A SOR sweep is one flat
+list of numpy calls built with its layout, on fixed views and with omega in
+a 0-d array; both colours' updates go into one shared buffer, so the
+stopping test is one reduction per sweep.  A dense LU path exists purely as
+a test oracle.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class EvaluationWorkspace:
         self.gp, self.boundary = gp, boundary
         self.cost, self.drift_base = gp.state_cost, gp.drift_base
         self.layout = ReductionLayout(shape[0]) if dim == 1 else RedBlackLayout(shape)
-        self._zero, bvals = 0.0, boundary.values
+        bvals = boundary.values
         if dim == 2:
             east, west, north, south, rhs = self.layout._block
             system = self.layout.system = EvaluationSystem(
@@ -149,7 +150,6 @@ class EvaluationWorkspace:
         elif self.layout._levels:
             diag, lower, upper, rhs, _ = self.layout._top
             system = self.layout.system = EvaluationSystem(diag, (upper,), (lower,), rhs)
-            self._zero = -0.0  # the exact negation of the negated form's zero couplings
         else:
             system = EvaluationSystem(np.empty(shape), (np.empty(shape),), (np.empty(shape),),
                                       np.empty(shape))
@@ -164,6 +164,9 @@ class EvaluationWorkspace:
         # the dominance check's row sums of absolute weights, and two terms
         self._offsums = tuple(np.empty(shape) for _ in range(3))
         if dim == 1:
+            # a folded weight: in the top rows, -0.0, the exact negation of
+            # the negated form's zero couplings
+            self._zero = -0.0 if self.layout._levels else 0.0
             # the low face (through minus), then the high face (through
             # plus): its row's index, its weights, and its boundary value
             low, low_node, high, high_node = _FACES[1][0]
@@ -182,8 +185,8 @@ class EvaluationWorkspace:
                 weights.append(index[face] + layer * system.n)
                 values.append(bvals[nodes])
         weights = np.concatenate(weights)
-        self._faces = (self.layout._block.reshape(-1), weights,
-                       weights % system.n + 4 * system.n, np.concatenate(values))
+        self._fold = (self.layout._block.reshape(-1), weights,
+                      weights % system.n + 4 * system.n, np.concatenate(values))
 
     def assemble(self, controls: np.ndarray) -> EvaluationSystem:
         """Assemble the system of the policy with these controls; see
@@ -200,7 +203,7 @@ class EvaluationWorkspace:
                 weights[rows] = zero
         else:
             # one gather, multiply, ordered subtraction and scatter
-            block, weights, rhs_rows, values = self._faces
+            block, weights, rhs_rows, values = self._fold
             terms = block[weights]
             terms *= values
             np.subtract.at(block, rhs_rows, terms)
@@ -431,18 +434,18 @@ class RedBlackLayout:
     nodes have zero coefficients and rhs, so they stay 0.
 
     Everything that depends on the shape alone is built once, here: the
-    block that an EvaluationWorkspace assembles into (E, W, N, S and rhs,
-    one contiguous (5, m0, m1) array), the padded staging arrays of those
-    five layers and of the values, the colour-split buffers of the four
-    weights, the rhs and the values, and one sweep as a list of (ufunc, a,
-    b, out) steps on views into them, 11 per colour, which read omega from a
-    0-d array.  A layout serves any number of solves of its shape, one at a
-    time: `load` writes omega, a system and a start into the buffers,
-    `sweep` runs the steps, and `unload` writes the solution out.  Nothing
-    carries over from one solve to the next, so the one layout of a run's
-    EvaluationWorkspace serves every solve.  That workspace sets `system`
-    to the system in the block; a layout without one (None) copies in each
-    system it loads, and one with a system refuses any other.
+    block that holds the system (E, W, N, S and rhs, one contiguous (5, m0,
+    m1) array), one padded staging array of the values and of those five
+    layers, scaled, the colour split of its six layers, and one sweep as a
+    list of (ufunc, a, b, out) steps on views into them, 11 per colour,
+    which read omega from a 0-d array.  A layout serves any number of solves
+    of its shape, one at a time: `load` writes omega, a system and a start
+    into the buffers, `sweep` runs the steps, and `unload` writes the
+    solution out.  Nothing carries over from one solve to the next, so the
+    one layout of a run's EvaluationWorkspace serves every solve.  That
+    workspace assembles into the block and sets `system` to it; a layout
+    without one (None) copies each system it loads into the block, and one
+    with a system refuses any other.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -450,19 +453,19 @@ class RedBlackLayout:
         self.shape, self.system = (m0, m1), None
         width = m1 + 2 if m1 % 2 else m1 + 3
         rows = m0 + 2 if m0 % 2 == 0 else m0 + 3  # even, so the colours split evenly
-        self._staging = _aligned_zeros((rows, width))
-        self._inner = self._staging[1 : m0 + 1, 1 : m1 + 1]
-        # the staging array as its (2, rows * width / 2) colour rows
-        self._split = self._staging.reshape(-1, 2).T
         self._scale = np.empty(self.shape)
-        # E, W, N, S and rhs of a workspace's system, one contiguous block
+        # E, W, N, S and rhs of the system, one contiguous block
         self._block = np.empty((5,) + self.shape)
-        # the same five, scaled by omega / center, padded, then colour split
-        self._padded = _aligned_zeros((5, rows, width))
-        self._padded_inner = self._padded[:, 1 : m0 + 1, 1 : m1 + 1]
-        self._layers = _aligned_zeros((5,) + self._split.shape)
-        self._padded_split = self._padded.reshape(5, -1, 2).transpose(0, 2, 1)
-        self._values = _aligned_zeros(self._split.shape)
+        # the values, first so that they start on a cache line, and the five
+        # scaled by omega / center, padded, then split by colour into rows
+        # of rows * width / 2 entries
+        self._padded = _aligned_zeros((6, rows, width))
+        self._inner = self._padded[0, 1 : m0 + 1, 1 : m1 + 1]
+        self._padded_inner = self._padded[1:, 1 : m0 + 1, 1 : m1 + 1]
+        self._padded_split = self._padded.reshape(6, -1, 2).transpose(0, 2, 1)
+        self._split = self._padded_split[0]
+        self._layers = _aligned_zeros(self._padded_split.shape)
+        self._values = self._layers[0]
         # entries of colour c in rows 1..m0
         bounds = [((width - c + 1) // 2, ((m0 + 1) * width - c + 1) // 2) for c in (0, 1)]
         sizes = [hi - lo for lo, hi in bounds]
@@ -479,7 +482,7 @@ class RedBlackLayout:
         self._steps = []
         for c, (lo, hi) in enumerate(bounds):
             node, delta, product = self._values[c, lo:hi], deltas[c], term[: sizes[c]]
-            *weights, rhs = (layer[c, lo:hi] for layer in self._layers)
+            *weights, rhs = (layer[c, lo:hi] for layer in self._layers[1:])
             self._steps.append((np.multiply, node, self._omega, delta))
             for a, d in zip(weights, (width, -width, 1, -1)):
                 k = (2 * c + d - 1) // 2
@@ -490,28 +493,26 @@ class RedBlackLayout:
     def load(self, system: EvaluationSystem, omega: float, initial: np.ndarray | None) -> None:
         """Write the system, scaled by omega / center, and the start (0 when
         `initial` is None) into the buffers; neither input is modified.  The
-        layout's own system is scaled in one multiply of its block; any
-        other is scaled layer by layer, which a layout that holds a system
-        refuses with ValueError."""
+        system is scaled in one multiply of the block, into which any system
+        but the layout's own is copied first; a layout that holds a system
+        refuses any other with ValueError."""
         if system.shape != self.shape:
             raise ValueError(f"system shape {system.shape}, layout shape {self.shape}")
         if initial is not None:
             initial = np.asarray(initial, dtype=float)
             if initial.shape != self.shape:
                 raise ValueError(f"initial guess shape {initial.shape}, expected {self.shape}")
-        if system is not self.system and self.system is not None:
-            raise ValueError("the layout holds its workspace's system; solve others in another")
-        scale = np.divide(omega, system.center, out=self._scale)
-        if system is self.system:
-            np.multiply(self._block, scale, out=self._padded_inner)
-        else:
+        if system is not self.system:
+            if self.system is not None:
+                raise ValueError("the layout holds its workspace's system; solve others in another")
             (east, north), (west, south) = system.plus, system.minus
-            for padded, a in zip(self._padded_inner, (east, west, north, south, system.rhs)):
-                np.multiply(scale, a, out=padded)
+            for layer, a in zip(self._block, (east, west, north, south, system.rhs)):
+                layer[...] = a
+        scale = np.divide(omega, system.center, out=self._scale)
+        np.multiply(self._block, scale, out=self._padded_inner)
+        self._inner[...] = 0.0 if initial is None else initial
         self._omega[()] = omega
         self._layers[...] = self._padded_split
-        self._inner[...] = 0.0 if initial is None else initial
-        self._values[...] = self._split
 
     def sweep(self) -> float:
         """One sweep, at the omega of the last load: every node of one

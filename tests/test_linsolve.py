@@ -742,11 +742,12 @@ def test_sor_half_swept_iterate_is_certified_by_the_update_norm():
 
 
 def layout_buffers(layout):
-    """The buffers a layout's loads and sweeps read and write: the staging
-    arrays of the values and of the system's five layers, the layers, the
-    values, the shared update buffer, and the product term."""
+    """The buffers a layout's loads and sweeps read and write: the padded
+    staging of the values and the system's five layers, its colour-split
+    layers, the values (their first layer), the shared update buffer, and
+    the product term."""
     term = layout._steps[1][3]  # the first neighbour product's output
-    return [layout._staging, layout._padded, layout._layers, layout._values, layout._delta, term]
+    return [layout._padded, layout._layers, layout._values, layout._delta, term]
 
 
 def test_sor_layout_buffers_are_cache_line_aligned(monkeypatch):
@@ -763,11 +764,11 @@ def test_sor_layout_buffers_are_cache_line_aligned(monkeypatch):
     for shape in ((1, 1), (2, 3), (9, 8), (8, 9), (39, 39), (79, 79)):
         system = random_structured_system(rng, *shape)
         aligned = RedBlackLayout(shape)
-        assert [b.ctypes.data % 64 for b in layout_buffers(aligned)] == [0] * 6, shape
+        assert [b.ctypes.data % 64 for b in layout_buffers(aligned)] == [0] * 5, shape
         with monkeypatch.context() as patch:
             patch.setattr(linsolve, "_aligned_zeros", misaligned_zeros)
             reference = RedBlackLayout(shape)
-        assert [b.ctypes.data % 64 for b in layout_buffers(reference)] == [8] * 6, shape
+        assert [b.ctypes.data % 64 for b in layout_buffers(reference)] == [8] * 5, shape
         settings = dict(omega=1.7, tol=1e-10, max_iter=5000)
         sol, stats = solve_sor(system, layout=aligned, **settings)
         expect, expect_stats = solve_sor(system, layout=reference, **settings)
