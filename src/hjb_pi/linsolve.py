@@ -2,11 +2,11 @@
 
 One interior system type, EvaluationSystem, serves both dimensions.
 Assembly folds the Dirichlet neighbor terms into the right-hand side, axis
-by axis, leaving a strictly diagonally dominant system (dominance margin
-lam, inherited from the monotone stencil), in an EvaluationWorkspace: the
-one handle of an evaluation problem, which binds the GridProblem, its
-boundary data and its solver layout once and keeps every operand no policy
-changes.  1D systems are tridiagonal.  They are halved by odd-even
+by axis, leaving a strictly diagonally dominant system, whose dominance
+margin lam (up to rounding) the stencil's sign check guarantees, in an
+EvaluationWorkspace: the one handle of an evaluation problem, which binds
+the GridProblem, its boundary data and its solver layout once and keeps
+every operand no policy changes.  1D systems are tridiagonal.  They are halved by odd-even
 (cyclic) reduction, a pivot check, 14 whole-array steps (16 on the first
 level, which also forms the margins) and later 5 back-substitution steps
 per level, until at most REDUCTION_THRESHOLD unknowns remain; Thomas
@@ -17,9 +17,10 @@ assembles into its ReductionLayout's top rows, which the first level reads
 with the couplings' own signs, so its solve copies nothing in.  2D systems
 are solved by SOR with red-black sweeps, vectorized over each colour.  A 2D
 workspace assembles into its RedBlackLayout's block, its weights and rhs as
-one contiguous array, which a load scales in one multiply into a padded
-staging, beside the start, and splits by colour in one copy; a layout
-copies any other system into its block first.  Each solver's buffers and
+one contiguous array, which a load scales in one multiply, by a 0-d
+omega / center, into a padded staging, beside the start, and splits by
+colour in one copy; a layout copies any other system into its block first
+and scales it by omega over each node's center.  Each solver's buffers and
 views, ReductionLayout and RedBlackLayout, are set up once per system
 shape, by the workspace in a run, and serve every solve; a layout that
 holds its workspace's system refuses any other.  A SOR sweep is one flat
@@ -38,7 +39,7 @@ import numpy as np
 
 from .grid import GridField, Record
 from .problems import PolicyField, policy_cost_and_drift
-from .scheme import DOMINANCE_RTOL, GridProblem, MonotonicityError, write_stencil
+from .scheme import GridProblem, write_stencil
 
 __all__ = [
     "EvaluationSystem",
@@ -125,8 +126,8 @@ class EvaluationWorkspace:
     shape (ReductionLayout in 1D, RedBlackLayout in 2D), bound once; a run
     builds one.  It keeps what no policy changes: the sampled cost and
     drift, -N/h and 2h, each axis's drift and weight views, each face's
-    rows and boundary values, the dominance check's buffers, and the
-    system's center, written once.  In 1D, when the layout has a level, the
+    rows and boundary values, and the system's center, written once (in
+    2D, then read-only).  In 1D, when the layout has a level, the
     system is its top rows, with -0.0 for the folded weights.  In 2D it is
     the layout's block: E, W, N, S (plus[0], minus[0], plus[1], minus[1])
     and rhs as one contiguous (5, m0, m1) array, whose four faces fold in
@@ -153,16 +154,18 @@ class EvaluationWorkspace:
         else:
             system = EvaluationSystem(np.empty(shape), (np.empty(shape),), (np.empty(shape),),
                                       np.empty(shape))
-        self.system, self.center_weight = system, params.center_weight
-        system.center[...] = self.center_weight
+        self.system = system
+        system.center[...] = params.center_weight
+        if dim == 2:
+            # the layout scales its own system by this one constant, so no
+            # caller may change what it stands for
+            system.center.flags.writeable = False
+            self.layout._center_weight = params.center_weight
         drift = np.empty(shape + (dim,))
         self._cost_drift = (system.rhs, drift)
         axes = tuple(zip((drift[..., k] for k in range(dim)), system.plus, system.minus))
         self._stencil = (drift, axes, -(params.viscosity / params.h), 2.0 * params.h,
                          params.viscosity, np.empty(drift.shape))
-        self._floor = params.lam - DOMINANCE_RTOL * self.center_weight
-        # the dominance check's row sums of absolute weights, and two terms
-        self._offsums = tuple(np.empty(shape) for _ in range(3))
         if dim == 1:
             # a folded weight: in the top rows, -0.0, the exact negation of
             # the negated form's zero couplings
@@ -195,8 +198,7 @@ class EvaluationWorkspace:
         # c goes straight into rhs, where the boundary terms fold in below
         policy_cost_and_drift(self.cost, self.drift_base, controls, out=self._cost_drift)
         write_stencil(*self._stencil)
-        plus, minus = system.plus, system.minus
-        if len(plus) == 1:
+        if len(system.plus) == 1:
             rhs, zero = system.rhs, self._zero
             for weights, rows, values in self._faces:
                 rhs[rows] -= weights[rows] * values
@@ -208,16 +210,6 @@ class EvaluationWorkspace:
             terms *= values
             np.subtract.at(block, rhs_rows, terms)
             block[weights] = 0.0
-        # Rounded subtraction is monotone, so this is the smallest row margin
-        # exactly as the element-wise difference would give it.
-        offsum, a, b = self._offsums
-        np.add(np.abs(plus[0], a), np.abs(minus[0], b), offsum)
-        for k in range(1, len(plus)):
-            offsum += np.add(np.abs(plus[k], a), np.abs(minus[k], b), a)
-        margin = self.center_weight - float(np.maximum.reduce(offsum, None))
-        if not margin >= self._floor:  # also nan
-            raise MonotonicityError(
-                f"diagonal dominance margin {margin:.6g} fell below {self.gp.params.lam}")
         return system
 
 
@@ -227,8 +219,10 @@ def assemble_evaluation_system(workspace: EvaluationWorkspace,
     the workspace's Dirichlet data, into its system, which the next
     assembly overwrites: axis by axis, the low face (through minus) and then
     the high face (through plus) fold their boundary terms into rhs and
-    their weights to 0.  The stencil's sign check runs on every weight, and
-    dominance margin lam is asserted row by row; a NaN weight fails both.
+    their weights to 0.  The stencil's sign check runs on every weight and
+    fails on a NaN one; a system it passes has dominance margin lam, up to
+    a rounding slack of DOMINANCE_RTOL times the center weight, in every
+    row (see scheme.write_stencil).
     A policy on a grid other than the workspace's, even one of the same
     shape, is refused with ValueError.  It is otherwise
     workspace.assemble(policy.controls), a module-level function so that
@@ -443,9 +437,10 @@ class RedBlackLayout:
     into the buffers, `sweep` runs the steps, and `unload` writes the
     solution out.  Nothing carries over from one solve to the next, so the
     one layout of a run's EvaluationWorkspace serves every solve.  That
-    workspace assembles into the block and sets `system` to it; a layout
-    without one (None) copies each system it loads into the block, and one
-    with a system refuses any other.
+    workspace assembles into the block and sets `system` to it, with its
+    one center weight, written once and read-only; a layout without one
+    (None) copies each system it loads into the block, and one with a
+    system refuses any other.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -453,6 +448,9 @@ class RedBlackLayout:
         self.shape, self.system = (m0, m1), None
         width = m1 + 2 if m1 % 2 else m1 + 3
         rows = m0 + 2 if m0 % 2 == 0 else m0 + 3  # even, so the colours split evenly
+        # omega / center: 0-d for the system of a workspace, which sets
+        # _center_weight with `system`, and per node for any other
+        self._center_weight, self._uniform_scale = None, np.zeros(())
         self._scale = np.empty(self.shape)
         # E, W, N, S and rhs of the system, one contiguous block
         self._block = np.empty((5,) + self.shape)
@@ -493,22 +491,28 @@ class RedBlackLayout:
     def load(self, system: EvaluationSystem, omega: float, initial: np.ndarray | None) -> None:
         """Write the system, scaled by omega / center, and the start (0 when
         `initial` is None) into the buffers; neither input is modified.  The
-        system is scaled in one multiply of the block, into which any system
-        but the layout's own is copied first; a layout that holds a system
-        refuses any other with ValueError."""
+        system is scaled in one multiply of the block.  The layout's own
+        system, whose center is one constant, is scaled by a 0-d omega /
+        center; any other is copied into the block first and scaled node by
+        node, as its center may differ from row to row.  Both give the same
+        bits.  A layout that holds a system refuses any other with
+        ValueError."""
         if system.shape != self.shape:
             raise ValueError(f"system shape {system.shape}, layout shape {self.shape}")
         if initial is not None:
             initial = np.asarray(initial, dtype=float)
             if initial.shape != self.shape:
                 raise ValueError(f"initial guess shape {initial.shape}, expected {self.shape}")
-        if system is not self.system:
+        if system is self.system:
+            scale = self._uniform_scale
+            scale[()] = omega / self._center_weight
+        else:
             if self.system is not None:
                 raise ValueError("the layout holds its workspace's system; solve others in another")
             (east, north), (west, south) = system.plus, system.minus
             for layer, a in zip(self._block, (east, west, north, south, system.rhs)):
                 layer[...] = a
-        scale = np.divide(omega, system.center, out=self._scale)
+            scale = np.divide(omega, system.center, out=self._scale)
         np.multiply(self._block, scale, out=self._padded_inner)
         self._inner[...] = 0.0 if initial is None else initial
         self._omega[()] = omega

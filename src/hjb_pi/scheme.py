@@ -52,8 +52,9 @@ __all__ = [
     "certify_monotone_stencil",
 ]
 
-# Assembly checks each row's dominance margin against lam up to a rounding
-# slack of DOMINANCE_RTOL * center weight, so a lam at or below that slack
+# The rounding slack of a row's dominance margin, relative to the center
+# weight: write_stencil's sign check guarantees every row a margin of at
+# least lam - DOMINANCE_RTOL * center weight, so a lam at or below that slack
 # cannot be told apart from a margin of 0.
 DOMINANCE_RTOL = 1e-12
 
@@ -167,8 +168,24 @@ def write_stencil(f: np.ndarray, axes: tuple, neg_ratio: float, two_h: float,
                   viscosity: float, scratch: np.ndarray | None) -> None:
     """The weights of stencil_coefficients into axes, one (f_i, plus_i,
     minus_i) per axis, from neg_ratio = -N/h and two_h = 2h; scratch, if
-    given, takes |f|.  Raises MonotonicityError if a weight is positive
-    beyond rounding or not a number (a NaN drift)."""
+    given, takes |f|.  Raises MonotonicityError if a weight exceeds the
+    slack s = DOMINANCE_RTOL / 2 * N/h or is not a number (a NaN drift).
+
+    This sign check is assembly's one monotonicity guard: a stencil it
+    passes has a dominance margin of at least lam - DOMINANCE_RTOL * c in
+    every row, c = lam + 2*d*N/h the center weight.  With r = N/h and x =
+    f_i/(2h), axis i's weights are -r - x and -r + x.  When both are
+    nonpositive, |plus_i| + |minus_i| = 2r; when one of them, w, is
+    positive, the sum is 2|x| = 2r + 2w <= 2r + 2s.  Folding a face only
+    sets weights to 0, which lowers the sum.  So the d axes' absolute
+    weights add up to at most 2dr + d * DOMINANCE_RTOL * r, which leaves
+    the row a margin of at least lam - d * DOMINANCE_RTOL * r; as d * r =
+    (c - lam) / 2, that is lam less at most half of DOMINANCE_RTOL * c.
+    The other half covers rounding: N/h, the weights, the center weight
+    and the row sums are each a few rounded operations on numbers no larger
+    than c, so their errors add up to a few times 2^-53 * c, thousands of
+    times below the half of DOMINANCE_RTOL * c left.
+    """
     for f_i, plus_i, minus_i in axes:
         # f_i / (2h) goes through plus_i, which is overwritten last
         half = np.divide(f_i, two_h, plus_i)
@@ -179,7 +196,7 @@ def write_stencil(f: np.ndarray, axes: tuple, neg_ratio: float, two_h: float,
     # so this is the largest weight bit for bit.
     biggest = float(np.maximum.reduce(np.abs(f, scratch), None))
     worst = neg_ratio + biggest / two_h
-    if not worst <= 1e-12 * max(1.0, -neg_ratio):  # also nan
+    if not worst <= 0.5 * DOMINANCE_RTOL * -neg_ratio:  # also nan
         if not math.isfinite(biggest):
             raise MonotonicityError(f"drift is not finite: max |f| = {biggest}")
         raise MonotonicityError(

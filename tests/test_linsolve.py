@@ -178,40 +178,71 @@ def test_assembly_rejects_non_monotone_stencil():
             )
 
 
-def test_assembly_refuses_a_system_whose_dominance_margin_falls_below_lam(monkeypatch):
-    """Neighbor weights 0.1% too large keep their signs but take the margin
-    of the rows with every neighbor inside below lam; assembly refuses that
-    with the margin over both axes, in a workspace that has assembled before
-    and in a new one.  A NaN weight is refused too.  The weights are scaled
-    where assembly forms them, after the stencil's sign check."""
-    write = linsolve.write_stencil
+def dominance_margin(system, center_weight) -> float:
+    """The smallest row margin: the center weight less the row's absolute
+    neighbor weights, summed axis by axis."""
+    offsum = np.abs(system.plus[0]) + np.abs(system.minus[0])
+    for k in range(1, len(system.plus)):
+        offsum += np.abs(system.plus[k]) + np.abs(system.minus[k])
+    return center_weight - float(np.max(offsum))
 
-    def scaled_stencil(factor):
-        def stencil(f, axes, *operands):
-            write(f, axes, *operands)
-            for _, plus, minus in axes:
-                plus *= factor
-                minus *= factor
-        return stencil
 
-    for name, h in (("lq1d", 0.2), ("lq1d", 0.02), ("manufactured2d", 0.25)):
-        setup = build_benchmark(name, h=h)
-        gp = GridProblem(setup.problem, setup.grid, setup.params)
-        policy = PolicyField.zeros(setup.grid, setup.problem.a_max)
-        workspace = EvaluationWorkspace(gp, setup.boundary)
-        system = assemble_evaluation_system(workspace, policy)
-        offsum = sum(np.abs(1.001 * w) for w in system.plus + system.minus)
-        margin = setup.params.center_weight - float(np.max(offsum))
-        lam = setup.params.lam
-        assert margin < lam - 1e-3, name
-        for factor, message in ((1.001, f"diagonal dominance margin {margin:.6g} fell below {lam}"),
-                                (math.nan, f"diagonal dominance margin nan fell below {lam}")):
-            with monkeypatch.context() as patch:
-                patch.setattr(linsolve, "write_stencil", scaled_stencil(factor))
-                for used in (workspace, EvaluationWorkspace(gp, setup.boundary)):
-                    with pytest.raises(MonotonicityError) as error:
-                        assemble_evaluation_system(used, policy)
-                    assert str(error.value) == message, (name, h)
+def test_sign_check_implies_the_dominance_floor():
+    """The stencil's sign check is assembly's one monotonicity guard: a
+    policy either raises from it or assembles a system whose every row keeps
+    the margin lam - 1e-12 * center.  Random 1D and 2D drifts put a share of
+    the weights exactly at a positive level around the check's slack,
+    1e-12 / 2 * N/h, the rest well inside, with N/h below and above 1, a
+    lam from 0.01 to 2, and three policies per workspace.  Both outcomes
+    occur, and some systems the check passes hold positive weights."""
+    rng = make_rng(431)
+    h, refused, positive = 0.25, 0, 0
+    for trial in range(40):
+        dim = 1 + trial % 2
+        grid = build_grid(1.0, h, dim=dim)
+        ratio, lam = float(rng.choice([0.2, 0.6, 1.0, 4.0, 50.0])), 10.0 ** rng.uniform(-2.0, 0.3)
+        problem = ControlProblem(lam=lam, drift_base=lambda x: np.zeros_like(x),
+                                 state_cost=lambda x: np.zeros(x.shape[:-1]), a_max=1e3, dim=dim)
+        params = SchemeParams(viscosity=ratio * h, h=h, dim=dim, lam=lam)
+        workspace = EvaluationWorkspace(GridProblem(problem, grid, params),
+                                        GridField(grid, rng.uniform(-1.0, 1.0, grid.shape)))
+        slack = 0.5e-12 * params.viscosity / h
+        floor = lam - 1e-12 * params.center_weight
+        for _ in range(3):
+            level = slack * rng.choice([0.5, 0.99, 1.0, 1.01, 2.0, 5.0, 20.0])
+            shape = grid.interior_shape + (dim,)
+            # the drift is the control, whose weights are -N/h -+ |f|/(2h)
+            excess = np.where(rng.random(shape) < 0.5, level, -rng.uniform(0.0, ratio, shape))
+            controls = rng.choice([-1.0, 1.0], shape) * 2.0 * h * (ratio + excess)
+            try:
+                system = workspace.assemble(controls)
+            except MonotonicityError as error:
+                assert str(error).startswith("positive neighbor weight"), trial
+                refused += 1
+                continue
+            assert dominance_margin(system, params.center_weight) >= floor, (trial, ratio, lam)
+            positive += max(float(np.max(w)) for w in system.plus + system.minus) > 0.0
+    assert refused > 10 and positive > 10, (refused, positive)
+
+
+def test_sign_check_refuses_a_positive_weight_that_breaks_the_floor_below_unit_ratio():
+    """Where N/h < 1 the slack is still relative to N/h.  With N/h = 0.2 and
+    lam = 1, a drift of 0.2 + 9e-13 gives a weight of +9e-13: an absolute
+    slack of 1e-12 would pass it, though the row's margin, 1 - 1.8e-12,
+    lies below the floor 1 - 1e-12 * 1.4.  stencil_coefficients and
+    assembly refuse it."""
+    params = SchemeParams(viscosity=0.1, h=0.5, dim=1, lam=1.0)
+    f = 0.2 + 9e-13
+    weight = -(params.viscosity / params.h) + f / (2.0 * params.h)
+    assert 8.9e-13 < weight < 1e-12
+    message = f"^positive neighbor weight {weight:.3e}: viscosity 0.1 does not dominate"
+    with pytest.raises(MonotonicityError, match=message):
+        stencil_coefficients(params, np.array([[f]]))
+    grid = build_grid(1.0, 0.5, dim=1)
+    gp = GridProblem(constant_cost_problem(0.0), grid, params)
+    workspace = EvaluationWorkspace(gp, GridField.full(grid, 0.0))
+    with pytest.raises(MonotonicityError, match=message):
+        workspace.assemble(np.full(grid.interior_shape + (1,), f))
 
 
 def test_assembly_and_error_metrics_refuse_fields_on_another_grid():
@@ -647,6 +678,46 @@ def test_sor_matches_pointwise_red_black_bit_for_bit():
             layout.load(system, omega, initial)
             updates = [layout.sweep() for _ in range(sweeps)]
             assert updates[-1] == update <= 1e-10, (shape, omega)
+
+
+def varying_center_system(rng, m0, m1) -> EvaluationSystem:
+    """A five-point system whose center differs from row to row, unlike
+    every system a workspace or random_structured_system makes."""
+    system = random_structured_system(rng, m0, m1)
+    center = system.center + rng.uniform(0.0, 20.0, size=(m0, m1))
+    return EvaluationSystem(center, system.plus, system.minus, system.rhs)
+
+
+def test_sor_scales_a_system_by_its_center_row_by_row():
+    """A system whose center varies per row solves with the bits, sweeps and
+    update norm of the pointwise sweeps, which scale each node by its own
+    center: in a fresh layout, and in one reused after systems with one
+    center throughout and before one again."""
+    rng = make_rng(425)
+    shape = (9, 8)
+    varying = [varying_center_system(rng, *shape) for _ in range(2)]
+    uniform = random_structured_system(rng, *shape)
+    layout = RedBlackLayout(shape)
+    for system in (uniform, varying[0], uniform, varying[1], varying[0]):
+        expect, sweeps, update = pointwise_red_black_sor(system, 1.7, 1e-10, 5000)
+        for used in (None, layout):
+            sol, stats = solve_sor(system, omega=1.7, tol=1e-10, max_iter=5000, layout=used)
+            assert sol.tobytes() == expect.tobytes()
+            assert stats == SolveStats(sweeps, 1e-10) and update <= 1e-10
+
+
+def test_a_2d_workspace_center_is_read_only():
+    """Its layout scales the workspace's system by the one center weight, so
+    the center cannot be written."""
+    setup = build_benchmark("manufactured2d", h=0.2)
+    workspace = setup_workspace(setup)
+    system = assemble_evaluation_system(workspace, PolicyField.zeros(setup.grid, 1.0))
+    assert np.all(system.center == setup.params.center_weight)
+    for write in (lambda: system.center.__setitem__((0, 0), 1.0),
+                  lambda: system.center.__imul__(2.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert np.all(system.center == setup.params.center_weight)
 
 
 def test_sor_layout_reuse_is_bit_identical():
