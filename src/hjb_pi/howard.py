@@ -277,17 +277,28 @@ def policy_improve(
     go into `out`, an array of the controls' shape that the next call
     overwrites, when given, else into a new array; the mix is new either
     way, so the returned policy shares no array with `out` or prev_policy.
+
+    The returned policy skips PolicyField's scan of its controls, because
+    the clip that wrote them already proves what the scan checks.  The
+    value is a GridField, so finite; each gradient entry is a difference of
+    two finite values over 2h, which may overflow to an infinity but is
+    never NaN, and the clip takes it into the box, an infinity to a_max.
+    The mix of two such controls, finite and in the box, is finite too, and
+    its own clip takes it back into the box where rounding left it.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     greedy = interior_gradient(value, None if theta == 1.0 else out)
     greedy_policy(problem, greedy, out=greedy)
     if theta == 1.0:
-        return PolicyField(value.grid, greedy, problem.a_max)
+        return PolicyField._clipped(value.grid, greedy, problem.a_max)
     mixed = np.multiply(prev_policy.controls, 1.0 - theta)
+    if mixed.shape != greedy.shape:  # the constructor's check, which _clipped skips
+        raise ValueError(f"controls shape {mixed.shape}, expected {greedy.shape}")
     greedy *= theta
     mixed += greedy
-    return PolicyField(value.grid, mixed.clip(-problem.a_max, problem.a_max, mixed), problem.a_max)
+    mixed.clip(-problem.a_max, problem.a_max, mixed)
+    return PolicyField._clipped(value.grid, mixed, problem.a_max)
 
 
 def run_policy_iteration(

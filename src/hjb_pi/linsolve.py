@@ -6,20 +6,24 @@ by axis, leaving a strictly diagonally dominant system, whose dominance
 margin lam (up to rounding) the stencil's sign check guarantees, in an
 EvaluationWorkspace: the one handle of an evaluation problem, which binds
 the GridProblem, its boundary data and its solver layout once and keeps
-every operand no policy changes.  1D systems are tridiagonal.  They are halved by odd-even
-(cyclic) reduction, a pivot check, 14 whole-array steps (16 on the first
-level, which also forms the margins) and later 5 back-substitution steps
-per level, until at most REDUCTION_THRESHOLD unknowns remain; Thomas
+every operand no policy changes.  1D systems are tridiagonal.  They are
+halved by odd-even (cyclic) reduction, 14 whole-array steps (16 on the
+first level, which also forms the margins) and later 5 back-substitution
+steps per level, until at most REDUCTION_THRESHOLD unknowns remain; Thomas
 elimination solves the rest, a sequential recurrence whose loop runs on
 Python floats taken once from the arrays, because reading numpy arrays
 element by element costs several times the arithmetic.  A 1D workspace
 assembles into its ReductionLayout's top rows, which the first level reads
-with the couplings' own signs, so its solve copies nothing in.  2D systems
-are solved by SOR with red-black sweeps, vectorized over each colour.  A 2D
-workspace assembles into its RedBlackLayout's block, its weights and rhs as
-one contiguous array, which a load scales in one multiply, by a 0-d
-omega / center, into a padded staging, beside the start, and splits by
-colour in one copy; a layout copies any other system into its block first
+with the couplings' own signs, so its solve copies nothing in, and checks
+no pivot: the sign check that its assembly passed makes every pivot
+positive (see solve_tridiagonal).  Any other system is copied in, and each
+level checks its pivots before dividing by them.  2D systems are solved
+by SOR with red-black sweeps, vectorized over each colour.  A 2D workspace
+assembles into its RedBlackLayout's block, its weights and rhs as one
+contiguous array, which a load scales in one multiply, by a 0-d omega /
+center, into a padded staging, beside the start, and splits by colour in
+one copy, and an unload writes each colour back into every other entry of
+the padded values; a layout copies any other system into its block first
 and scales it by omega over each node's center.  Each solver's buffers and
 views, ReductionLayout and RedBlackLayout, are set up once per system
 shape, by the workspace in a run, and serve every solve; a layout that
@@ -244,9 +248,11 @@ class ReductionLayout:
     -0.0 adds exactly nothing, even to a signed zero).  So every even row
     reduces by the same steps, built once as (ufunc, a, b, out) on fixed 1D
     views, which numpy runs faster than stacked 2D calls at these sizes:
-    per level, reduction steps behind a check of its pivots, then one list
-    of every level's back substitution, in solve order.  The solution
-    buffer holds level k's unknowns at every 2^k-th entry, -0.0 past the end.
+    per level, its pivots (the odd rows' diagonal, which solve_tridiagonal
+    checks on a system other than the layout's own), their count and its
+    reduction steps, then one list of every level's back substitution, in
+    solve order.  The solution buffer holds level k's unknowns at every
+    2^k-th entry, -0.0 past the end.
 
     The first level reads the couplings as the system holds them (minus,
     plus), the later levels and Thomas negated (lower, upper): each
@@ -344,16 +350,58 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
     layout's own system (an EvaluationWorkspace's) is solved where it lies;
     any other is copied into the layout's rows first, which a layout that
     holds a system refuses with ValueError.  The solution goes into `out`
-    when given, else a new array, and is returned.  Raises SolverError on a
-    zero pivot, checked before any division by it (impossible for
-    diagonally dominant input, kept as a defensive guard), leaving `out` as
-    it was.  The system is not modified.
+    when given, else a new array, and is returned.  The system is not
+    modified.  Raises SolverError on a zero pivot, leaving `out` as it
+    was: for any system but the layout's own, each level's pivots are
+    checked before the level divides by them, and the Thomas loop reports
+    a division by zero.
+
+    Why the layout's own system needs no check: every pivot that the
+    reduction and Thomas divide by is positive.  Let c be the center
+    weight, u = 2^-53, and write a row as d x_i + l x_{i-1} + r x_{i+1}.
+    The workspace's rows passed write_stencil's sign check, so each has
+    the dominance margin d - |l| - |r| >= lam - DOMINANCE_RTOL / 2 *
+    (c - lam) less a few u * c of rounding (see write_stencil and
+    scheme.DOMINANCE_RTOL), and SchemeParams accepts only lam >
+    DOMINANCE_RTOL * c: every margin exceeds mu = DOMINANCE_RTOL / 2 * c -
+    10u * c, about 5e-13 * c.
+
+    (i) Exact arithmetic.  Eliminating the odd rows beside even row e
+    gives it the diagonal d_e - l_e r_{e-1} / d_{e-1} - r_e l_{e+1} /
+    d_{e+1} and the couplings l_e l_{e-1} / d_{e-1} and r_e r_{e+1} /
+    d_{e+1}, so its new margin is at least d_e - |l_e| q_{e-1} - |r_e|
+    q_{e+1} >= d_e - |l_e| - |r_e|, with q_i = (|l_i| + |r_i|) / d_i < 1
+    (Heller): no level's margin falls below mu, and every pivot, a
+    diagonal entry, is at least its row's margin.  Thomas's pivots p_i =
+    d_i - l_i r_{i-1} / p_{i-1} are then at least |r_i| + mu, by induction
+    from p_0 = d_0.
+
+    (ii) Rounding.  The levels carry each row's sum d + l + r (its
+    "margin" in the code) and rebuild each reduced diagonal as that sum
+    plus the negated couplings.  When no weight is positive, as the stencil
+    makes them but for rounding, the row sum is the dominance margin, and
+    every sum a level forms after the first level's row sums adds terms of
+    one sign; rounding is monotone, so each row sum is at least the first
+    level's, which is within 2u * c of exact, each diagonal at least its
+    row sum, and Thomas's pivots at least |r_i| + mu / 2.  A weight that
+    the sign check let through above 0 (by at most DOMINANCE_RTOL / 2 *
+    N/h) mixes the signs.  Then each entry a level forms is a sum of at
+    most three terms no larger than 2c (a multiplier times a row is bounded
+    by the coupling it cancels), and as each diagonal is rebuilt from its
+    row sum, no error is carried into the next level but through the
+    entries themselves: a level's dominance margin is at most about
+    100u * c below that of the exact reduction of the level above, which
+    (i) bounds below.  K levels lose at most 1.1e-14 * K * c, so every
+    pivot stays positive up to K = 40 levels, 64 * 2^40 unknowns.  A test
+    pins positive pivots at the sign check's edge, with lam just above
+    DOMINANCE_RTOL * c.
     """
     layout = ReductionLayout(system.n) if layout is None else layout
     out = np.empty(system.n) if out is None else out
     if system.shape != layout.shape:
         raise ValueError(f"system shape {system.shape}, layout shape {layout.shape}")
-    if system is not layout.system:
+    foreign = system is not layout.system
+    if foreign:
         if layout.system is not None:
             raise ValueError("the layout holds its workspace's system; solve others in another")
         diag, lower, upper, rhs, _ = layout._top
@@ -366,7 +414,8 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
             np.negative(system.minus[0][1:], lower[1:])
             np.negative(system.plus[0][:-1], upper[:-1])
     for odd_diag, n_odd, reduce in layout._levels:
-        if np.count_nonzero(odd_diag) < n_odd:
+        # the layout's own system has positive pivots (see above)
+        if foreign and np.count_nonzero(odd_diag) < n_odd:
             raise SolverError("zero pivot in tridiagonal elimination")
         for ufunc, a, b, result in reduce:
             ufunc(a, b, result)
@@ -384,23 +433,25 @@ def _thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndar
     on the Python floats is the same IEEE-754 double operation, in the same
     order, as in an element-wise loop over the arrays; negating a coupling
     and flipping the sign of the operation it enters is exact, so the result
-    is the same bit for bit as elimination on the weights.
+    is the same bit for bit as elimination on the weights.  No pivot is
+    compared with 0: a Python float division by a zero of either sign
+    raises ZeroDivisionError, which the loop turns into SolverError, once,
+    before any solution is written.  A pivot of the layout's own system is
+    never 0 (see solve_tridiagonal).
     """
     diag, rhs, upper = diag.tolist(), rhs.tolist(), upper.tolist()
     pivot = diag[0]
-    if pivot == 0.0:
-        raise SolverError("zero pivot in tridiagonal elimination")
-    w = -upper[0] / pivot
-    x = rhs[0] / pivot
-    work, out = [w], [x]
-    for a, b, c, r in zip(lower.tolist(), diag[1:], upper[1:], rhs[1:]):
-        pivot = b + a * w
-        if pivot == 0.0:
-            raise SolverError("zero pivot in tridiagonal elimination")
-        w = -c / pivot
-        x = (r + a * x) / pivot
-        work.append(w)
-        out.append(x)
+    try:
+        w, x = -upper[0] / pivot, rhs[0] / pivot
+        work, out = [w], [x]
+        for a, b, c, r in zip(lower.tolist(), diag[1:], upper[1:], rhs[1:]):
+            pivot = b + a * w
+            w = -c / pivot
+            x = (r + a * x) / pivot
+            work.append(w)
+            out.append(x)
+    except ZeroDivisionError:
+        raise SolverError("zero pivot in tridiagonal elimination") from None
     # back substitution; x holds the last unknown
     for i in range(len(out) - 2, -1, -1):
         x = out[i] - work[i] * x
@@ -461,9 +512,12 @@ class RedBlackLayout:
         self._inner = self._padded[0, 1 : m0 + 1, 1 : m1 + 1]
         self._padded_inner = self._padded[1:, 1 : m0 + 1, 1 : m1 + 1]
         self._padded_split = self._padded.reshape(6, -1, 2).transpose(0, 2, 1)
-        self._split = self._padded_split[0]
         self._layers = _aligned_zeros(self._padded_split.shape)
         self._values = self._layers[0]
+        # the values' padded layer by colour, at unit inner stride: flat
+        # position 2q + c is entry q of colour c
+        flat = self._padded[0].reshape(-1)
+        self._colours = flat[0::2], flat[1::2]
         # entries of colour c in rows 1..m0
         bounds = [((width - c + 1) // 2, ((m0 + 1) * width - c + 1) // 2) for c in (0, 1)]
         sizes = [hi - lo for lo, hi in bounds]
@@ -528,9 +582,13 @@ class RedBlackLayout:
 
     def unload(self, out: np.ndarray) -> None:
         """Write the current values of the unknowns into `out`, through the
-        staging array; after finite sweeps their padding is 0, so its ring
-        stays 0."""
-        self._split[...] = self._values
+        staging array: each colour into every other entry of its padded
+        layer, so that numpy's inner loop runs along the colour rather than
+        over pairs of colours; after finite sweeps their padding is 0, so
+        its ring stays 0."""
+        even, odd = self._colours
+        even[...] = self._values[0]
+        odd[...] = self._values[1]
         out[...] = self._inner
 
 

@@ -63,7 +63,14 @@ class ControlProblem(Record):
 
 
 class PolicyField(Record):
-    """One control vector per interior node, shape interior_shape + (dim,)."""
+    """One control vector per interior node, shape interior_shape + (dim,).
+
+    The constructor refuses controls of another shape, or any that is not
+    finite or lies outside the box [-a_max, a_max] beyond a relative 1e-12,
+    with one abs and one max over them.  Policy iteration hands on the
+    controls that its improvement has just clipped into the box through
+    _clipped, which skips that scan (see howard.policy_improve).
+    """
 
     _fields = ("grid", "controls", "a_max")
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -83,6 +90,17 @@ class PolicyField(Record):
             raise ValueError("policy controls must be finite")
         if peak > self.a_max * (1.0 + 1e-12):
             raise ValueError("policy controls leave the control box")
+
+    @classmethod
+    def _clipped(cls, grid: Grid, controls: np.ndarray, a_max: float) -> "PolicyField":
+        """The policy of `controls`, unchecked: a contiguous float array of
+        the grid's controls shape that a clip to [-a_max, a_max] of values
+        that are not NaN wrote, so that each is finite and in the box."""
+        policy = object.__new__(cls)
+        object.__setattr__(policy, "grid", grid)
+        object.__setattr__(policy, "controls", controls)
+        object.__setattr__(policy, "a_max", a_max)
+        return policy
 
     @classmethod
     def zeros(cls, grid: Grid, a_max: float) -> "PolicyField":

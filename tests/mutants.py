@@ -47,8 +47,11 @@ class Mutant(NamedTuple):
 
 
 LINSOLVE, SCHEME = "src/hjb_pi/linsolve.py", "src/hjb_pi/scheme.py"
+HOWARD, ANALYSIS = "src/hjb_pi/howard.py", "src/hjb_pi/analysis.py"
 T_LINSOLVE, T_SCHEME = "tests/test_linsolve.py::", "tests/test_scheme.py::"
+T_HOWARD = "tests/test_howard.py::"
 GUARD, BLOCK = "one monotonicity guard per assembly", "one contiguous block per 2D system"
+PROVEN, NORMS = "no re-proof per 1D iteration", "1D trajectory norms once per block"
 
 MUTANTS = [
     Mutant("the sign check's slack absolute below N/h = 1 again", SCHEME,
@@ -91,6 +94,32 @@ MUTANTS = [
            (T_LINSOLVE + "test_2d_assembly_folds_its_faces_in_order_bit_for_bit",
             T_LINSOLVE + "test_assembly_matches_policy_operator"),
            BLOCK),
+    Mutant("the pivot check skipped for foreign systems too", LINSOLVE,
+           "if foreign and np.count_nonzero(odd_diag) < n_odd:",
+           "if False and np.count_nonzero(odd_diag) < n_odd:",
+           (T_LINSOLVE + "test_thomas_zero_pivot_is_reported",),
+           PROVEN),
+    Mutant("the first row's zero pivot left uncaught", LINSOLVE,
+           "    try:\n        w, x = -upper[0] / pivot, rhs[0] / pivot\n",
+           "    w, x = -upper[0] / pivot, rhs[0] / pivot\n    try:\n",
+           (T_LINSOLVE + "test_thomas_zero_pivot_is_reported",),
+           PROVEN),
+    Mutant("the greedy clip dropped from the unscanned improvement", HOWARD,
+           "    greedy_policy(problem, greedy, out=greedy)\n",
+           "    np.negative(greedy, greedy)\n",
+           (T_HOWARD + "test_policy_improve_hands_on_the_controls_a_validated_policy_holds",),
+           PROVEN),
+    Mutant("the mix's clip dropped from the unscanned improvement", HOWARD,
+           "    mixed.clip(-problem.a_max, problem.a_max, mixed)\n",
+           "",
+           (T_HOWARD + "test_policy_improve_hands_on_the_controls_a_validated_policy_holds",),
+           PROVEN),
+    Mutant("the carried iterate dropped at a block boundary", ANALYSIS,
+           "return block[-1:]",
+           "return []",
+           (T_HOWARD + "test_1d_block_norms_match_the_per_iterate_helpers[17-1.0-None-True]",
+            T_HOWARD + "test_1d_block_norms_match_the_per_iterate_helpers[50-0.5-None-False]"),
+           NORMS),
 ]
 
 

@@ -35,7 +35,7 @@ from hjb_pi import howard, linsolve
 from hjb_pi.analysis import difference_norms
 from hjb_pi.checks import greedy_run_extremes
 from hjb_pi.grid import interior_gradient
-from hjb_pi.problems import lq1d_problem
+from hjb_pi.problems import greedy_policy, lq1d_problem
 
 from conftest import make_rng, pointwise_red_black_sor
 
@@ -173,6 +173,50 @@ def test_policy_improve_mixing():
     const_field = GridField.full(grid, 3.3)
     flat = policy_improve(problem, const_field, prev, theta=1.0)
     assert np.all(flat.controls == 0.0)
+
+
+def test_policy_improve_hands_on_the_controls_a_validated_policy_holds():
+    """Improvement skips PolicyField's scan: its controls have the bits of a
+    PolicyField built by the checking constructor from the same greedy
+    clip and mix, and they are finite and in the box, also where the
+    gradient overshoots the box or overflows to an infinity.  At theta =
+    0.18 and a_max = 1.7 the unclipped mix of two controls at the box's
+    edge leaves it by rounding, so the mix's own clip is tested too."""
+    rng = make_rng(441)
+    a_max, checked, outside = 1.7, 0, 0
+    for dim in (1, 2):
+        grid = build_grid(1.0, 0.25, dim=dim)
+        problem = ControlProblem(lam=1.0, drift_base=lambda x: np.zeros_like(x),
+                                 state_cost=lambda x: np.zeros(x.shape[:-1]), a_max=a_max, dim=dim)
+        shape = grid.interior_shape + (dim,)
+        # +, +, -, - along every axis, so that every centered difference is +-3.4e308
+        signs = np.where(np.indices(grid.shape).sum(axis=0) % 4 < 2, 1.0, -1.0)
+        fields = [rng.uniform(-0.5, 0.5, grid.shape),  # inside the box and beyond
+                  rng.uniform(-1e3, 1e3, grid.shape),  # beyond the box everywhere
+                  1.7e308 * signs]  # differences overflow to +-inf
+        for values in fields:
+            field = GridField(grid, values)
+            with np.errstate(over="ignore"):
+                gradient = interior_gradient(field)
+                target = PolicyField(grid, greedy_policy(problem, gradient.copy()), a_max)
+                improved = [(1.0, policy_improve(problem, field, None, theta=1.0), None)]
+                for prev in (rng.uniform(-a_max, a_max, shape), target.controls.copy()):
+                    prev_policy = PolicyField(grid, prev, a_max)
+                    improved.append((0.18, policy_improve(problem, field, prev_policy, 0.18,
+                                                          out=np.empty(shape)), prev))
+            for theta, policy, prev in improved:
+                if theta == 1.0:
+                    expected = target.controls
+                else:
+                    mix = prev * (1.0 - theta) + target.controls * theta
+                    outside += int(np.max(np.abs(mix)) > a_max)
+                    expected = PolicyField(grid, mix.clip(-a_max, a_max), a_max).controls
+                assert policy.controls.tobytes() == expected.tobytes(), (dim, theta)
+                assert policy.grid is grid and policy.a_max == a_max
+                assert np.all(np.abs(policy.controls) <= a_max), (dim, theta)
+                checked += 1
+            assert np.isinf(gradient).any() == (values is fields[-1]), dim
+    assert checked == 18 and outside >= 2, (checked, outside)
 
 
 def test_policy_improve_matches_reference_slope_at_fixed_point(lq_paper):

@@ -187,6 +187,30 @@ def dominance_margin(system, center_weight) -> float:
     return center_weight - float(np.max(offsum))
 
 
+def zero_cost_workspace(rng, dim, half_width, h, ratio, lam) -> EvaluationWorkspace:
+    """A workspace with zero drift and state cost, N/h = ratio, a wide
+    control box and random Dirichlet data: its controls are the drift."""
+    grid = build_grid(half_width, h, dim=dim)
+    problem = ControlProblem(lam=lam, drift_base=lambda x: np.zeros_like(x),
+                             state_cost=lambda x: np.zeros(x.shape[:-1]), a_max=1e3, dim=dim)
+    params = SchemeParams(viscosity=ratio * h, h=h, dim=dim, lam=lam)
+    return EvaluationWorkspace(GridProblem(problem, grid, params),
+                               GridField(grid, rng.uniform(-1.0, 1.0, grid.shape)))
+
+
+def edge_controls(rng, workspace, ratio) -> np.ndarray:
+    """Controls that put about half the weights exactly at one positive
+    level, 0.5 to 20 times the sign check's slack 1e-12 / 2 * N/h, and the
+    rest well inside, in a workspace of N/h = ratio: the drift is the
+    control, whose weights are -N/h -+ |f|/(2h)."""
+    params = workspace.gp.params
+    h = params.h
+    level = 0.5e-12 * params.viscosity / h * rng.choice([0.5, 0.99, 1.0, 1.01, 2.0, 5.0, 20.0])
+    shape = workspace.gp.grid.interior_shape + (params.dim,)
+    excess = np.where(rng.random(shape) < 0.5, level, -rng.uniform(0.0, ratio, shape))
+    return rng.choice([-1.0, 1.0], shape) * 2.0 * h * (ratio + excess)
+
+
 def test_sign_check_implies_the_dominance_floor():
     """The stencil's sign check is assembly's one monotonicity guard: a
     policy either raises from it or assembles a system whose every row keeps
@@ -196,26 +220,16 @@ def test_sign_check_implies_the_dominance_floor():
     lam from 0.01 to 2, and three policies per workspace.  Both outcomes
     occur, and some systems the check passes hold positive weights."""
     rng = make_rng(431)
-    h, refused, positive = 0.25, 0, 0
+    refused, positive = 0, 0
     for trial in range(40):
         dim = 1 + trial % 2
-        grid = build_grid(1.0, h, dim=dim)
         ratio, lam = float(rng.choice([0.2, 0.6, 1.0, 4.0, 50.0])), 10.0 ** rng.uniform(-2.0, 0.3)
-        problem = ControlProblem(lam=lam, drift_base=lambda x: np.zeros_like(x),
-                                 state_cost=lambda x: np.zeros(x.shape[:-1]), a_max=1e3, dim=dim)
-        params = SchemeParams(viscosity=ratio * h, h=h, dim=dim, lam=lam)
-        workspace = EvaluationWorkspace(GridProblem(problem, grid, params),
-                                        GridField(grid, rng.uniform(-1.0, 1.0, grid.shape)))
-        slack = 0.5e-12 * params.viscosity / h
+        workspace = zero_cost_workspace(rng, dim, 1.0, 0.25, ratio, lam)
+        params = workspace.gp.params
         floor = lam - 1e-12 * params.center_weight
         for _ in range(3):
-            level = slack * rng.choice([0.5, 0.99, 1.0, 1.01, 2.0, 5.0, 20.0])
-            shape = grid.interior_shape + (dim,)
-            # the drift is the control, whose weights are -N/h -+ |f|/(2h)
-            excess = np.where(rng.random(shape) < 0.5, level, -rng.uniform(0.0, ratio, shape))
-            controls = rng.choice([-1.0, 1.0], shape) * 2.0 * h * (ratio + excess)
             try:
-                system = workspace.assemble(controls)
+                system = workspace.assemble(edge_controls(rng, workspace, ratio))
             except MonotonicityError as error:
                 assert str(error).startswith("positive neighbor weight"), trial
                 refused += 1
@@ -223,6 +237,52 @@ def test_sign_check_implies_the_dominance_floor():
             assert dominance_margin(system, params.center_weight) >= floor, (trial, ratio, lam)
             positive += max(float(np.max(w)) for w in system.plus + system.minus) > 0.0
     assert refused > 10 and positive > 10, (refused, positive)
+
+
+def thomas_pivots(layout) -> list:
+    """The pivots of the Thomas loop on the layout's last level, formed as
+    linsolve._thomas forms them."""
+    lower, diag, upper = (a.tolist() for a in (layout._lower, layout._diag, layout._upper))
+    pivots = [diag[0]]
+    w = -upper[0] / pivots[0]
+    for a, b, c in zip(lower, diag[1:], upper[1:]):
+        pivots.append(b + a * w)
+        w = -c / pivots[-1]
+    return pivots
+
+
+def test_sign_check_makes_every_reduction_pivot_positive():
+    """A workspace's own system is solved with no pivot check, because the
+    sign check that its assembly passed makes every pivot positive (the
+    proof is in solve_tridiagonal).  At the check's edge, with lam down to
+    just above DOMINANCE_RTOL times the center weight, the smallest that
+    SchemeParams accepts, weights at 0.5-20 times the slack, and 1 to 5
+    levels, every level's pivots and every Thomas pivot are positive, and
+    the solve has the bits of pointwise_reduction."""
+    rng = make_rng(433)
+    h, solved, positive = 0.25, 0, 0
+    for trial in range(40):
+        half_width = (8.25, 16.375, 75.0, 150.125)[trial % 4]  # 65, 130, 599, 1200 unknowns
+        ratio = float(rng.choice([0.2, 1.0, 4.0, 50.0]))
+        # lam = 1e-12 * (lam + 2 N/h), times a factor just above 1
+        edge = 1e-12 * 2.0 * ratio / (1.0 - 1e-12)
+        lam = edge * float(rng.choice([1.0 + 1e-9, 1.001, 1.5, 1e3, 1e12]))
+        workspace = zero_cost_workspace(rng, 1, half_width, h, ratio, lam)
+        layout = workspace.layout
+        assert layout._levels and layout.system is workspace.system
+        for _ in range(3):
+            try:
+                system = workspace.assemble(edge_controls(rng, workspace, ratio))
+            except MonotonicityError:
+                continue
+            solution = solve_tridiagonal(system, layout=layout)
+            for pivots, count, _ in layout._levels:
+                assert pivots.size == count and np.all(pivots > 0.0), (trial, lam)
+            assert min(thomas_pivots(layout)) > 0.0, (trial, lam)
+            assert solution.tobytes() == pointwise_reduction(system).tobytes(), (trial, lam)
+            solved += 1
+            positive += max(float(np.max(system.plus[0])), float(np.max(system.minus[0]))) > 0.0
+    assert solved > 20 and positive > 10, (solved, positive)
 
 
 def test_sign_check_refuses_a_positive_weight_that_breaks_the_floor_below_unit_ratio():
@@ -678,6 +738,32 @@ def test_sor_matches_pointwise_red_black_bit_for_bit():
             layout.load(system, omega, initial)
             updates = [layout.sweep() for _ in range(sweeps)]
             assert updates[-1] == update <= 1e-10, (shape, omega)
+
+
+def test_sor_unload_writes_each_node_and_a_zero_ring_bit_for_bit():
+    """unload writes each colour into every other entry of the padded
+    values.  At odd and even shapes, after a load and a few sweeps, every
+    node of the unloaded field has the bits of its entry in its colour's
+    buffer (flat padded position p = 2q + c is entry q of colour c), and
+    the padding of the values around it is +0.0."""
+    rng = make_rng(418)
+    for shape in ((39, 39), (24, 24), (2, 2), (1, 1)):
+        layout = RedBlackLayout(shape)
+        layout.load(random_structured_system(rng, *shape), 1.7, rng.uniform(-1, 1, size=shape))
+        for _ in range(3):
+            layout.sweep()
+        out = np.full(shape, np.nan)
+        layout.unload(out)
+        padded = layout._padded[0]
+        width = padded.shape[1]
+        expected = np.empty(shape)
+        for i, j in np.ndindex(shape):
+            p = (i + 1) * width + j + 1
+            expected[i, j] = layout._values[p % 2, p // 2]
+        assert out.tobytes() == expected.tobytes(), shape
+        ring = np.ones(padded.shape, dtype=bool)
+        ring[1 : shape[0] + 1, 1 : shape[1] + 1] = False
+        assert padded[ring].tobytes() == np.zeros(np.count_nonzero(ring)).tobytes(), shape
 
 
 def varying_center_system(rng, m0, m1) -> EvaluationSystem:
