@@ -356,8 +356,10 @@ def solve_tridiagonal(system: EvaluationSystem, layout: ReductionLayout | None =
     checked before the level divides by them, and the Thomas loop reports
     a division by zero.
 
-    Why the layout's own system needs no check: every pivot that the
-    reduction and Thomas divide by is positive.  Let c be the center
+    Why the layout's own system, as its workspace assembled it, needs no
+    check: every pivot that the reduction and Thomas divide by is
+    positive.  (A caller that writes into that system's arrays gives this
+    up; solve a copy of it in a layout of its own.)  Let c be the center
     weight, u = 2^-53, and write a row as d x_i + l x_{i-1} + r x_{i+1}.
     The workspace's rows passed write_stencil's sign check, so each has
     the dominance margin d - |l| - |r| >= lam - DOMINANCE_RTOL / 2 *
